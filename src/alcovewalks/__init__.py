@@ -35,6 +35,7 @@ from .folding import (
     StepOptions,
     cells_by_endpoint,
     count_polynomial,
+    endpoint_counts,
     enumerate_folded_paths,
     step_options,
 )
@@ -74,6 +75,7 @@ __all__ = [
     "brute_force_cells",
     "cells_by_endpoint",
     "count_polynomial",
+    "endpoint_counts",
     "enumerate_folded_paths",
     "from_label",
     "in_iwahori",

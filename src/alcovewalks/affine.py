@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .cartan import (
     CartanDatum,
@@ -163,25 +163,37 @@ class AffineWeylGroup:
     def length(self, g: AffineWeylElement) -> int:
         return len(self.reduced_word(g))
 
-    def reduced_word(self, g: AffineWeylElement) -> Word:
+    def reduced_word(
+        self, g: AffineWeylElement, tails: dict[AffineWeylElement, Word] | None = None
+    ) -> Word:
         """Lexicographically smallest reduced word, by greedy left descent.
 
         The descent test is: i is a left descent iff g^{-1} alpha_i fails
-        iwahori positivity.
+        iwahori positivity.  Removing the descent replaces g^{-1} by
+        g^{-1} s_i, so only the inverse is tracked.
+
+        The word of s_i g is the rest of the word of g, so words computed
+        together share tails: `tails` maps h^{-1} to the word of h for
+        every h already passed, and the descent stops at the first one.
         """
+        if tails is None:
+            tails = {}
         word: list[int] = []
+        passed: list[AffineWeylElement] = []
         ginv = g.inverse()
-        while not g.is_identity():
+        while ginv not in tails and not ginv.is_identity():
             for i in range(self.rank + 1):
-                if not is_iwahori_positive(ginv.act(self.simple_affine_root(i))):
+                if not is_iwahori_positive(ginv.act(self._simple_roots[i])):
                     break
             else:  # pragma: no cover - impossible for genuine group elements
                 raise RuntimeError("no descent found for a non-identity element")
+            passed.append(ginv)
             word.append(i)
-            s = self.simple_reflection(i)
-            g = s * g
-            ginv = ginv * s
-        return tuple(word)
+            ginv = ginv * self._simple_reflections[i]
+        tail = tails.get(ginv, ())
+        for k, hinv in enumerate(passed):
+            tails[hinv] = tuple(word[k:]) + tail
+        return tuple(word) + tail
 
     def is_reduced(self, word: Sequence[int]) -> bool:
         return len(word) == self.length(self.from_word(word))
@@ -237,9 +249,15 @@ class AffineWeylGroup:
             frontier = nxt
         return lengths
 
-    def canonical_key(self, g: AffineWeylElement) -> tuple[int, Word]:
-        word = self.reduced_word(g)
-        return (len(word), word)
+    def canonical_words(
+        self, elements: Iterable[AffineWeylElement]
+    ) -> dict[AffineWeylElement, Word]:
+        """Each element's reduced word, in canonical order: shorter words
+        first, then lexicographically.  One reduced_word call per element,
+        so callers that print the words reuse them instead of recomputing."""
+        tails: dict[AffineWeylElement, Word] = {}
+        words = {g: self.reduced_word(g, tails) for g in elements}
+        return dict(sorted(words.items(), key=lambda item: (len(item[1]), item[1])))
 
     # -- alcove geometry (rank <= 2) ----------------------------------------
 

@@ -13,8 +13,9 @@ on the coroot basis.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 
@@ -109,9 +110,7 @@ class CartanDatum:
         if len(lam.coords) != self.size or len(mu.coords) != self.size:
             raise ValueError("dimension mismatch")
         return sum(
-            mu.coords[i] * self.entries[i][j] * lam.coords[j]
-            for i in range(self.size)
-            for j in range(self.size)
+            m * sum(map(mul, row, lam.coords)) for m, row in zip(mu.coords, self.entries) if m
         )
 
     # -- simple reflections --------------------------------------------
@@ -137,24 +136,18 @@ class CartanDatum:
     # -- Weyl group ------------------------------------------------------
 
     def identity_weyl(self) -> "FiniteWeylElement":
-        eye = tuple(tuple(1 if r == c else 0 for c in range(self.size)) for r in range(self.size))
+        eye = _identity_matrix(self.size)
         return FiniteWeylElement(self, eye, eye)
 
     def simple_reflection(self, i: int) -> "FiniteWeylElement":
         self._check_index(i)
         n = self.size
-        root_action = []
-        coweight_action = []
-        for r in range(n):
-            rrow = [1 if r == c else 0 for c in range(n)]
-            crow = list(rrow)
-            if r == i - 1:
-                for c in range(n):
-                    rrow[c] -= self.entries[c][i - 1]
-                    crow[c] -= self.entries[i - 1][c]
-            root_action.append(tuple(rrow))
-            coweight_action.append(tuple(crow))
-        return FiniteWeylElement(self, tuple(root_action), tuple(coweight_action))
+        # s_i alpha_c = alpha_c - alpha_c(h_i) alpha_i changes row i only
+        root_action = tuple(
+            tuple((r == c) - (self.entries[c][i - 1] if r == i - 1 else 0) for c in range(n))
+            for r in range(n)
+        )
+        return _from_root_action(self, root_action)
 
     def weyl_from_word(self, word: Sequence[int]) -> "FiniteWeylElement":
         w = self.identity_weyl()
@@ -479,32 +472,35 @@ def from_label(label: str) -> CartanDatum:
 
 @dataclass(frozen=True)
 class FiniteWeylElement:
-    """Weyl group element stored as its two action matrices.
+    """Weyl group element stored as its two integer action matrices.
 
     root_action acts on root coordinates, coweight_action on coroot
-    coordinates; they are kept in tandem so the pairing invariance
-    <w lam, w mu> = <lam, mu> is directly checkable.
+    coordinates.  Column i of root_action is w alpha_i and column i of
+    coweight_action is its coroot w h_i, so coweight_action is determined
+    by root_action and takes no part in equality or hashing.  With A the
+    Cartan matrix, the two satisfy the pairing identity R^T A C = A,
+    which is <w lam, w mu> = <lam, mu>.
     """
 
-    datum: CartanDatum
+    datum: CartanDatum = field(hash=False)
     root_action: tuple[tuple[int, ...], ...]
-    coweight_action: tuple[tuple[int, ...], ...]
+    coweight_action: tuple[tuple[int, ...], ...] = field(compare=False)
 
     def __mul__(self, other: "FiniteWeylElement") -> "FiniteWeylElement":
         if self.datum != other.datum:
             raise ValueError("datum mismatch")
-        return FiniteWeylElement(
-            self.datum,
-            _mat_mul(self.root_action, other.root_action),
-            _mat_mul(self.coweight_action, other.coweight_action),
-        )
+        return _from_root_action(self.datum, _mat_mul(self.root_action, other.root_action))
 
     def inverse(self) -> "FiniteWeylElement":
-        return FiniteWeylElement(
-            self.datum,
-            _mat_inv(self.root_action),
-            _mat_inv(self.coweight_action),
-        )
+        """w^{-1} in integers: the pairing identity gives R^{-T} A = A C,
+        so row j of A C is the pairing vector of the root w^{-1} alpha_j."""
+        datum = self.datum
+        by_pairing = _root_of_pairing(datum)
+        try:
+            columns = [by_pairing[row] for row in _mat_mul(datum.entries, self.coweight_action)]
+        except KeyError:
+            raise ValueError("matrix is not the action of a Weyl group element") from None
+        return _from_root_action(datum, tuple(zip(*columns)))
 
     def act_root(self, alpha: FiniteRoot) -> FiniteRoot:
         return FiniteRoot(_mat_vec(self.root_action, alpha.coords))
@@ -513,12 +509,7 @@ class FiniteWeylElement:
         return Coweight(_mat_vec(self.coweight_action, lam.coords))
 
     def is_identity(self) -> bool:
-        n = self.datum.size
-        return all(
-            self.root_action[r][c] == (1 if r == c else 0)
-            for r in range(n)
-            for c in range(n)
-        )
+        return self.root_action == _identity_matrix(self.datum.size)
 
     def length(self) -> int:
         """Number of positive roots sent to negative roots."""
@@ -529,56 +520,59 @@ class FiniteWeylElement:
 
 
 @functools.lru_cache(maxsize=None)
+def _coroot_of(datum: CartanDatum) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Root coords -> coroot coords."""
+    return {alpha.coords: h.coords for alpha, h in _root_coroot_table(datum).items()}
+
+
+@functools.lru_cache(maxsize=None)
+def _root_of_pairing(datum: CartanDatum) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Pairing vector (alpha(h_1), ..., alpha(h_n)) of each root -> its root coords."""
+    transpose = tuple(zip(*datum.entries))
+    return {_mat_vec(transpose, alpha): alpha for alpha in _coroot_of(datum)}
+
+
+def _from_root_action(datum: CartanDatum, root_action) -> FiniteWeylElement:
+    """The element with this root action; its coweight action maps each
+    simple coroot h_i to the coroot of column i, w alpha_i."""
+    coroot_of = _coroot_of(datum)
+    try:
+        coroot_columns = [coroot_of[column] for column in zip(*root_action)]
+    except KeyError:
+        raise ValueError("matrix is not the action of a Weyl group element") from None
+    return FiniteWeylElement(datum, root_action, tuple(zip(*coroot_columns)))
+
+
+@functools.lru_cache(maxsize=None)
 def _canonical_word(w: FiniteWeylElement) -> tuple[int, ...]:
-    """Lexicographically smallest reduced word, by greedy left descent."""
+    """Lexicographically smallest reduced word, by greedy left descent.
+
+    i is a left descent of w iff w^{-1} alpha_i is negative; removing it
+    replaces w^{-1} by w^{-1} s_i, so only the inverse is tracked.
+    """
     datum = w.datum
     word: list[int] = []
     winv = w.inverse()
-    while not w.is_identity():
+    while not winv.is_identity():
         for i in range(1, datum.size + 1):
             if winv.act_root(simple_root(datum.size, i)).is_negative():
                 break
         else:  # pragma: no cover - impossible for genuine group elements
             raise RuntimeError("no descent found for a non-identity element")
         word.append(i)
-        s = datum.simple_reflection(i)
-        w = s * w
-        winv = winv * s
+        winv = winv * datum.simple_reflection(i)
     return tuple(word)
 
 
+@functools.lru_cache(maxsize=None)
+def _identity_matrix(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
+
+
 def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n)) for r in range(n)
-    )
+    columns = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, column)) for column in columns) for row in a)
 
 
 def _mat_vec(a, v):
-    n = len(a)
-    return tuple(sum(a[r][k] * v[k] for k in range(n)) for r in range(n))
-
-
-def _mat_inv(a):
-    """Inverse of an integer matrix that is invertible over the integers."""
-    n = len(a)
-    m = [[Fraction(a[r][c]) for c in range(n)] + [Fraction(1 if r == c else 0) for c in range(n)] for r in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        d = m[col][col]
-        m[col] = [x / d for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    out = []
-    for r in range(n):
-        row = []
-        for c in range(n, 2 * n):
-            x = m[r][c]
-            if x.denominator != 1:
-                raise ValueError("matrix is not invertible over the integers")
-            row.append(int(x))
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(sum(map(mul, row, v)) for row in a)

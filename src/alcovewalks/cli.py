@@ -4,7 +4,7 @@ Subcommands:
   paths   enumerate folded paths of a type word, emit JSON
   count   per-endpoint count polynomials (optionally evaluated at q)
   verify  canned verification suites (currently: example8)
-  oracle  finite-field brute force vs enumerator comparison
+  oracle  finite-field brute force vs count polynomial comparison
   render  SVG of the wall arrangement with optional walk overlays
 
 Exit codes: 0 success, 1 verification failure, 2 bad flags.
@@ -19,8 +19,8 @@ import sys
 from . import example8
 from .affine import AffineWeylGroup, WordError, element_from_json, parse_word
 from .cartan import CartanError, from_label, validate_cartan
-from .folding import cells_by_endpoint, enumerate_folded_paths, paths_to_json
-from .loopgroup import brute_force_cells
+from .folding import cells_by_endpoint, endpoint_counts, enumerate_folded_paths, paths_to_json
+from .loopgroup import brute_force_cells, check_type_a
 from .render import SceneSpec, render_arrangement
 
 
@@ -43,7 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--word", required=True, help="comma separated letters, e.g. 2,1,0")
         p.add_argument("--allow-nonreduced", action="store_true")
-        p.add_argument("--jobs", type=int, default=1)
 
     end_help = 'endpoint as a word ("2,1,0") or {translation, finite_word} JSON'
     p_paths = sub.add_parser("paths", help="enumerate folded paths as JSON")
@@ -62,12 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="brute force tallies vs count polynomials")
     common(p_oracle)
     p_oracle.add_argument("--p", type=int, required=True, help="prime for the label field")
-    p_oracle.add_argument(
-        "--field",
-        choices=["rational", "fp"],
-        default="fp",
-        help="label field; the brute force needs a finite one, so only fp runs",
-    )
 
     p_render = sub.add_parser("render", help="render the arrangement to SVG")
     p_render.add_argument("--type", required=True, help="Cartan type label or JSON matrix")
@@ -103,6 +96,10 @@ def _parse_endpoint(group, text: str):
     return group.from_word(parse_word(text))
 
 
+def _word_text(word) -> str:
+    return ",".join(str(i) for i in word) or "-"
+
+
 def _endpoint_filter(group, args):
     if getattr(args, "end", None) is None:
         return None
@@ -111,7 +108,7 @@ def _endpoint_filter(group, args):
 
 def _cmd_paths(args) -> int:
     group = _group_for(args.type)
-    cells = cells_by_endpoint(group, parse_word(args.word), args.allow_nonreduced, args.jobs)
+    cells = cells_by_endpoint(group, parse_word(args.word), args.allow_nonreduced)
     target = _endpoint_filter(group, args)
     if target is not None:
         cells = {end: cell for end, cell in cells.items() if end == target}
@@ -133,22 +130,21 @@ def _cmd_paths(args) -> int:
 def _cmd_count(args) -> int:
     group = _group_for(args.type)
     word = parse_word(args.word)
-    cells = cells_by_endpoint(group, word, args.allow_nonreduced, args.jobs)
+    counts = endpoint_counts(group, word, args.allow_nonreduced)
     target = _endpoint_filter(group, args)
     if target is not None:
-        if target not in cells:
+        if target not in counts:
             print("0")
             return 0
-        line = str(cells[target].count)
+        line = str(counts[target])
         if args.q is not None:
-            line += f" = {cells[target].count.evaluate(args.q)} at q={args.q}"
+            line += f" = {counts[target].evaluate(args.q)} at q={args.q}"
         print(line)
         return 0
-    for end, cell in cells.items():
-        end_word = ",".join(str(i) for i in group.reduced_word(end)) or "-"
-        line = f"{end_word}\t{cell.count}"
+    for end, end_word in group.canonical_words(counts).items():
+        line = f"{_word_text(end_word)}\t{counts[end]}"
         if args.q is not None:
-            line += f"\t{cell.count.evaluate(args.q)}"
+            line += f"\t{counts[end].evaluate(args.q)}"
         print(line)
     return 0
 
@@ -167,23 +163,20 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.field != "fp":
-        raise WordError("brute force enumeration needs a finite label field; use --field fp")
     group = _group_for(args.type)
+    check_type_a(group.datum)
     word = parse_word(args.word)
-    cells = cells_by_endpoint(group, word, args.allow_nonreduced, args.jobs)
-    tallies = brute_force_cells(group.datum, word, args.p, jobs=args.jobs)
+    counts = endpoint_counts(group, word, args.allow_nonreduced)
+    tallies = brute_force_cells(group.datum, word, args.p)
     mismatches = 0
-    ends = sorted(set(cells) | set(tallies), key=group.canonical_key)
     print(f"endpoint\tpolynomial\tq={args.p}\tbrute")
-    for end in ends:
-        poly = cells[end].count if end in cells else None
+    for end, end_word in group.canonical_words(set(counts) | set(tallies)).items():
+        poly = counts.get(end)
         want = poly.evaluate(args.p) if poly is not None else 0
         got = tallies.get(end, 0)
         flag = "" if want == got else "\tMISMATCH"
         mismatches += 0 if want == got else 1
-        end_word = ",".join(str(i) for i in group.reduced_word(end)) or "-"
-        print(f"{end_word}\t{poly if poly is not None else '0'}\t{want}\t{got}{flag}")
+        print(f"{_word_text(end_word)}\t{poly if poly is not None else '0'}\t{want}\t{got}{flag}")
     if mismatches:
         print(f"{mismatches} endpoint(s) disagree")
         return 1

@@ -15,8 +15,6 @@ paths grouped by endpoint yields the cell counts.
 from __future__ import annotations
 
 import enum
-import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -144,6 +142,7 @@ class CountPolynomial:
         return text
 
 
+_Q = CountPolynomial.q_power(1)
 _Q_MINUS_ONE = CountPolynomial((-1, 1))
 
 
@@ -155,11 +154,20 @@ def count_polynomial(path: FoldedPath) -> CountPolynomial:
     return out
 
 
+def _check_word(group: AffineWeylGroup, word: Sequence[int], allow_nonreduced: bool) -> Word:
+    """Letters must lie in 0..n; non-reduced words are rejected unless allowed."""
+    word = tuple(word)
+    for i in word:
+        group._check_letter(i)
+    if not allow_nonreduced and not group.is_reduced(word):
+        raise WordError(f"word {word} is not reduced (pass allow_nonreduced to override)")
+    return word
+
+
 def enumerate_folded_paths(
     group: AffineWeylGroup,
     word: Sequence[int],
     allow_nonreduced: bool = False,
-    jobs: int = 1,
 ) -> tuple[FoldedPath, ...]:
     """Depth-first enumeration of all folded paths of type `word`.
 
@@ -167,26 +175,10 @@ def enumerate_folded_paths(
     output order is deterministic.  Non-reduced words are rejected unless
     explicitly allowed.
     """
-    word = tuple(word)
-    for i in word:
-        group._check_letter(i)
-    if not allow_nonreduced and not group.is_reduced(word):
-        raise WordError(f"word {word} is not reduced (pass allow_nonreduced to override)")
-    start = (group.identity(), (), ())
-    if jobs <= 1 or len(word) == 0:
-        return tuple(_walk(group, word, 0, *start))
-    prefixes = _split_prefixes(group, word, jobs)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        chunks = pool.map(
-            lambda s: _walk(group, word, s[0], s[1], s[2], s[3]), prefixes
-        )
-        return tuple(itertools.chain.from_iterable(chunks))
-
-
-def _walk(group, word, step, v, kinds, walls):
-    """Iterative DFS from a partial state; children in fold-first order."""
+    word = _check_word(group, word, allow_nonreduced)
     out = []
-    stack = [(step, v, kinds, walls, _rebuild_alcoves(group, word, step, kinds))]
+    identity = group.identity()
+    stack = [(0, identity, (), (), (identity,))]
     while stack:
         step, v, kinds, walls, alcoves = stack.pop()
         if step == len(word):
@@ -208,43 +200,39 @@ def _walk(group, word, step, v, kinds, walls):
             stack.append(
                 (step + 1, v, kinds + (StepKind.FOLD,), walls + (-beta,), alcoves + (v,))
             )
-    return out
+    return tuple(out)
 
 
-def _rebuild_alcoves(group, word, step, kinds):
-    alcoves = [group.identity()]
-    for k in range(step):
-        v = alcoves[-1]
-        if kinds[k] is StepKind.FOLD:
-            alcoves.append(v)
-        else:
-            alcoves.append(v * group.simple_reflection(word[k]))
-    return tuple(alcoves)
+def endpoint_counts(
+    group: AffineWeylGroup,
+    word: Sequence[int],
+    allow_nonreduced: bool = False,
+) -> dict[AffineWeylElement, CountPolynomial]:
+    """Cell count polynomials by endpoint, without building any path.
 
-
-def _split_prefixes(group, word, jobs):
-    """Partial states at the first few branch steps, in DFS order."""
-    depth = max(1, (jobs - 1).bit_length())
-    states = [(0, group.identity(), (), ())]
-    for _ in range(depth):
-        nxt = []
-        for step, v, kinds, walls in states:
-            if step == len(word):
-                nxt.append((step, v, kinds, walls))
-                continue
-            j = word[step]
-            beta = v.act(group.simple_affine_root(j))
-            if is_uminus_positive(beta):
-                nxt.append(
-                    (step + 1, v * group.simple_reflection(j), kinds + (StepKind.POSITIVE_CROSSING,), walls + (beta,))
-                )
+    Whether a step branches depends only on the current alcove and the
+    letter, so the paths are summed per alcove as the word is read: a
+    forced step sends v to v s_j with factor q, a branch step keeps v with
+    factor q-1 and sends v s_j with factor 1.  The counts equal those of
+    cells_by_endpoint; the keys come in the order the frontier reached
+    them, and AffineWeylGroup.canonical_words puts them in canonical
+    order together with the reduced words it sorted by.
+    """
+    word = _check_word(group, word, allow_nonreduced)
+    frontier = {group.identity(): CountPolynomial.one()}
+    for j in word:
+        s = group.simple_reflection(j)
+        nxt: dict[AffineWeylElement, CountPolynomial] = {}
+        for v, count in frontier.items():
+            vs = v * s
+            if step_options(group, v, j) is StepOptions.FORCED_POSITIVE:
+                moves = ((vs, count * _Q),)
             else:
-                nxt.append((step + 1, v, kinds + (StepKind.FOLD,), walls + (-beta,)))
-                nxt.append(
-                    (step + 1, v * group.simple_reflection(j), kinds + (StepKind.ZERO_CROSSING,), walls + (-beta,))
-                )
-        states = nxt
-    return states
+                moves = ((v, count * _Q_MINUS_ONE), (vs, count))
+            for end, c in moves:
+                nxt[end] = nxt[end] + c if end in nxt else c
+        frontier = nxt
+    return frontier
 
 
 @dataclass(frozen=True)
@@ -260,14 +248,13 @@ def cells_by_endpoint(
     group: AffineWeylGroup,
     word: Sequence[int],
     allow_nonreduced: bool = False,
-    jobs: int = 1,
 ) -> dict[AffineWeylElement, Cell]:
     """Group folded paths by endpoint, in canonical endpoint order."""
     grouped: dict[AffineWeylElement, list[FoldedPath]] = {}
-    for path in enumerate_folded_paths(group, word, allow_nonreduced, jobs):
+    for path in enumerate_folded_paths(group, word, allow_nonreduced):
         grouped.setdefault(path.endpoint, []).append(path)
     out: dict[AffineWeylElement, Cell] = {}
-    for end in sorted(grouped, key=group.canonical_key):
+    for end in group.canonical_words(grouped):
         paths = tuple(grouped[end])
         total = CountPolynomial.zero()
         for p in paths:

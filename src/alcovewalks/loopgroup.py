@@ -182,12 +182,17 @@ class ExecutorState:
     kinds: tuple[StepKind, ...]
 
 
+def check_type_a(datum: CartanDatum) -> None:
+    """Raise ValueError unless the datum has a matrix layer (irreducible type A)."""
+    if not (datum.is_irreducible() and datum.type_label.startswith("A")):
+        raise ValueError("the matrix layer supports irreducible type A data only")
+
+
 class LoopSL:
     """SL_n over rational functions in t, attached to a type A datum."""
 
     def __init__(self, datum: CartanDatum, field: Field):
-        if not (datum.is_irreducible() and datum.type_label.startswith("A")):
-            raise ValueError("the matrix layer supports irreducible type A data only")
+        check_type_a(datum)
         self.datum = datum
         self.field = field
         self.n = datum.size + 1
@@ -469,44 +474,19 @@ class LoopSL:
 
 
 def brute_force_cells(
-    datum: CartanDatum, word: Sequence[int], p: int, guard: int = 10**6, jobs: int = 1
+    datum: CartanDatum, word: Sequence[int], p: int, guard: int = 10**6
 ) -> dict[AffineWeylElement, int]:
-    """Endpoint tallies of the executor over every label tuple in F_p.
-
-    Runs are independent, so jobs > 1 splits the tuples by their first
-    label across a thread pool; tallies merge to the same result in any
-    case.
-    """
+    """Endpoint tallies of the executor over every label tuple in F_p."""
     word = tuple(word)
     if p ** len(word) > guard:
         raise ValueError(f"{p}^{len(word)} label tuples exceed the guard {guard}")
     field = PrimeField(p)
     sl = LoopSL(datum, field)
-    for j in range(datum.size + 1):
-        sl.n_simple_inv(j)  # warm the generator caches before any threads share sl
-
-    def tally_range(head) -> dict[AffineWeylElement, int]:
-        out: dict[AffineWeylElement, int] = {}
-        for tail in itertools.product(field.elements(), repeat=len(word) - len(head)):
-            state = sl.execute_folding(word, head + tail)
-            out[state.v] = out.get(state.v, 0) + 1
-        return out
-
-    heads = [(c,) for c in field.elements()] if word else [()]
-    if jobs <= 1:
-        chunks = [tally_range(head) for head in heads]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(tally_range, heads))
     tallies: dict[AffineWeylElement, int] = {}
-    for chunk in chunks:
-        for end, count in chunk.items():
-            tallies[end] = tallies.get(end, 0) + count
-    return {
-        end: tallies[end] for end in sorted(tallies, key=sl.group.canonical_key)
-    }
+    for labels in itertools.product(field.elements(), repeat=len(word)):
+        state = sl.execute_folding(word, labels)
+        tallies[state.v] = tallies.get(state.v, 0) + 1
+    return {end: tallies[end] for end in sl.group.canonical_words(tallies)}
 
 
 def matrix_to_json(m: GroupMatrix) -> list:

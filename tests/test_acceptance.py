@@ -23,6 +23,7 @@ from alcovewalks.folding import (
     CountPolynomial,
     cells_by_endpoint,
     count_polynomial,
+    endpoint_counts,
     enumerate_folded_paths,
 )
 from alcovewalks.loopgroup import LoopSL, brute_force_cells
@@ -143,6 +144,29 @@ def test_criterion_6_reduced_word_independence():
                     reference = cells
                 else:
                     assert cells == reference
+
+
+def test_criterion_4_sum_rule_by_dp():
+    with _Timer("criterion 4 (DP): counts sum to q^l for A1, A2, B2, G2, length <= 8", 60.0):
+        for label in ("A1", "A2", "B2", "G2"):
+            group = AffineWeylGroup(from_label(label))
+            for elem, ell in group.ball(8).items():
+                for word in group.all_reduced_words(elem, cap=8):
+                    total = CountPolynomial.zero()
+                    for count in endpoint_counts(group, word).values():
+                        total = total + count
+                    assert total == CountPolynomial.q_power(ell)
+
+
+def test_criterion_6_reduced_word_independence_by_dp():
+    with _Timer("criterion 6 (DP): identical counts for all reduced words, A2, B2, G2, length <= 7", 60.0):
+        for label in ("A2", "B2", "G2"):
+            group = AffineWeylGroup(from_label(label))
+            for elem, ell in group.ball(7).items():
+                words = group.all_reduced_words(elem, cap=7)
+                reference = endpoint_counts(group, words[0])
+                for word in words[1:]:
+                    assert endpoint_counts(group, word) == reference
 
 
 def _finite_reduced_words(datum):

@@ -264,3 +264,17 @@ def test_parse_word():
     assert parse_word("") == ()
     with pytest.raises(WordError):
         parse_word("2,x")
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_reduced_word_is_smallest_reduced_word(label):
+    g = AffineWeylGroup(from_label(label))
+    ball = g.ball(4)
+    for elem in ball:
+        word = g.reduced_word(elem)
+        assert word == min(g.all_reduced_words(elem, cap=4))
+        assert g.from_word(word) == elem
+    # sorting the whole ball with shared tails gives the same words
+    words = g.canonical_words(ball)
+    assert words == {elem: g.reduced_word(elem) for elem in words}
+    assert [(len(w), w) for w in words.values()] == sorted((len(w), w) for w in words.values())

@@ -6,6 +6,7 @@ from alcovewalks.cartan import (
     CartanError,
     Coweight,
     FiniteRoot,
+    FiniteWeylElement,
     from_label,
     simple_coroot,
     simple_root,
@@ -248,3 +249,29 @@ def test_commuting_generators_product_type():
     s1, s2 = d.simple_reflection(1), d.simple_reflection(2)
     assert s1 * s2 == s2 * s1
     assert (s1 * s2) * (s1 * s2) == d.identity_weyl()
+
+
+@pytest.mark.parametrize("label, order", [("A3", 24), ("B3", 48), ("G2", 12), ("D4", 192)])
+def test_weyl_inverse_and_pairing_on_whole_group(label, order):
+    d = from_label(label)
+    elements = _all_elements(d)
+    assert len(elements) == order
+    e = d.identity_weyl()
+    basis_roots = [simple_root(d.size, i) for i in range(1, d.size + 1)]
+    basis_cowts = [simple_coroot(d.size, i) for i in range(1, d.size + 1)]
+    for w in elements:
+        winv = w.inverse()
+        assert w * winv == e
+        assert winv * w == e
+        # independent reference: the reversed reduced word
+        assert winv == d.weyl_from_word(tuple(reversed(w.canonical_word())))
+        for lam in basis_cowts:
+            for mu in basis_roots:
+                assert d.pairing(w.act_coweight(lam), w.act_root(mu)) == d.pairing(lam, mu)
+
+
+def test_weyl_inverse_is_exact():
+    d = from_label("A2")
+    doubled = ((2, 0), (0, 2))
+    with pytest.raises(ValueError):
+        FiniteWeylElement(d, doubled, doubled).inverse()

@@ -135,15 +135,6 @@ def test_missing_subcommand_exits_2(capsys):
     assert exc.value.code == 2
 
 
-def test_jobs_flag_output_identical(capsys):
-    code1, out1, _ = run(capsys, "paths", "--type", "A2", "--word", "2,1,0,2,0")
-    code2, out2, _ = run(
-        capsys, "paths", "--type", "A2", "--word", "2,1,0,2,0", "--jobs", "4"
-    )
-    assert code1 == code2 == 0
-    assert out1 == out2
-
-
 def test_type_accepts_json_matrix(capsys):
     code, out, _ = run(
         capsys, "count", "--type", "[[2,-1],[-1,2]]", "--word", "2,1,0", "--end", "2,1,0"
@@ -152,12 +143,24 @@ def test_type_accepts_json_matrix(capsys):
     assert out.strip() == "1"
 
 
-def test_oracle_rejects_rational_field(capsys):
-    code, _, err = run(
-        capsys, "oracle", "--type", "A1", "--word", "1", "--p", "2", "--field", "rational"
-    )
+def test_oracle_rejects_non_type_a_before_counting(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("counted before checking the type")
+
+    monkeypatch.setattr("alcovewalks.cli.endpoint_counts", fail)
+    code, _, err = run(capsys, "oracle", "--type", "B2", "--word", "1,2", "--p", "2")
     assert code == 2
-    assert "finite label field" in err
+    assert "type A" in err
+
+
+def test_count_does_not_enumerate_paths(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("count enumerated paths")
+
+    monkeypatch.setattr("alcovewalks.folding.enumerate_folded_paths", fail)
+    code, out, _ = run(capsys, "count", "--type", "A2", "--word", "2,1,0,2,0,1,0,2,0", "--q", "2")
+    assert code == 0
+    assert len(out.splitlines()) > 1
 
 
 def test_end_accepts_element_json(capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from alcovewalks.affine import AffineRoot, AffineWeylGroup, WordError, is_uminus_positive
@@ -8,6 +10,7 @@ from alcovewalks.folding import (
     StepOptions,
     cells_by_endpoint,
     count_polynomial,
+    endpoint_counts,
     enumerate_folded_paths,
     paths_to_json,
     step_options,
@@ -180,14 +183,6 @@ def test_invalid_letter():
         enumerate_folded_paths(g, (2,))
 
 
-def test_jobs_do_not_change_output():
-    g = a2()
-    base = enumerate_folded_paths(g, LONG_WALK_WORD)
-    for jobs in (2, 4, 7):
-        assert enumerate_folded_paths(g, LONG_WALK_WORD, jobs=jobs) == base
-    assert cells_by_endpoint(g, LONG_WALK_WORD, jobs=3) == cells_by_endpoint(g, LONG_WALK_WORD)
-
-
 def test_paths_json_shape():
     g = a1()
     doc = paths_to_json(g, (1,), cells_by_endpoint(g, (1,)))
@@ -208,3 +203,37 @@ def test_sum_rule_other_cartan_types():
                 for cell in cells_by_endpoint(group, word).values():
                     total = total + cell.count
                 assert total == CountPolynomial.q_power(ell)
+
+
+def random_reduced_word(group, rng, length):
+    """Grow a reduced word letter by letter; affine letters included."""
+    g, word = group.identity(), []
+    while len(word) < length:
+        i = rng.randrange(group.rank + 1)
+        if i not in group.right_descents(g):
+            g = g * group.simple_reflection(i)
+            word.append(i)
+    return tuple(word)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "D4"])
+def test_endpoint_counts_match_cells_by_endpoint(label):
+    group = AffineWeylGroup(from_label(label))
+    rng = random.Random(label)
+    for length in (1, 4, 7, 9):
+        word = random_reduced_word(group, rng, length)
+        cells = cells_by_endpoint(group, word)
+        counts = endpoint_counts(group, word)
+        in_order = [(end, counts[end]) for end in group.canonical_words(counts)]
+        assert in_order == [(end, cell.count) for end, cell in cells.items()]
+
+
+def test_endpoint_counts_guards_match_the_enumerator():
+    g = a1()
+    with pytest.raises(WordError):
+        endpoint_counts(g, (1, 1))
+    with pytest.raises(WordError):
+        endpoint_counts(g, (2,))
+    counts = endpoint_counts(g, (1, 1), allow_nonreduced=True)
+    cells = cells_by_endpoint(g, (1, 1), allow_nonreduced=True)
+    assert counts == {end: cell.count for end, cell in cells.items()}

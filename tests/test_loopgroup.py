@@ -378,12 +378,6 @@ def test_matrix_json_round_trip():
     assert matrix_from_json(f5, doc5) == m5
 
 
-def test_brute_force_jobs_identical():
-    datum = from_label("A1")
-    base = brute_force_cells(datum, (1, 0, 1), 2)
-    assert brute_force_cells(datum, (1, 0, 1), 2, jobs=3) == base
-
-
 def test_bruhat_zero_labels_give_pure_n_product():
     sl = sl3()
     point = sl.bruhat_point_finite((1, 2, 1), (Fraction(0),) * 3)
