@@ -5,8 +5,8 @@ Layers, bottom up:
   cartan     finite-type Cartan data, roots, the finite Weyl group
   affine     affine roots, the affine Weyl group, words, alcoves
   folding    folded path enumeration and q-point count polynomials
-  ratfunc    exact scalars and rational functions in t
-  loopgroup  SL_n matrices over rational functions; the folding executor
+  ratfunc    exact scalars and Laurent polynomials in F[t, t^-1]
+  loopgroup  SL_n matrices over Laurent polynomials; the folding executor
   render     deterministic SVG pictures of rank <= 2 arrangements
   cli        command line front end
 """
@@ -39,7 +39,7 @@ from .folding import (
     enumerate_folded_paths,
     step_options,
 )
-from .ratfunc import FpElement, Polynomial, PrimeField, QQ, RationalFunction
+from .ratfunc import FpElement, PrimeField, QQ, RationalFunction
 from .loopgroup import (
     ExecutorState,
     GroupMatrix,
@@ -66,7 +66,6 @@ __all__ = [
     "FpElement",
     "GroupMatrix",
     "LoopSL",
-    "Polynomial",
     "PrimeField",
     "QQ",
     "RationalFunction",

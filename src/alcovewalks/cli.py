@@ -7,7 +7,8 @@ Subcommands:
   oracle  finite-field brute force vs count polynomial comparison
   render  SVG of the wall arrangement with optional walk overlays
 
-Exit codes: 0 success, 1 verification failure, 2 bad flags.
+Exit codes: 0 success, 1 verification failure, 2 bad flags, 3 internal
+error (the matrix executor broke an invariant).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import example8
 from .affine import AffineWeylGroup, WordError, element_from_json, parse_word
 from .cartan import CartanError, from_label, validate_cartan
 from .folding import cells_by_endpoint, endpoint_counts, enumerate_folded_paths, paths_to_json
-from .loopgroup import brute_force_cells, check_type_a
+from .loopgroup import InvariantError, NormalizationError, brute_force_cells, check_type_a
 from .render import SceneSpec, render_arrangement
 
 
@@ -229,6 +230,9 @@ def main(argv=None) -> int:
     except (CartanError, WordError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (NormalizationError, InvariantError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

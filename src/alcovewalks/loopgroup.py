@@ -1,4 +1,4 @@
-"""Exact matrix realization of SL_n over rational functions in t.
+"""Exact matrix realization of the loop group SL_n(F[t, t^-1]).
 
 Only type A data get a matrix layer: the finite root e_a - e_b maps to
 the matrix position (a, b), the affine generator attached to
@@ -12,7 +12,9 @@ identity
 
 with u lower unipotent, v_rep monomial, and b in the Iwahori subgroup.
 Structure-constant signs are never tabulated; every sign emerges from an
-actual matrix product.
+actual matrix product.  Every entry is a Laurent polynomial, so products,
+determinants and inverses are division-free except for one inverse of a
+unit determinant.
 """
 
 from __future__ import annotations
@@ -29,21 +31,20 @@ from .affine import (
 )
 from .cartan import CartanDatum, Coweight, FiniteRoot
 from .folding import StepKind
-from .ratfunc import Field, FpElement, Polynomial, PrimeField, RationalFunction
-
-# When True, determinant and membership invariants are re-checked after
-# every executor step.  Tests switch it on; the brute-force oracle leaves
-# it off for speed.
-DEBUG_CHECKS = False
+from .ratfunc import Field, PrimeField, RationalFunction
 
 
 class NormalizationError(RuntimeError):
     """The Iwahori coset normalization found no (or no unique) solution."""
 
 
+class InvariantError(RuntimeError):
+    """A validated executor run broke one of its invariants."""
+
+
 @dataclass(frozen=True)
 class GroupMatrix:
-    """Square matrix of rational functions."""
+    """Square matrix of Laurent polynomials."""
 
     entries: tuple[tuple[RationalFunction, ...], ...]
 
@@ -56,59 +57,39 @@ class GroupMatrix:
         return self.entries[0][0].field
 
     def __matmul__(self, other: "GroupMatrix") -> "GroupMatrix":
-        n = self.n
+        zero = RationalFunction.of(self.field, 0)
+        cols = [
+            [(k, e) for k, e in enumerate(col) if e.terms] for col in zip(*other.entries)
+        ]
         rows = []
-        for r in range(n):
-            row = []
-            for c in range(n):
-                acc = self.entries[r][0] * other.entries[0][c]
-                for k in range(1, n):
-                    acc = acc + self.entries[r][k] * other.entries[k][c]
-                row.append(acc)
-            rows.append(tuple(row))
+        for row in self.entries:
+            out = []
+            for col in cols:
+                acc = None
+                for k, e in col:
+                    a = row[k]
+                    if a.terms:
+                        acc = a * e if acc is None else acc + a * e
+                out.append(zero if acc is None else acc)
+            rows.append(tuple(out))
         return GroupMatrix(tuple(rows))
 
     def determinant(self) -> RationalFunction:
-        n = self.n
-        m = [list(row) for row in self.entries]
-        det = RationalFunction.of(self.field, 1)
-        for col in range(n):
-            piv = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
-            if piv is None:
-                return RationalFunction.of(self.field, 0)
-            if piv != col:
-                m[col], m[piv] = m[piv], m[col]
-                det = -det
-            det = det * m[col][col]
-            inv = m[col][col].inverse()
-            for r in range(col + 1, n):
-                if m[r][col].is_zero():
-                    continue
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] = m[r][c] - f * m[col][c]
-        return det
+        """Cofactor expansion; division-free, so it never needs a unit pivot."""
+        return _minor(self.entries, tuple(range(self.n)), {})
 
     def inverse(self) -> "GroupMatrix":
+        """Adjugate times det^-1; raises ZeroDivisionError unless det is a unit."""
         n = self.n
-        one = RationalFunction.of(self.field, 1)
-        zero = RationalFunction.of(self.field, 0)
-        m = [
-            list(row) + [one if r == c else zero for c in range(n)]
-            for r, row in enumerate(self.entries)
-        ]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
-            if piv is None:
-                raise ZeroDivisionError("matrix is singular")
-            m[col], m[piv] = m[piv], m[col]
-            inv = m[col][col].inverse()
-            m[col] = [x * inv for x in m[col]]
-            for r in range(n):
-                if r != col and not m[r][col].is_zero():
-                    f = m[r][col]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-        return GroupMatrix(tuple(tuple(row[n:]) for row in m))
+        det_inv = self.determinant().inverse()
+        adj = [[None] * n for _ in range(n)]
+        for r in range(n):
+            rest = self.entries[:r] + self.entries[r + 1 :]
+            memo: dict = {}
+            for c in range(n):
+                m = _minor(rest, tuple(range(c)) + tuple(range(c + 1, n)), memo)
+                adj[c][r] = (-m if (r + c) % 2 else m) * det_inv
+        return GroupMatrix(tuple(tuple(row) for row in adj))
 
     def __str__(self) -> str:
         cells = [[str(e) for e in row] for row in self.entries]
@@ -116,25 +97,42 @@ class GroupMatrix:
         return "\n".join("[" + "  ".join(c.rjust(width) for c in row) + "]" for row in cells)
 
 
+def _minor(rows, cols: tuple[int, ...], memo: dict) -> RationalFunction:
+    """Determinant of the last len(cols) rows restricted to cols, expanded
+    along its first row; zero entries are skipped and sub-minors memoized."""
+    if cols in memo:
+        return memo[cols]
+    row = rows[len(rows) - len(cols)]
+    if len(cols) == 1:
+        return row[cols[0]]
+    acc = RationalFunction.of(row[0].field, 0)
+    for i, c in enumerate(cols):
+        e = row[c]
+        if e.terms:
+            sub = _minor(rows, cols[:i] + cols[i + 1 :], memo)
+            if sub.terms:
+                acc = acc - e * sub if i % 2 else acc + e * sub
+    memo[cols] = acc
+    return acc
+
+
 def in_iwahori(m: GroupMatrix) -> bool:
     """All entries t-integral, and the t=0 evaluation is upper triangular
     with nonzero diagonal."""
-    n = m.n
-    for r in range(n):
-        for c in range(n):
-            e = m.entries[r][c]
-            if not e.is_integral():
-                return False
-            if r > c and e.ev0():
-                return False
-            if r == c and not e.ev0():
+    for r, row in enumerate(m.entries):
+        for c, e in enumerate(row):
+            v = e.valuation()
+            if r == c:
+                if v != 0:
+                    return False
+            elif v is not None and v < (1 if r > c else 0):
                 return False
     return True
 
 
 def in_uminus(m: GroupMatrix) -> bool:
     """Lower triangular with unit diagonal; entries below may be any
-    rational function."""
+    Laurent polynomial."""
     n = m.n
     one = RationalFunction.of(m.field, 1)
     for r in range(n):
@@ -189,7 +187,7 @@ def check_type_a(datum: CartanDatum) -> None:
 
 
 class LoopSL:
-    """SL_n over rational functions in t, attached to a type A datum."""
+    """SL_n over Laurent polynomials in t, attached to a type A datum."""
 
     def __init__(self, datum: CartanDatum, field: Field):
         check_type_a(datum)
@@ -200,23 +198,26 @@ class LoopSL:
         self._zero = RationalFunction.of(field, 0)
         self._one = RationalFunction.of(field, 1)
         self._t = RationalFunction.t_power(field, 1)
-        self._n_cache: dict[int, GroupMatrix] = {}
-        self._n_inv_cache: dict[int, GroupMatrix] = {}
-
-    # -- elementary constructors ----------------------------------------
-
-    def identity(self) -> GroupMatrix:
-        return GroupMatrix(
+        self._identity = GroupMatrix(
             tuple(
                 tuple(self._one if r == c else self._zero for c in range(self.n))
                 for r in range(self.n)
             )
         )
+        self._n_cache: dict[int, GroupMatrix] = {}
+        self._n_inv_cache: dict[int, GroupMatrix] = {}
+        self._n_root_inv_cache: dict[AffineRoot, GroupMatrix] = {}
+        self._ej_cache: dict[int, GroupMatrix] = {}
+
+    # -- elementary constructors ----------------------------------------
+
+    def identity(self) -> GroupMatrix:
+        return self._identity
 
     def _as_rf(self, value) -> RationalFunction:
         if isinstance(value, RationalFunction):
             return value
-        return RationalFunction.of(self.field, self.field.of(value))
+        return RationalFunction.of(self.field, value)
 
     def root_position(self, alpha: FiniteRoot) -> tuple[int, int]:
         """Matrix position (row, col) of the root +-(e_a - e_b), 1-based."""
@@ -264,7 +265,26 @@ class LoopSL:
         return self.n_root(beta, value) @ self.n_simple_inverse_for(beta)
 
     def n_simple_inverse_for(self, beta: AffineRoot) -> GroupMatrix:
-        return self.n_root(beta, 1).inverse()
+        """n_beta(1)^{-1}, built once per root."""
+        if beta not in self._n_root_inv_cache:
+            self._n_root_inv_cache[beta] = self.n_root(beta, 1).inverse()
+        return self._n_root_inv_cache[beta]
+
+    def _e_simple(self, j: int) -> GroupMatrix:
+        """The single-entry part of x_j(1): t^k at the position of alpha_j."""
+        if j not in self._ej_cache:
+            r0, c0 = self.root_position(self.group.simple_affine_root(j).finite)
+            ej = self.x_simple(j, 1)
+            self._ej_cache[j] = GroupMatrix(
+                tuple(
+                    tuple(
+                        ej.entries[r][s] if (r, s) == (r0 - 1, c0 - 1) else self._zero
+                        for s in range(self.n)
+                    )
+                    for r in range(self.n)
+                )
+            )
+        return self._ej_cache[j]
 
     def h_cochar(self, lam: Coweight, value) -> GroupMatrix:
         """Diagonal matrix with entries g^{<lam, eps_a>} for the coordinate
@@ -331,19 +351,8 @@ class LoopSL:
         nj = self.n_simple(j)
         m = b @ self.x_simple(j, c) @ self.n_simple_inv(j)
         # n_j x_j(-u) m  =  n0 - u * n1, with e_j the single-entry part of x_j
-        r0, c0 = self.root_position(self.group.simple_affine_root(j).finite)
-        ej = self.x_simple(j, 1)
-        ej_only = GroupMatrix(
-            tuple(
-                tuple(
-                    ej.entries[r][s] if (r, s) == (r0 - 1, c0 - 1) else self._zero
-                    for s in range(self.n)
-                )
-                for r in range(self.n)
-            )
-        )
         n0 = nj @ m
-        n1 = nj @ (ej_only @ m)
+        n1 = nj @ (self._e_simple(j) @ m)
         candidate = None
         for r in range(self.n):
             for s in range(self.n):
@@ -375,20 +384,22 @@ class LoopSL:
     # -- the matrix folding executor --------------------------------------
 
     def execute_folding(
-        self, word: Sequence[int], labels: Sequence, validate: bool | None = None
+        self, word: Sequence[int], labels: Sequence, validate: bool = False
     ) -> ExecutorState:
         """Consume x_{i_1}(c_1) n_{i_1}^{-1} ... left to right, maintaining
-        the exact factorization u . v_rep . b."""
+        the exact factorization u . v_rep . b.
+
+        With validate=True every invariant is re-checked after each step
+        and a failure raises InvariantError.
+        """
         word = tuple(word)
         if len(labels) != len(word):
             raise ValueError("need exactly one label per letter")
-        if validate is None:
-            validate = DEBUG_CHECKS
         labels = [self.field.of(c) if not isinstance(c, RationalFunction) else c for c in labels]
         u = self.identity()
         u_factors: list[tuple[AffineRoot, object]] = []
         v = self.group.identity()
-        v_rep = self.identity()
+        v_rep = v_rep_inv = self.identity()
         b = self.identity()
         kinds: list[StepKind] = []
         consumed = self.identity() if validate else None
@@ -399,17 +410,18 @@ class LoopSL:
             if validate:
                 consumed = consumed @ (self.x_simple(j, label) @ nj_inv)
             if is_uminus_positive(beta):
-                x = v_rep @ self.x_simple(j, ct) @ v_rep.inverse()
+                x = v_rep @ self.x_simple(j, ct) @ v_rep_inv
                 u_factors.append((beta, self._extract_root_coeff(x, beta)))
                 u = u @ x
                 v = v * self.group.simple_reflection(j)
                 v_rep = v_rep @ nj_inv
+                v_rep_inv = self.n_simple(j) @ v_rep_inv
                 b = b2
                 kinds.append(StepKind.POSITIVE_CROSSING)
             elif ct:
                 gamma = -beta
                 ct_rf = self._as_rf(ct)
-                x = v_rep @ self.x_root(-self.group.simple_affine_root(j), ct_rf.inverse()) @ v_rep.inverse()
+                x = v_rep @ self.x_root(-self.group.simple_affine_root(j), ct_rf.inverse()) @ v_rep_inv
                 u_factors.append((gamma, self._extract_root_coeff(x, gamma)))
                 u = u @ x
                 b = self.x_simple(j, -ct) @ self.h_root(self.group.simple_affine_root(j), ct) @ b2
@@ -419,6 +431,7 @@ class LoopSL:
                 u_factors.append((gamma, self.field.zero()))
                 v = v * self.group.simple_reflection(j)
                 v_rep = v_rep @ nj_inv
+                v_rep_inv = self.n_simple(j) @ v_rep_inv
                 b = b2
                 kinds.append(StepKind.ZERO_CROSSING)
             if validate:
@@ -436,25 +449,25 @@ class LoopSL:
 
     def _check_state(self, consumed, u, v, v_rep, b, u_factors) -> None:
         if not in_uminus(u):
-            raise AssertionError("u left the lower unipotent subgroup")
+            raise InvariantError("u left the lower unipotent subgroup")
         if not in_iwahori(b):
-            raise AssertionError("b left the Iwahori subgroup")
+            raise InvariantError("b left the Iwahori subgroup")
         if not is_monomial(v_rep):
-            raise AssertionError("v_rep is not monomial")
+            raise InvariantError("v_rep is not monomial")
         if self.monomial_to_weyl(v_rep) != v:
-            raise AssertionError("v_rep does not lie over the tracked Weyl element")
+            raise InvariantError("v_rep does not lie over the tracked Weyl element")
         if consumed != u @ v_rep @ b:
-            raise AssertionError("running factorization identity failed")
+            raise InvariantError("running factorization identity failed")
         prod = self.identity()
         for gamma, coeff in u_factors:
             if not is_uminus_positive(gamma):
-                raise AssertionError("recorded wall is not uminus positive")
+                raise InvariantError("recorded wall is not uminus positive")
             prod = prod @ self.x_root(gamma, coeff)
         if prod != u:
-            raise AssertionError("u does not match its recorded factorization")
+            raise InvariantError("u does not match its recorded factorization")
         det = (u @ v_rep @ b).determinant()
         if det != self._one:
-            raise AssertionError("determinant drifted from 1")
+            raise InvariantError("determinant drifted from 1")
 
     # -- finite Bruhat layer ----------------------------------------------
 
@@ -490,27 +503,29 @@ def brute_force_cells(
 
 
 def matrix_to_json(m: GroupMatrix) -> list:
-    """Rows of {"num": [...], "den": [...]} coefficient-string entries."""
+    """Rows of {"num": [...], "den": [...]} entries: ascending coefficient
+    strings of the reduced fraction num / t^k, with den = t^k monic."""
 
-    def scalar(c) -> str:
-        return str(c.value) if isinstance(c, FpElement) else str(c)
+    def entry(e: RationalFunction) -> dict:
+        if not e.terms:
+            return {"num": [], "den": ["1"]}
+        low, high = min(e.terms), max(e.terms)
+        shift = min(low, 0)
+        num = [str(e.terms.get(k, 0)) for k in range(shift, high + 1)]
+        return {"num": num, "den": ["0"] * -shift + ["1"]}
 
-    return [
-        [
-            {
-                "num": [scalar(c) for c in e.num.coeffs],
-                "den": [scalar(c) for c in e.den.coeffs],
-            }
-            for e in row
-        ]
-        for row in m.entries
-    ]
+    return [[entry(e) for e in row] for row in m.entries]
 
 
 def matrix_from_json(field: Field, doc: list) -> GroupMatrix:
+    """Inverse of matrix_to_json; a denominator other than c * t^k raises
+    ValueError."""
+
     def entry(d) -> RationalFunction:
-        num = Polynomial.make(field, [field.of(s) for s in d["num"]])
-        den = Polynomial.make(field, [field.of(s) for s in d["den"]])
-        return RationalFunction.make(num, den)
+        num = RationalFunction.from_laurent(field, dict(enumerate(d["num"])))
+        den = RationalFunction.from_laurent(field, dict(enumerate(d["den"])))
+        if not den.is_unit_monomial():
+            raise ValueError(f"denominator {den} is not of the form c*t^k")
+        return num * den.inverse()
 
     return GroupMatrix(tuple(tuple(entry(e) for e in row) for row in doc))

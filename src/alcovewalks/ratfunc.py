@@ -1,20 +1,23 @@
-"""Exact scalar fields and rational functions in one variable t.
+"""Exact scalar fields and Laurent polynomials in one variable t.
 
 Two scalar fields are supported: the rationals (fractions.Fraction) and
 prime fields F_p.  No floating point is used anywhere.
 
-A RationalFunction is a normalized ratio of polynomials: numerator and
-denominator share no common factor and the denominator is monic.  The
-t-adic valuation and low-order Laurent coefficients are computable, which
-is what the Iwahori membership tests and the coset normalization solver
-consume.
+The matrix layer works in the loop group SL_n(F[t, t^-1]), so its
+entries are Laurent polynomials: finite sums c_k t^k with k of either
+sign.  A RationalFunction (the name is historical) is such an element,
+stored as a sparse {exponent: coefficient} map without zero
+coefficients.  Inside the ring a coefficient is a Fraction over QQ and a
+plain int residue 0..p-1 over F_p; field elements (FpElement) appear only
+where a scalar is read out.  Only the units c * t^k can be inverted; the
+inverse of anything else raises ZeroDivisionError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 
 @dataclass(frozen=True)
@@ -103,6 +106,12 @@ class RationalField:
             return Fraction(value)
         raise TypeError(f"cannot coerce {value!r} into the rationals")
 
+    coefficient = of
+
+    def element(self, c) -> Fraction:
+        """The field element of a ring coefficient."""
+        return c
+
     def elements(self):
         raise ValueError("the rationals are not finite")
 
@@ -146,6 +155,16 @@ class PrimeField:
             return self.of(value.numerator) / self.of(value.denominator)
         raise TypeError(f"cannot coerce {value!r} into F_{self.p}")
 
+    def coefficient(self, value) -> int:
+        """Coerce like `of`, to the residue a ring coefficient stores."""
+        if isinstance(value, int):
+            return value % self.p
+        return self.of(value).value
+
+    def element(self, c: int) -> FpElement:
+        """The field element of a ring coefficient."""
+        return FpElement(c, self.p)
+
     def elements(self):
         return tuple(FpElement(v, self.p) for v in range(self.p))
 
@@ -163,220 +182,105 @@ Field = Union[RationalField, PrimeField]
 QQ = RationalField()
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Dense polynomial in t with coefficients in a fixed field.
+class RationalFunction:
+    """Element sum c_k t^k of the Laurent ring F[t, t^-1].
 
-    Coefficients are ascending and trailing zeros are trimmed, so the
-    zero polynomial has an empty coefficient tuple.
+    `terms` maps each exponent to its nonzero coefficient and is never
+    mutated after construction.
     """
 
-    field: Field
-    coeffs: tuple
+    __slots__ = ("field", "terms")
 
-    @staticmethod
-    def make(field: Field, coeffs: Iterable) -> "Polynomial":
-        cs = [field.of(c) if not _is_element(c) else c for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        return Polynomial(field, tuple(cs))
+    def __init__(self, field: Field, terms: dict):
+        self.field = field
+        self.terms = terms
 
-    @staticmethod
-    def const(field: Field, value) -> "Polynomial":
-        return Polynomial.make(field, [field.of(value)])
-
-    @staticmethod
-    def t(field: Field) -> "Polynomial":
-        return Polynomial.make(field, [field.zero(), field.one()])
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
-
-    def order(self) -> int:
-        """Lowest power of t with nonzero coefficient; raises on zero."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        raise ValueError("zero polynomial has no order")
-
-    def coeff(self, i: int):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.field.zero()
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial.make(
-            self.field, [self.coeff(i) + other.coeff(i) for i in range(n)]
-        )
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial.make(
-            self.field, [self.coeff(i) - other.coeff(i) for i in range(n)]
-        )
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.field, tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero() or other.is_zero():
-            return Polynomial(self.field, ())
-        out = [self.field.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Polynomial.make(self.field, out)
-
-    def shifted(self, k: int) -> "Polynomial":
-        """Multiply by t^k, k >= 0."""
-        if k < 0:
-            raise ValueError("use RationalFunction for negative powers of t")
-        if self.is_zero():
-            return self
-        return Polynomial(self.field, (self.field.zero(),) * k + self.coeffs)
-
-    def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q = [self.field.zero()] * max(0, self.degree() - other.degree() + 1)
-        rem = list(self.coeffs)
-        d = other.degree()
-        lead = other.coeffs[-1]
-        for i in range(len(rem) - 1 - d, -1, -1):
-            c = rem[i + d]
-            if not c:
-                continue
-            f = c / lead
-            q[i] = f
-            for j, b in enumerate(other.coeffs):
-                rem[i + j] = rem[i + j] - f * b
-        return Polynomial.make(self.field, q), Polynomial.make(self.field, rem)
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        return Polynomial(self.field, tuple(c / lead for c in self.coeffs))
-
-    def evaluate(self, x):
-        out = self.field.zero()
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
-
-def _is_element(c) -> bool:
-    return isinstance(c, (Fraction, FpElement))
-
-
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor by the Euclidean algorithm."""
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    return a.monic()
-
-
-@dataclass(frozen=True)
-class RationalFunction:
-    """Normalized ratio of polynomials in t over an exact field."""
-
-    num: Polynomial
-    den: Polynomial
-
-    @staticmethod
-    def make(num: Polynomial, den: Polynomial) -> "RationalFunction":
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            return RationalFunction(num, Polynomial.const(num.field, 1))
-        if den.degree() == 0:
-            # constant denominator: no common factor to cancel
-            lead = den.coeffs[0]
-            one = Polynomial.make(num.field, [num.field.one()])
+    def _reduced(self, terms: dict) -> "RationalFunction":
+        """Drop zero coefficients (after reduction mod p over F_p)."""
+        p = self.field.characteristic
+        if p:
             return RationalFunction(
-                Polynomial(num.field, tuple(c / lead for c in num.coeffs)), one
+                self.field, {k: r for k, c in terms.items() if (r := c % p)}
             )
-        g = poly_gcd(num, den)
-        num, den = num.divmod(g)[0], den.divmod(g)[0]
-        lead = den.coeffs[-1]
-        num = Polynomial(num.field, tuple(c / lead for c in num.coeffs))
-        den = den.monic()
-        return RationalFunction(num, den)
+        return RationalFunction(self.field, {k: c for k, c in terms.items() if c})
 
     @staticmethod
     def of(field: Field, value) -> "RationalFunction":
-        return RationalFunction.make(
-            Polynomial.const(field, value), Polynomial.const(field, 1)
-        )
+        c = field.coefficient(value)
+        return RationalFunction(field, {0: c} if c else {})
 
     @staticmethod
     def t_power(field: Field, k: int) -> "RationalFunction":
-        one = Polynomial.const(field, 1)
-        if k >= 0:
-            return RationalFunction.make(one.shifted(k), one)
-        return RationalFunction.make(one, one.shifted(-k))
+        return RationalFunction(field, {k: field.coefficient(1)})
 
     @staticmethod
     def from_laurent(field: Field, terms: Mapping[int, object]) -> "RationalFunction":
         """Build sum of c * t^k from a {k: c} mapping (k may be negative)."""
-        if not terms:
-            return RationalFunction.of(field, 0)
-        shift = min(terms)
-        width = max(terms) - shift + 1
-        coeffs = [field.zero()] * width
-        for k, c in terms.items():
-            coeffs[k - shift] = field.of(c)
-        num = Polynomial.make(field, coeffs)
-        if shift >= 0:
-            return RationalFunction.make(num.shifted(shift), Polynomial.const(field, 1))
-        return RationalFunction.make(num, Polynomial.const(field, 1).shifted(-shift))
-
-    @property
-    def field(self) -> Field:
-        return self.num.field
+        return RationalFunction(
+            field, {k: c for k, v in terms.items() if (c := field.coefficient(v))}
+        )
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
+        return self.terms == other.terms and self.field == other.field
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        if self.is_zero():
+        if not self.terms:
             return other
-        if other.is_zero():
+        if not other.terms:
             return self
-        return RationalFunction.make(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, 0) + c
+        return self._reduced(out)
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        if other.is_zero():
+        if not other.terms:
             return self
-        return RationalFunction.make(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, 0) - c
+        return self._reduced(out)
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
+        return self._reduced({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        if self.is_zero() or other.is_zero():
-            zero = Polynomial(self.field, ())
-            return RationalFunction(zero, Polynomial.const(self.field, 1))
-        return RationalFunction.make(self.num * other.num, self.den * other.den)
+        a, b = self.terms, other.terms
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            # times a unit c * t^k: no coefficient can cancel
+            ((j, y),) = b.items()
+            p = self.field.characteristic
+            if p:
+                return RationalFunction(self.field, {i + j: x * y % p for i, x in a.items()})
+            return RationalFunction(self.field, {i + j: x * y for i, x in a.items()})
+        if not b:
+            return RationalFunction(self.field, {})
+        out: dict = {}
+        for i, x in a.items():
+            for j, y in b.items():
+                out[i + j] = out.get(i + j, 0) + x * y
+        return self._reduced(out)
 
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction.make(self.num * other.den, self.den * other.num)
+        return self * other.inverse()
 
     def inverse(self) -> "RationalFunction":
-        return RationalFunction.of(self.field, 1) / self
+        """Inverse of a unit c * t^k; anything else raises ZeroDivisionError."""
+        if len(self.terms) != 1:
+            raise ZeroDivisionError(f"{self} is not a unit of F[t, t^-1]")
+        ((k, c),) = self.terms.items()
+        p = self.field.characteristic
+        return RationalFunction(self.field, {-k: pow(c, -1, p) if p else 1 / c})
 
     def __pow__(self, k: int) -> "RationalFunction":
         out = RationalFunction.of(self.field, 1)
@@ -387,33 +291,16 @@ class RationalFunction:
 
     def valuation(self) -> int | None:
         """t-adic valuation; None for the zero function."""
-        if self.is_zero():
-            return None
-        return self.num.order() - self.den.order()
+        return min(self.terms) if self.terms else None
 
     def is_integral(self) -> bool:
         """No pole at t = 0."""
-        v = self.valuation()
-        return v is None or v >= 0
+        return not self.terms or min(self.terms) >= 0
 
     def coeff(self, i: int):
-        """Laurent series coefficient of t^i around t = 0."""
-        if self.is_zero():
-            return self.field.zero()
-        a, b = self.num.order(), self.den.order()
-        j = i - (a - b)
-        if j < 0:
-            return self.field.zero()
-        n0 = Polynomial.make(self.field, self.num.coeffs[a:])
-        d0 = Polynomial.make(self.field, self.den.coeffs[b:])
-        inv0 = self.field.one() / d0.coeff(0)
-        series = []
-        for k in range(j + 1):
-            acc = n0.coeff(k)
-            for m in range(k):
-                acc = acc - series[m] * d0.coeff(k - m)
-            series.append(acc * inv0)
-        return series[j]
+        """Coefficient of t^i, as a field element."""
+        c = self.terms.get(i)
+        return self.field.zero() if c is None else self.field.element(c)
 
     def ev0(self):
         """Evaluate at t = 0; only defined for integral functions."""
@@ -422,37 +309,29 @@ class RationalFunction:
         return self.coeff(0)
 
     def is_constant(self) -> bool:
-        return self.den.degree() == 0 and self.num.degree() <= 0
+        return not self.terms or self.terms.keys() == {0}
 
     def constant_value(self):
         if not self.is_constant():
-            raise ValueError("rational function is not constant")
-        return self.num.coeff(0)
+            raise ValueError("Laurent polynomial is not constant")
+        return self.coeff(0)
 
     def is_unit_monomial(self) -> bool:
         """Of the form c * t^k with c a nonzero scalar."""
-        if self.is_zero():
-            return False
-        num_terms = sum(1 for c in self.num.coeffs if c)
-        den_terms = sum(1 for c in self.den.coeffs if c)
-        return num_terms == 1 and den_terms == 1
+        return len(self.terms) == 1
+
+    def __repr__(self) -> str:
+        return f"RationalFunction({self.field!r}, {self.terms!r})"
 
     def __str__(self) -> str:
-        def poly_str(p: Polynomial) -> str:
-            if p.is_zero():
-                return "0"
-            parts = []
-            for i, c in enumerate(p.coeffs):
-                if not c:
-                    continue
-                cs = str(c.value if isinstance(c, FpElement) else c)
-                if i == 0:
-                    parts.append(cs)
-                else:
-                    tpow = "t" if i == 1 else f"t^{i}"
-                    parts.append(tpow if cs == "1" else f"{cs}*{tpow}")
-            return " + ".join(parts)
-
-        if self.den.degree() == 0:
-            return poly_str(self.num)
-        return f"({poly_str(self.num)})/({poly_str(self.den)})"
+        if not self.terms:
+            return "0"
+        parts = []
+        for k in sorted(self.terms):
+            cs = str(self.terms[k])
+            if k == 0:
+                parts.append(cs)
+            else:
+                tpow = "t" if k == 1 else f"t^{k}"
+                parts.append(tpow if cs == "1" else f"{cs}*{tpow}")
+        return " + ".join(parts)

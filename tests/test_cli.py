@@ -192,3 +192,28 @@ def test_end_json_with_bad_letters_exits_2(capsys):
     )
     assert code == 2
     assert "letters" in err
+
+
+def test_normalization_error_exits_3(capsys, monkeypatch):
+    from alcovewalks.loopgroup import NormalizationError
+
+    def fail(*args, **kwargs):
+        raise NormalizationError("inconsistent linear constraints")
+
+    monkeypatch.setattr("alcovewalks.cli.brute_force_cells", fail)
+    code, out, err = run(capsys, "oracle", "--type", "A1", "--word", "1,0", "--p", "3")
+    assert code == 3
+    assert out == ""
+    assert err == "error: NormalizationError: inconsistent linear constraints\n"
+
+
+def test_invariant_error_exits_3(capsys, monkeypatch):
+    from alcovewalks.loopgroup import InvariantError
+
+    def fail():
+        raise InvariantError("determinant drifted from 1")
+
+    monkeypatch.setattr("alcovewalks.example8.run_checks", fail)
+    code, _, err = run(capsys, "verify", "example8")
+    assert code == 3
+    assert err == "error: InvariantError: determinant drifted from 1\n"

@@ -378,6 +378,54 @@ def test_matrix_json_round_trip():
     assert matrix_from_json(f5, doc5) == m5
 
 
+def test_matrix_from_json_rejects_non_monomial_denominator():
+    from alcovewalks.loopgroup import matrix_from_json
+
+    with pytest.raises(ValueError):
+        matrix_from_json(QQ, [[{"num": ["1"], "den": ["1", "1"]}]])
+    with pytest.raises(ValueError):
+        matrix_from_json(QQ, [[{"num": ["1"], "den": []}]])
+    scaled = matrix_from_json(QQ, [[{"num": ["2", "4"], "den": ["0", "2"]}]])
+    assert scaled == GroupMatrix(((rf({-1: 1, 0: 2}),),))
+
+
+def test_inverse_without_unit_pivots():
+    # determinant 1, but the first Gaussian pivot 1+t is not a unit
+    m = mat([[{0: 1, 1: 1}, {1: 1}], [1, 1]])
+    assert m.determinant() == rf(1)
+    inv = m.inverse()
+    assert inv == mat([[1, {1: -1}], [-1, {0: 1, 1: 1}]])
+    assert m @ inv == inv @ m == mat([[1, 0], [0, 1]])
+    f5 = PrimeField(5)
+    rows5 = [[{0: 1, 1: 1}, {1: 1}], [{0: 1}, {0: 1}]]
+    m5 = GroupMatrix(
+        tuple(tuple(RationalFunction.from_laurent(f5, e) for e in row) for row in rows5)
+    )
+    assert m5.inverse() @ m5 == LoopSL(from_label("A1"), f5).identity()
+
+
+def test_non_unit_determinant_raises():
+    m = mat([[1, {1: 1}], [1, 1]])  # determinant 1 - t
+    assert m.determinant() == rf({0: 1, 1: -1})
+    with pytest.raises(ZeroDivisionError):
+        m.inverse()
+    with pytest.raises(ZeroDivisionError):
+        mat([[1, 0, 0], [0, 0, 0], [0, 0, 1]]).inverse()
+
+
+def test_determinant_and_inverse_on_random_products():
+    # det 1 and M @ M^-1 = 1 on products of generators, in SL3 and SL4
+    rng = random.Random(8)
+    for sl in (sl3(), LoopSL(from_label("A3"), QQ)):
+        for _ in range(10):
+            m = sl.identity()
+            for _ in range(6):
+                j = rng.randrange(sl.datum.size + 1)
+                m = m @ sl.x_simple(j, Fraction(rng.randint(-3, 3), rng.randint(1, 3))) @ sl.n_simple_inv(j)
+            assert m.determinant() == rf(1)
+            assert m @ m.inverse() == sl.identity()
+
+
 def test_bruhat_zero_labels_give_pure_n_product():
     sl = sl3()
     point = sl.bruhat_point_finite((1, 2, 1), (Fraction(0),) * 3)

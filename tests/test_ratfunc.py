@@ -5,11 +5,9 @@ import pytest
 
 from alcovewalks.ratfunc import (
     FpElement,
-    Polynomial,
     PrimeField,
     QQ,
     RationalFunction,
-    poly_gcd,
 )
 
 
@@ -44,87 +42,94 @@ def test_fp_field_coercion():
 
 
 def test_polynomial_trim_and_degree():
-    p = Polynomial.make(QQ, [1, 2, 0, 0])
-    assert p.coeffs == (Fraction(1), Fraction(2))
-    assert p.degree() == 1
-    assert Polynomial.make(QQ, [0]).is_zero()
-    assert Polynomial.make(QQ, []).degree() == -1
-    assert Polynomial.make(QQ, [0, 0, 3]).order() == 2
-    with pytest.raises(ValueError):
-        Polynomial.make(QQ, []).order()
-
-
-def test_polynomial_divmod_property():
-    rng = random.Random(7)
-    for _ in range(50):
-        a = Polynomial.make(QQ, [Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(0, 6))])
-        b = Polynomial.make(QQ, [Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 4))])
-        if b.is_zero():
-            continue
-        q, r = a.divmod(b)
-        assert q * b + r == a
-        assert r.is_zero() or r.degree() < b.degree()
-
-
-def test_poly_gcd_is_monic_common_divisor():
-    t = Polynomial.t(QQ)
-    one = Polynomial.const(QQ, 1)
-    a = (t + one) * (t + one) * t
-    b = (t + one) * Polynomial.const(QQ, 3)
-    g = poly_gcd(a, b)
-    assert g == t + one
-    assert a.divmod(g)[1].is_zero() and b.divmod(g)[1].is_zero()
+    # trailing and leading zero coefficients are dropped; the lowest exponent
+    # left is the valuation and the highest is the degree
+    p = RationalFunction.from_laurent(QQ, {0: 1, 1: 2, 2: 0, 3: 0})
+    assert p.terms == {0: Fraction(1), 1: Fraction(2)}
+    assert max(p.terms) == 1 and p.valuation() == 0
+    assert RationalFunction.from_laurent(QQ, {0: 0}).is_zero()
+    assert RationalFunction.from_laurent(QQ, {}).terms == {}
+    assert RationalFunction.from_laurent(QQ, {0: 0, 1: 0, 2: 3}).valuation() == 2
+    assert RationalFunction.from_laurent(QQ, {-4: 0, -1: 5, 2: 0}).terms == {-1: Fraction(5)}
+    assert RationalFunction.from_laurent(QQ, {}).valuation() is None
 
 
 def test_rational_function_normalization():
-    t = Polynomial.t(QQ)
-    one = Polynomial.const(QQ, 1)
-    f = RationalFunction.make((t + one) * t, (t + one) * Polynomial.const(QQ, 2))
-    assert f.num == Polynomial.make(QQ, [0, Fraction(1, 2)])
-    assert f.den == one
-    z = RationalFunction.make(Polynomial.make(QQ, []), t)
-    assert z.is_zero() and z.den == one
+    # the canonical form: no zero coefficients, Fractions over QQ, residues
+    # 0..p-1 over F_p, so equal elements compare and hash equal
+    f = RationalFunction.from_laurent(QQ, {-1: 0, 0: 1, 1: Fraction(4, 2), 3: 0})
+    assert f.terms == {0: Fraction(1), 1: Fraction(2)}
+    assert all(type(c) is Fraction for c in f.terms.values())
+    assert RationalFunction.from_laurent(QQ, {2: 0}).is_zero()
+    assert RationalFunction.from_laurent(QQ, {}) == RationalFunction.of(QQ, 0)
+    f5 = PrimeField(5)
+    g = RationalFunction.from_laurent(f5, {-2: 7, 0: 5, 1: f5.of(4), 2: Fraction(1, 2)})
+    assert g.terms == {-2: 2, 1: 4, 2: 3}
+    assert all(type(c) is int for c in g.terms.values())
+    t = RationalFunction.t_power(QQ, 1)
+    one = RationalFunction.of(QQ, 1)
+    assert (one + t) - t == one
+    assert hash((one + t) - t) == hash(one)
+    assert ((one + t) - t).terms == {0: 1}
+    assert RationalFunction.of(QQ, 2) != RationalFunction.of(f5, 2)
 
 
-def _random_rf(rng, field):
-    def poly(min_len, max_len):
-        return Polynomial.make(
-            field, [field.of(rng.randint(-4, 4)) for _ in range(rng.randint(min_len, max_len))]
-        )
-
-    num = poly(0, 4)
-    den = poly(1, 3)
-    while den.is_zero():
-        den = poly(1, 3)
-    return RationalFunction.make(num, den)
+def _random_laurent(rng, field):
+    return RationalFunction.from_laurent(
+        field, {k: rng.randint(-4, 4) for k in range(rng.randint(-3, 1), rng.randint(-1, 4))}
+    )
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)])
 def test_field_laws_on_samples(field):
+    # ring laws of F[t, t^-1] on seeded samples, plus the inverse of units
     rng = random.Random(11)
-    samples = [_random_rf(rng, field) for _ in range(12)]
+    samples = [_random_laurent(rng, field) for _ in range(12)]
+    zero = RationalFunction.of(field, 0)
     one = RationalFunction.of(field, 1)
     for f in samples:
+        assert f + zero == f and f * one == f and (f * zero).is_zero()
+        assert f - f == zero
+        assert f + (-f) == zero
         for g in samples[:6]:
             assert f + g == g + f
             assert f * g == g * f
+            assert (f - g) + g == f
             for h in samples[:3]:
                 assert (f + g) + h == f + (g + h)
+                assert (f * g) * h == f * (g * h)
                 assert f * (g + h) == f * g + f * h
-        if not f.is_zero():
-            assert f * f.inverse() == one
-        assert f - f == RationalFunction.of(field, 0)
+                assert f * (g - h) == f * g - f * h
+    t = RationalFunction.t_power(field, 1)
+    for c in (1, 2, 3, 4):
+        for k in (-3, 0, 2):
+            unit = RationalFunction.of(field, c) * t ** k
+            assert unit.inverse() * unit == one
+            for f in samples[:4]:
+                assert (f * unit) / unit == f
+
+
+def test_non_unit_inverse_raises():
+    for field in (QQ, PrimeField(3)):
+        t = RationalFunction.t_power(field, 1)
+        one = RationalFunction.of(field, 1)
+        for f in (one + t, one - t, t ** -1 + t, RationalFunction.of(field, 0)):
+            with pytest.raises(ZeroDivisionError):
+                f.inverse()
+            with pytest.raises(ZeroDivisionError):
+                one / f
 
 
 def test_valuation():
     t = RationalFunction.t_power(QQ, 1)
     one = RationalFunction.of(QQ, 1)
-    assert (t ** 3 / (one + t)).valuation() == 3
+    assert (t ** 3 * (one + t)).valuation() == 3
     assert (one / t ** 2).valuation() == -2
+    assert (t ** -2 + t).valuation() == -2
     assert RationalFunction.of(QQ, 0).valuation() is None
     rng = random.Random(3)
     for _ in range(20):
-        f, g = _random_rf(rng, QQ), _random_rf(rng, QQ)
+        f, g = _random_laurent(rng, QQ), _random_laurent(rng, QQ)
         if f.is_zero() or g.is_zero():
             continue
         assert (f * g).valuation() == f.valuation() + g.valuation()
@@ -133,24 +138,16 @@ def test_valuation():
 def test_integrality_and_ev0():
     t = RationalFunction.t_power(QQ, 1)
     one = RationalFunction.of(QQ, 1)
-    f = (one + t) / (one - t)
+    f = (one + t) * (one - t)
     assert f.is_integral()
     assert f.ev0() == Fraction(1)
+    assert (t * f).ev0() == Fraction(0)
     g = one / t
     assert not g.is_integral()
     with pytest.raises(ValueError):
         g.ev0()
-
-
-def test_coeff_geometric_series():
-    t = RationalFunction.t_power(QQ, 1)
-    one = RationalFunction.of(QQ, 1)
-    f = one / (one - t)
-    for i in range(6):
-        assert f.coeff(i) == Fraction(1)
-    assert f.coeff(-1) == Fraction(0)
-    g = (one + t) / t ** 2
-    assert g.coeff(-2) == 1 and g.coeff(-1) == 1 and g.coeff(0) == 0
+    f5 = PrimeField(5)
+    assert (RationalFunction.of(f5, 3) + RationalFunction.t_power(f5, 2)).ev0() == f5.of(3)
 
 
 def test_from_laurent_round_trip():
@@ -169,15 +166,21 @@ def test_unit_monomial_and_constant():
     assert not (one + t).is_unit_monomial()
     assert not RationalFunction.of(QQ, 0).is_unit_monomial()
     assert RationalFunction.of(QQ, Fraction(5, 3)).constant_value() == Fraction(5, 3)
+    assert RationalFunction.of(QQ, 0).constant_value() == Fraction(0)
     with pytest.raises(ValueError):
         (one + t).constant_value()
+    with pytest.raises(ValueError):
+        t.constant_value()
 
 
 def test_pow_negative():
     t = RationalFunction.t_power(QQ, 1)
     assert t ** -2 == RationalFunction.t_power(QQ, -2)
-    f = RationalFunction.of(QQ, 2) + t
-    assert f ** 2 * f ** -2 == RationalFunction.of(QQ, 1)
+    unit = RationalFunction.of(QQ, 2) * t
+    assert unit ** 2 * unit ** -2 == RationalFunction.of(QQ, 1)
+    assert unit ** -1 == RationalFunction.from_laurent(QQ, {-1: Fraction(1, 2)})
+    with pytest.raises(ZeroDivisionError):
+        (RationalFunction.of(QQ, 2) + t) ** -1
 
 
 def test_prime_field_rational_functions():
@@ -187,3 +190,9 @@ def test_prime_field_rational_functions():
     f = (one + t) * (one + t) * (one + t)
     # freshman's dream in characteristic 3
     assert f == one + t ** 3
+
+
+def test_str():
+    f = RationalFunction.from_laurent(QQ, {-2: Fraction(1, 6), 0: 1, 1: 1, 3: -5})
+    assert str(f) == "1/6*t^-2 + 1 + t + -5*t^3"
+    assert str(RationalFunction.of(PrimeField(5), 0)) == "0"
