@@ -108,32 +108,13 @@ class AffineWeylGroup:
         self._simple_roots = (AffineRoot(-self.highest_root, 1),) + tuple(
             AffineRoot(simple_root(self.rank, i), 0) for i in range(1, self.rank + 1)
         )
-        s_phi = self._reflection_for(self.highest_root)
+        s_phi = datum.reflection(self.highest_root)
         self._simple_reflections = (
             AffineWeylElement(self.highest_coroot, s_phi),
         ) + tuple(
             AffineWeylElement(zero_coweight(self.rank), datum.simple_reflection(i))
             for i in range(1, self.rank + 1)
         )
-
-    def _reflection_for(self, alpha: FiniteRoot) -> FiniteWeylElement:
-        """The finite reflection s_alpha, built from a word for alpha = w alpha_i."""
-        datum = self.datum
-        # search the Weyl orbit of the simple roots for alpha
-        frontier = {simple_root(self.rank, i): (datum.identity_weyl(), i) for i in range(1, self.rank + 1)}
-        seen = {}
-        while frontier:
-            nxt = {}
-            for root, (w, i) in frontier.items():
-                if root in seen:
-                    continue
-                seen[root] = (w, i)
-                if root == alpha:
-                    return w * datum.simple_reflection(i) * w.inverse()
-                for j in range(1, self.rank + 1):
-                    nxt[datum.reflect_root(j, root)] = (datum.simple_reflection(j) * w, i)
-            frontier = nxt
-        raise ValueError(f"{alpha} is not a root")
 
     # -- generators ------------------------------------------------------
 
@@ -322,10 +303,20 @@ def element_to_json(group: AffineWeylGroup, g: AffineWeylElement) -> dict:
 
 
 def element_from_json(group: AffineWeylGroup, data: dict) -> AffineWeylElement:
-    translation = Coweight(tuple(int(c) for c in data["translation"]))
+    """Inverse of element_to_json; anything but two lists of ints raises WordError."""
+    if not isinstance(data, dict):
+        raise WordError("endpoint JSON must be an object")
+    for key in ("translation", "finite_word"):
+        value = data.get(key)
+        # JSON true/false load as bools, which are ints to isinstance
+        if not isinstance(value, list) or not all(
+            isinstance(c, int) and not isinstance(c, bool) for c in value
+        ):
+            raise WordError(f"endpoint JSON needs {key!r} as a list of integers")
+    translation = Coweight(tuple(data["translation"]))
     if len(translation.coords) != group.rank:
         raise WordError("translation has wrong rank")
-    word = tuple(int(i) for i in data["finite_word"])
+    word = tuple(data["finite_word"])
     if any(not 1 <= i <= group.rank for i in word):
         raise WordError(f"finite word letters must lie in 1..{group.rank}")
     return AffineWeylElement(translation, group.datum.weyl_from_word(word))

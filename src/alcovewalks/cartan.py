@@ -141,11 +141,16 @@ class CartanDatum:
 
     def simple_reflection(self, i: int) -> "FiniteWeylElement":
         self._check_index(i)
-        n = self.size
-        # s_i alpha_c = alpha_c - alpha_c(h_i) alpha_i changes row i only
+        return self.reflection(simple_root(self.size, i))
+
+    def reflection(self, alpha: FiniteRoot) -> "FiniteWeylElement":
+        """s_alpha, acting on roots by beta -> beta - beta(h_alpha) alpha."""
+        h = self.coroot(alpha).coords
+        # column c is s_alpha alpha_c, with alpha_c(h_alpha) = row c of A times h
+        values = [sum(map(mul, row, h)) for row in self.entries]
         root_action = tuple(
-            tuple((r == c) - (self.entries[c][i - 1] if r == i - 1 else 0) for c in range(n))
-            for r in range(n)
+            tuple((r == c) - a * v for c, v in enumerate(values))
+            for r, a in enumerate(alpha.coords)
         )
         return _from_root_action(self, root_action)
 
@@ -300,10 +305,16 @@ def _det(m: list[list[Fraction]], k: int) -> Fraction:
 
 def validate_cartan(matrix: Sequence[Sequence[int]]) -> CartanDatum:
     """Check the Cartan axioms and finite type; classify on success."""
+    if not isinstance(matrix, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) for row in matrix
+    ):
+        raise CartanError("not-Cartan: matrix must be a list of rows")
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):
         raise CartanError("not-Cartan: matrix must be square and nonempty")
-    entries = tuple(tuple(int(x) for x in row) for row in matrix)
+    if any(isinstance(x, bool) or not isinstance(x, int) for row in matrix for x in row):
+        raise CartanError("not-Cartan: entries must be integers")
+    entries = tuple(tuple(row) for row in matrix)
     for i in range(n):
         if entries[i][i] != 2:
             raise CartanError(f"not-Cartan: diagonal entry a[{i+1}][{i+1}] != 2")

@@ -11,10 +11,13 @@ identity
     (product of consumed generators) = u . v_rep . b
 
 with u lower unipotent, v_rep monomial, and b in the Iwahori subgroup.
+Each step moves b past x_j(c) n_j^{-1} with the closed form
+b x_j(c) n_j^{-1} = x_j(ct) n_j^{-1} b2, ct = (a c + x) / d, where
+[[a, x], [0, d]] is the level-zero SL_2 block of b at alpha_j.
 Structure-constant signs are never tabulated; every sign emerges from an
-actual matrix product.  Every entry is a Laurent polynomial, so products,
-determinants and inverses are division-free except for one inverse of a
-unit determinant.
+actual matrix product.  Every entry is a Laurent polynomial, so products
+and determinants are division-free; inverses divide only by a unit
+determinant, and the executor never takes one.
 """
 
 from __future__ import annotations
@@ -197,7 +200,6 @@ class LoopSL:
         self.group = AffineWeylGroup(datum)
         self._zero = RationalFunction.of(field, 0)
         self._one = RationalFunction.of(field, 1)
-        self._t = RationalFunction.t_power(field, 1)
         self._identity = GroupMatrix(
             tuple(
                 tuple(self._one if r == c else self._zero for c in range(self.n))
@@ -206,8 +208,6 @@ class LoopSL:
         )
         self._n_cache: dict[int, GroupMatrix] = {}
         self._n_inv_cache: dict[int, GroupMatrix] = {}
-        self._n_root_inv_cache: dict[AffineRoot, GroupMatrix] = {}
-        self._ej_cache: dict[int, GroupMatrix] = {}
 
     # -- elementary constructors ----------------------------------------
 
@@ -256,35 +256,20 @@ class LoopSL:
         return self._n_cache[j]
 
     def n_simple_inv(self, j: int) -> GroupMatrix:
+        """n_j^{-1} = n_j(-1), since n_beta(g)^{-1} = n_beta(-g)."""
         if j not in self._n_inv_cache:
-            self._n_inv_cache[j] = self.n_simple(j).inverse()
+            self._n_inv_cache[j] = self.n_root(self.group.simple_affine_root(j), -1)
         return self._n_inv_cache[j]
 
     def h_root(self, beta: AffineRoot, value) -> GroupMatrix:
-        """n_beta(g) n_beta(1)^{-1}, the cocharacter of beta evaluated at g."""
-        return self.n_root(beta, value) @ self.n_simple_inverse_for(beta)
-
-    def n_simple_inverse_for(self, beta: AffineRoot) -> GroupMatrix:
-        """n_beta(1)^{-1}, built once per root."""
-        if beta not in self._n_root_inv_cache:
-            self._n_root_inv_cache[beta] = self.n_root(beta, 1).inverse()
-        return self._n_root_inv_cache[beta]
-
-    def _e_simple(self, j: int) -> GroupMatrix:
-        """The single-entry part of x_j(1): t^k at the position of alpha_j."""
-        if j not in self._ej_cache:
-            r0, c0 = self.root_position(self.group.simple_affine_root(j).finite)
-            ej = self.x_simple(j, 1)
-            self._ej_cache[j] = GroupMatrix(
-                tuple(
-                    tuple(
-                        ej.entries[r][s] if (r, s) == (r0 - 1, c0 - 1) else self._zero
-                        for s in range(self.n)
-                    )
-                    for r in range(self.n)
-                )
-            )
-        return self._ej_cache[j]
+        """n_beta(g) n_beta(1)^{-1}, the cocharacter of beta evaluated at g:
+        g in row r and g^{-1} in row s of the root position (r, s), for any k."""
+        g = self._as_rf(value)
+        r, s = self.root_position(beta.finite)
+        rows = [list(row) for row in self.identity().entries]
+        rows[r - 1][r - 1] = g
+        rows[s - 1][s - 1] = g.inverse()
+        return GroupMatrix(tuple(tuple(row) for row in rows))
 
     def h_cochar(self, lam: Coweight, value) -> GroupMatrix:
         """Diagonal matrix with entries g^{<lam, eps_a>} for the coordinate
@@ -341,45 +326,26 @@ class LoopSL:
         """Unique scalar ct and b2 in the Iwahori subgroup with
         b x_j(c) n_j^{-1} = x_j(ct) n_j^{-1} b2.
 
-        Solves for ct by collecting the low-order t-coefficients of the
-        violated integrality/triangularity constraints of
-        n_j x_j(-u) (b x_j(c) n_j^{-1}); every such entry is affine-linear
-        in u, and uniqueness is verified rather than assumed.
+        b acts on the line I s_j I / I = {x_j(c) n_j^{-1} I} through its
+        level-zero SL_2 block at alpha_j = (e_r - e_s) + k delta, which is
+        upper triangular [[a, x], [0, d]] with a = b_rr(0), d = b_ss(0) and
+        x the t^k coefficient of b_rs; so ct = (a c + x) / d.  The affine
+        letter 0 is the case r = n, s = 1, k = 1.  ct is unique because the
+        cells x_j(c') n_j^{-1} I are disjoint.
         """
         if not in_iwahori(b):
             raise NormalizationError("normalization input is not in the Iwahori subgroup")
-        nj = self.n_simple(j)
+        alpha = self.group.simple_affine_root(j)
+        r, s = self.root_position(alpha.finite)
+        a = b.entries[r - 1][r - 1].coeff(0)
+        d = b.entries[s - 1][s - 1].coeff(0)
+        x = b.entries[r - 1][s - 1].coeff(alpha.k)
+        ct = (a * self.field.of(c) + x) / d
         m = b @ self.x_simple(j, c) @ self.n_simple_inv(j)
-        # n_j x_j(-u) m  =  n0 - u * n1, with e_j the single-entry part of x_j
-        n0 = nj @ m
-        n1 = nj @ (self._e_simple(j) @ m)
-        candidate = None
-        for r in range(self.n):
-            for s in range(self.n):
-                need = 1 if r > s else 0
-                p, q = n0.entries[r][s], n1.entries[r][s]
-                lows = [v for v in (p.valuation(), q.valuation()) if v is not None]
-                if not lows:
-                    continue
-                for i in range(min(lows), need):
-                    pi, qi = p.coeff(i), q.coeff(i)
-                    if not qi:
-                        if pi:
-                            raise NormalizationError(
-                                "constraint cannot be satisfied for any label"
-                            )
-                        continue
-                    u = pi / qi
-                    if candidate is None:
-                        candidate = u
-                    elif candidate != u:
-                        raise NormalizationError("inconsistent linear constraints")
-        if candidate is None:
-            candidate = self.field.zero()
-        b2 = nj @ (self.x_simple(j, -candidate) @ m)
+        b2 = self.n_simple(j) @ (self.x_simple(j, -ct) @ m)
         if not in_iwahori(b2):
             raise NormalizationError("solved label does not yield an Iwahori element")
-        return candidate, b2
+        return ct, b2
 
     # -- the matrix folding executor --------------------------------------
 
@@ -395,7 +361,7 @@ class LoopSL:
         word = tuple(word)
         if len(labels) != len(word):
             raise ValueError("need exactly one label per letter")
-        labels = [self.field.of(c) if not isinstance(c, RationalFunction) else c for c in labels]
+        labels = [self.field.of(c) for c in labels]
         u = self.identity()
         u_factors: list[tuple[AffineRoot, object]] = []
         v = self.group.identity()
@@ -420,8 +386,7 @@ class LoopSL:
                 kinds.append(StepKind.POSITIVE_CROSSING)
             elif ct:
                 gamma = -beta
-                ct_rf = self._as_rf(ct)
-                x = v_rep @ self.x_root(-self.group.simple_affine_root(j), ct_rf.inverse()) @ v_rep_inv
+                x = v_rep @ self.x_root(-self.group.simple_affine_root(j), 1 / ct) @ v_rep_inv
                 u_factors.append((gamma, self._extract_root_coeff(x, gamma)))
                 u = u @ x
                 b = self.x_simple(j, -ct) @ self.h_root(self.group.simple_affine_root(j), ct) @ b2

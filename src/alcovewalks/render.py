@@ -20,15 +20,15 @@ from .folding import FoldedPath, StepKind
 Walk = tuple[AffineWeylElement, ...]
 Overlay = Union[FoldedPath, Walk]
 
+SCALE = 60.0  # pixels per unit of drawing length
+MARGIN = 40.0  # pixels around the clipped arrangement
+
 
 @dataclass(frozen=True)
 class SceneSpec:
     datum: CartanDatum
     radius: int = 2
     overlays: tuple[Overlay, ...] = ()
-    scale: float = 60.0
-    margin: float = 40.0
-    label_families: bool = True
 
     def __post_init__(self):
         if self.datum.size > 2:
@@ -119,13 +119,13 @@ def render_arrangement(spec: SceneSpec) -> str:
         half_y = 0.6
     else:
         half_y = half
-    s = spec.scale
-    width = 2 * half * s + 2 * spec.margin
-    height = 2 * half_y * s + 2 * spec.margin
+    s = SCALE
+    width = 2 * half * s + 2 * MARGIN
+    height = 2 * half_y * s + 2 * MARGIN
 
     def px(u: tuple[float, float]) -> tuple[float, float]:
         # y grows upward mathematically; flip for SVG
-        return (spec.margin + (u[0] + half) * s, spec.margin + (half_y - u[1]) * s)
+        return (MARGIN + (u[0] + half) * s, MARGIN + (half_y - u[1]) * s)
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -191,18 +191,17 @@ def render_arrangement(spec: SceneSpec) -> str:
                 f'<text class="sign" x="{_fmt(minus[0])}" y="{_fmt(minus[1])}" '
                 'font-size="9" text-anchor="middle" fill="#777777">-</text>'
             )
-        if spec.label_families:
-            if rank == 2:
-                label_pos = px((half * 0.78, half_y * (0.93 - 0.1 * root_index)))
-            else:
-                label_pos = px((half * 0.9, 0.5))
-            family = "+".join(
-                f"a{i}" for i, cc in enumerate(alpha.coords, start=1) for _ in range(cc)
-            )
-            parts.append(
-                f'<text class="family" x="{_fmt(label_pos[0])}" y="{_fmt(label_pos[1])}" '
-                f'font-size="10" fill="#333333">H[{family}]</text>'
-            )
+        if rank == 2:
+            label_pos = px((half * 0.78, half_y * (0.93 - 0.1 * root_index)))
+        else:
+            label_pos = px((half * 0.9, 0.5))
+        family = "+".join(
+            f"a{i}" for i, cc in enumerate(alpha.coords, start=1) for _ in range(cc)
+        )
+        parts.append(
+            f'<text class="family" x="{_fmt(label_pos[0])}" y="{_fmt(label_pos[1])}" '
+            f'font-size="10" fill="#333333">H[{family}]</text>'
+        )
 
     for overlay in spec.overlays:
         parts.extend(_overlay_elements(group, emb, px, overlay))
@@ -275,16 +274,3 @@ def _folded_path_elements(group, emb, px, path: FoldedPath):
                 'marker-end="url(#arrow)"/>'
             )
     return parts
-
-
-def render_path(path: FoldedPath, spec: SceneSpec) -> str:
-    """Render one folded path on top of the arrangement of spec."""
-    bundled = SceneSpec(
-        datum=spec.datum,
-        radius=spec.radius,
-        overlays=spec.overlays + (path,),
-        scale=spec.scale,
-        margin=spec.margin,
-        label_families=spec.label_families,
-    )
-    return render_arrangement(bundled)

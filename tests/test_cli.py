@@ -217,3 +217,22 @@ def test_invariant_error_exits_3(capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "example8")
     assert code == 3
     assert err == "error: InvariantError: determinant drifted from 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--type", "A2", "--word", "2,1,0", "--end", "{}"),
+        ("--type", "A2", "--word", "2,1,0", "--end", '{"translation": 5, "finite_word": []}'),
+        ("--type", "A2", "--word", "2,1,0", "--end", '{"translation": [0.5, 0], "finite_word": []}'),
+        ("--type", "A2", "--word", "2,1,0", "--end", '{"translation": [0, 0], "finite_word": [true]}'),
+        ("--type", "[1,2]", "--word", "1"),
+        ("--type", "[[2.5]]", "--word", "1"),
+    ],
+    ids=["end-missing-keys", "end-not-a-list", "end-float", "end-bool", "type-not-rows", "type-float"],
+)
+def test_malformed_json_exits_2(capsys, argv):
+    code, out, err = run(capsys, "count", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -143,10 +143,12 @@ def test_iwahori_normalize_worked_steps():
     assert ct7 == Fraction(6)  # c tilde = c5 c7
 
 
-def test_iwahori_normalize_defining_identity_and_uniqueness():
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "F5"])
+@pytest.mark.parametrize("label", ["A1", "A2", "A3"])
+def test_iwahori_normalize_defining_identity_and_uniqueness(label, field):
     rng = random.Random(20240803)
-    sl = sl3()
-    group = sl.group
+    sl = LoopSL(from_label(label), field)
+    rank = sl.datum.size
     pos_roots = [
         AffineRoot(finite, k)
         for finite in sl.datum.roots()
@@ -159,10 +161,11 @@ def test_iwahori_normalize_defining_identity_and_uniqueness():
             beta = rng.choice(pos_roots)
             b = b @ sl.x_root(beta, Fraction(rng.randint(-3, 3)))
         if rng.random() < 0.4:
-            b = b @ sl.h_cochar(Coweight((rng.randint(-1, 1), rng.randint(-1, 1))), Fraction(rng.choice((1, -1, 2)), 1))
+            lam = Coweight(tuple(rng.randint(-1, 1) for _ in range(rank)))
+            b = b @ sl.h_cochar(lam, Fraction(rng.choice((1, -1, 2)), 1))
         assert in_iwahori(b)
-        j = rng.randrange(3)
-        c = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+        j = rng.randrange(rank + 1)
+        c = field.of(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))))
         ct, b2 = sl.iwahori_normalize(b, j, c)
         assert in_iwahori(b2)
         lhs = b @ sl.x_simple(j, c) @ sl.n_simple_inv(j)
@@ -171,6 +174,19 @@ def test_iwahori_normalize_defining_identity_and_uniqueness():
         # uniqueness: shifting the label throws the result out of the subgroup
         shifted = sl.n_simple(j) @ (sl.x_simple(j, -(ct + 1)) @ lhs)
         assert not in_iwahori(shifted)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3"])
+def test_closed_forms_match_their_definitions(label):
+    # h_root and n_simple_inv are built directly; these are their definitions
+    sl = LoopSL(from_label(label), QQ)
+    g = Fraction(-3, 2)
+    for finite in sl.datum.roots():
+        for k in (-1, 0, 1, 2):
+            beta = AffineRoot(finite, k)
+            assert sl.h_root(beta, g) == sl.n_root(beta, g) @ sl.n_root(beta, 1).inverse()
+    for j in range(sl.datum.size + 1):
+        assert sl.n_simple_inv(j) == sl.n_simple(j).inverse()
 
 
 def test_iwahori_normalize_rejects_bad_input():

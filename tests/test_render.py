@@ -7,7 +7,7 @@ import pytest
 from alcovewalks.affine import AffineWeylGroup
 from alcovewalks.cartan import from_label
 from alcovewalks.folding import enumerate_folded_paths
-from alcovewalks.render import SceneSpec, render_arrangement, render_path
+from alcovewalks.render import SceneSpec, render_arrangement
 
 GOLDEN = Path(__file__).parent / "golden" / "a2_radius2.svg"
 
@@ -50,7 +50,7 @@ def test_counts_scale_with_radius():
 
 def test_folded_path_overlay_glyphs():
     path = example8_path()
-    svg = render_path(path, SceneSpec(datum=from_label("A2"), radius=2))
+    svg = render_arrangement(SceneSpec(datum=from_label("A2"), radius=2, overlays=(path,)))
     counts = element_classes(svg)
     assert counts["fold"] == 2
     assert counts["crossing"] == 7
