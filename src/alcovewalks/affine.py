@@ -64,10 +64,10 @@ class AffineWeylElement:
     finite: FiniteWeylElement
 
     def __mul__(self, other: "AffineWeylElement") -> "AffineWeylElement":
-        return AffineWeylElement(
-            self.translation + self.finite.act_coweight(other.translation),
-            self.finite * other.finite,
-        )
+        translation = self.translation
+        if not other.translation.is_zero():
+            translation = translation + self.finite.act_coweight(other.translation)
+        return AffineWeylElement(translation, self.finite * other.finite)
 
     def inverse(self) -> "AffineWeylElement":
         winv = self.finite.inverse()
@@ -78,9 +78,8 @@ class AffineWeylElement:
 
     def act(self, beta: AffineRoot) -> AffineRoot:
         """t_lam w sends mu + k delta to w mu + (k - <lam, w mu>) delta."""
-        mu = self.finite.act_root(beta.finite)
-        datum = self.finite.datum
-        return AffineRoot(mu, beta.k - datum.pairing(self.translation, mu))
+        mu, pairing = self.finite.act_root_paired(beta.finite, self.translation)
+        return AffineRoot(mu, beta.k - pairing)
 
     def act_point(self, x: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
         """Level-one action on coweight-space points: linear part then translation."""

@@ -2,7 +2,9 @@
 
 All arithmetic is exact (integers and fractions.Fraction); every value is
 immutable and hashable, so elements can be shared freely and used as dict
-keys.
+keys.  A finite Weyl group element is the permutation it induces on the
+roots, listed in the fixed order of `CartanDatum.roots()`; its actions on
+roots and coweights are read from the per-datum tables of `root_tables`.
 
 Index conventions: simple roots/coroots are numbered 1..n.  The matrix
 entry a[i][j] is the value of the i-th simple root on the j-th simple
@@ -16,11 +18,23 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 class CartanError(ValueError):
     """Input is not a finite-type Cartan matrix (with a reason attached)."""
+
+
+# Largest rank validate_cartan and from_label accept, checked before any
+# other work.  Setting up a datum and its affine Weyl group grows quickly
+# with the rank: about 0.25 s for D16 (480 roots) and 3 s for A40 (1640
+# roots) under CPython 3.11 on a 2-core Xeon.
+MAX_RANK = 16
+
+
+def _check_rank(n: int) -> None:
+    if n > MAX_RANK:
+        raise CartanError(f"rank {n} exceeds the maximum rank {MAX_RANK}")
 
 
 @dataclass(frozen=True)
@@ -136,8 +150,7 @@ class CartanDatum:
     # -- Weyl group ------------------------------------------------------
 
     def identity_weyl(self) -> "FiniteWeylElement":
-        eye = _identity_matrix(self.size)
-        return FiniteWeylElement(self, eye, eye)
+        return FiniteWeylElement(self, tuple(range(len(root_tables(self).roots))))
 
     def simple_reflection(self, i: int) -> "FiniteWeylElement":
         self._check_index(i)
@@ -146,13 +159,12 @@ class CartanDatum:
     def reflection(self, alpha: FiniteRoot) -> "FiniteWeylElement":
         """s_alpha, acting on roots by beta -> beta - beta(h_alpha) alpha."""
         h = self.coroot(alpha).coords
-        # column c is s_alpha alpha_c, with alpha_c(h_alpha) = row c of A times h
-        values = [sum(map(mul, row, h)) for row in self.entries]
-        root_action = tuple(
-            tuple((r == c) - a * v for c, v in enumerate(values))
-            for r, a in enumerate(alpha.coords)
-        )
-        return _from_root_action(self, root_action)
+        tables = root_tables(self)
+        perm = []
+        for beta, values in zip(tables.roots, tables.pairing):
+            m = sum(map(mul, values, h))
+            perm.append(tables.index[tuple(b - m * a for b, a in zip(beta.coords, alpha.coords))])
+        return FiniteWeylElement(self, tuple(perm))
 
     def weyl_from_word(self, word: Sequence[int]) -> "FiniteWeylElement":
         w = self.identity_weyl()
@@ -163,17 +175,19 @@ class CartanDatum:
     # -- root system -----------------------------------------------------
 
     def roots(self) -> tuple[FiniteRoot, ...]:
-        return tuple(sorted(_root_coroot_table(self), key=lambda r: (r.height, r.coords)))
+        """Every root, by height and then coordinates: the order Weyl
+        elements permute."""
+        return root_tables(self).roots
 
     def positive_roots(self) -> tuple[FiniteRoot, ...]:
         return tuple(r for r in self.roots() if r.is_positive())
 
     def coroot(self, alpha: FiniteRoot) -> Coweight:
         """The coroot h_alpha attached to a root alpha (w h_i for alpha = w alpha_i)."""
-        table = _root_coroot_table(self)
-        if alpha not in table:
+        tables = root_tables(self)
+        if alpha.coords not in tables.index:
             raise ValueError(f"{alpha} is not a root of this datum")
-        return table[alpha]
+        return Coweight(tables.coroots[tables.index[alpha.coords]])
 
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components of the Dynkin diagram, as sorted 1-based index tuples."""
@@ -206,12 +220,11 @@ class CartanDatum:
         return eps
 
 
-@functools.lru_cache(maxsize=None)
 def _root_coroot_table(datum: CartanDatum) -> dict[FiniteRoot, Coweight]:
     """Closure of the simple roots under simple reflections, with coroots.
 
-    BFS over the Weyl orbit; tracks h_alpha alongside alpha so that
-    coroot lookup is a table hit.
+    BFS over the Weyl orbit; tracks h_alpha alongside alpha.  Read through
+    root_tables, which builds it once per datum.
     """
     n = datum.size
     table: dict[FiniteRoot, Coweight] = {}
@@ -310,6 +323,7 @@ def validate_cartan(matrix: Sequence[Sequence[int]]) -> CartanDatum:
     ):
         raise CartanError("not-Cartan: matrix must be a list of rows")
     n = len(matrix)
+    _check_rank(n)
     if n == 0 or any(len(row) != n for row in matrix):
         raise CartanError("not-Cartan: matrix must be square and nonempty")
     if any(isinstance(x, bool) or not isinstance(x, int) for row in matrix for x in row):
@@ -455,7 +469,7 @@ def _e_type(n: int) -> tuple[tuple[int, ...], ...]:
 
 def from_label(label: str) -> CartanDatum:
     """Build a datum from a type label such as "A2", "G2", or "A1xA1"."""
-    blocks = []
+    parts = []
     for part in label.split("x"):
         part = part.strip()
         if len(part) < 2 or part[0] not in _LABEL_BUILDERS or not part[1:].isdigit():
@@ -465,7 +479,9 @@ def from_label(label: str) -> CartanDatum:
             raise CartanError(f"unrecognized type label {part!r}")
         if family in "BC" and rank < 2:
             raise CartanError(f"unrecognized type label {part!r}")
-        blocks.append(_LABEL_BUILDERS[family](rank))
+        parts.append((family, rank))
+    _check_rank(sum(rank for _, rank in parts))
+    blocks = [_LABEL_BUILDERS[family](rank) for family, rank in parts]
     n = sum(len(b) for b in blocks)
     m = [[0] * n for _ in range(n)]
     off = 0
@@ -481,77 +497,110 @@ def from_label(label: str) -> CartanDatum:
 # Finite Weyl elements
 
 
+class RootTables(NamedTuple):
+    """Per-datum lookup tables over the roots in the fixed order of
+    `CartanDatum.roots()`; a Weyl element is a permutation of this order."""
+
+    roots: tuple[FiniteRoot, ...]
+    index: dict[tuple[int, ...], int]  # root coords -> position
+    negative: tuple[bool, ...]
+    coroots: tuple[tuple[int, ...], ...]  # coords of h_beta
+    pairing: tuple[tuple[int, ...], ...]  # (beta(h_1), ..., beta(h_n))
+    simple: tuple[int, ...]  # positions of alpha_1, ..., alpha_n
+
+
+@functools.lru_cache(maxsize=None)
+def root_tables(datum: CartanDatum) -> RootTables:
+    """Built once per datum, on first use."""
+    table = _root_coroot_table(datum)
+    roots = tuple(sorted(table, key=lambda r: (r.height, r.coords)))
+    columns = tuple(zip(*datum.entries))
+    index = {alpha.coords: r for r, alpha in enumerate(roots)}
+    return RootTables(
+        roots=roots,
+        index=index,
+        negative=tuple(alpha.is_negative() for alpha in roots),
+        coroots=tuple(table[alpha].coords for alpha in roots),
+        pairing=tuple(_mat_vec(columns, alpha.coords) for alpha in roots),
+        simple=tuple(index[simple_root(datum.size, i).coords] for i in range(1, datum.size + 1)),
+    )
+
+
 @dataclass(frozen=True)
 class FiniteWeylElement:
-    """Weyl group element stored as its two integer action matrices.
+    """Weyl group element stored as the permutation it induces on the roots.
 
-    root_action acts on root coordinates, coweight_action on coroot
-    coordinates.  Column i of root_action is w alpha_i and column i of
-    coweight_action is its coroot w h_i, so coweight_action is determined
-    by root_action and takes no part in equality or hashing.  With A the
-    Cartan matrix, the two satisfy the pairing identity R^T A C = A,
-    which is <w lam, w mu> = <lam, mu>.
+    perm[r] is the position of w beta_r in `datum.roots()`.  A product is
+    a composition of permutations and the inverse is the inverse
+    permutation; the linear actions on roots and coweights are read from
+    `root_tables(datum)`: w alpha_i is the root at perm of alpha_i's
+    position, and w h_i is its coroot.  The hash is that of perm; equality
+    also compares the datum (by identity first), so elements of different
+    data with equal permutations stay distinct.
     """
 
     datum: CartanDatum = field(hash=False)
-    root_action: tuple[tuple[int, ...], ...]
-    coweight_action: tuple[tuple[int, ...], ...] = field(compare=False)
+    perm: tuple[int, ...]
 
     def __mul__(self, other: "FiniteWeylElement") -> "FiniteWeylElement":
-        if self.datum != other.datum:
+        if self.datum is not other.datum and self.datum != other.datum:
             raise ValueError("datum mismatch")
-        return _from_root_action(self.datum, _mat_mul(self.root_action, other.root_action))
+        return FiniteWeylElement(self.datum, tuple(map(self.perm.__getitem__, other.perm)))
 
     def inverse(self) -> "FiniteWeylElement":
-        """w^{-1} in integers: the pairing identity gives R^{-T} A = A C,
-        so row j of A C is the pairing vector of the root w^{-1} alpha_j."""
-        datum = self.datum
-        by_pairing = _root_of_pairing(datum)
+        """The inverse permutation; a tuple that is not a permutation of the
+        root positions raises ValueError."""
+        size = len(root_tables(self.datum).roots)
+        inv = [-1] * size
+        for r, image in enumerate(self.perm):
+            if 0 <= image < size:
+                inv[image] = r
+        if len(self.perm) != size or -1 in inv:
+            raise ValueError("perm is not a permutation of the root positions")
+        return FiniteWeylElement(self.datum, tuple(inv))
+
+    def _position(self, alpha: FiniteRoot) -> tuple[RootTables, int]:
+        """The tables and the position of w alpha in them."""
+        tables = root_tables(self.datum)
         try:
-            columns = [by_pairing[row] for row in _mat_mul(datum.entries, self.coweight_action)]
+            return tables, self.perm[tables.index[alpha.coords]]
         except KeyError:
-            raise ValueError("matrix is not the action of a Weyl group element") from None
-        return _from_root_action(datum, tuple(zip(*columns)))
+            raise ValueError(f"{alpha} is not a root of this datum") from None
 
     def act_root(self, alpha: FiniteRoot) -> FiniteRoot:
-        return FiniteRoot(_mat_vec(self.root_action, alpha.coords))
+        tables, r = self._position(alpha)
+        return tables.roots[r]
+
+    def act_root_paired(self, alpha: FiniteRoot, lam: Coweight) -> tuple[FiniteRoot, int]:
+        """w alpha together with its value on the coweight lam, (w alpha)(lam)."""
+        tables, r = self._position(alpha)
+        return tables.roots[r], sum(map(mul, lam.coords, tables.pairing[r]))
+
+    def sends_to_negative(self, alpha: FiniteRoot) -> bool:
+        """Whether w alpha is a negative root."""
+        tables, r = self._position(alpha)
+        return tables.negative[r]
+
+    @property
+    def coweight_action(self) -> tuple[tuple[int, ...], ...]:
+        """Matrix on coroot coordinates: column i is w h_i = h_{w alpha_i}."""
+        tables = root_tables(self.datum)
+        return tuple(zip(*(tables.coroots[self.perm[r]] for r in tables.simple)))
 
     def act_coweight(self, lam: Coweight) -> Coweight:
         return Coweight(_mat_vec(self.coweight_action, lam.coords))
 
     def is_identity(self) -> bool:
-        return self.root_action == _identity_matrix(self.datum.size)
+        return self.perm == tuple(range(len(self.perm)))
 
     def length(self) -> int:
         """Number of positive roots sent to negative roots."""
-        return sum(1 for a in self.datum.positive_roots() if self.act_root(a).is_negative())
+        tables = root_tables(self.datum)
+        negative = tables.negative
+        return sum(1 for r, image in enumerate(self.perm) if negative[image] and not negative[r])
 
     def canonical_word(self) -> tuple[int, ...]:
         return _canonical_word(self)
-
-
-@functools.lru_cache(maxsize=None)
-def _coroot_of(datum: CartanDatum) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Root coords -> coroot coords."""
-    return {alpha.coords: h.coords for alpha, h in _root_coroot_table(datum).items()}
-
-
-@functools.lru_cache(maxsize=None)
-def _root_of_pairing(datum: CartanDatum) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Pairing vector (alpha(h_1), ..., alpha(h_n)) of each root -> its root coords."""
-    transpose = tuple(zip(*datum.entries))
-    return {_mat_vec(transpose, alpha): alpha for alpha in _coroot_of(datum)}
-
-
-def _from_root_action(datum: CartanDatum, root_action) -> FiniteWeylElement:
-    """The element with this root action; its coweight action maps each
-    simple coroot h_i to the coroot of column i, w alpha_i."""
-    coroot_of = _coroot_of(datum)
-    try:
-        coroot_columns = [coroot_of[column] for column in zip(*root_action)]
-    except KeyError:
-        raise ValueError("matrix is not the action of a Weyl group element") from None
-    return FiniteWeylElement(datum, root_action, tuple(zip(*coroot_columns)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -562,27 +611,18 @@ def _canonical_word(w: FiniteWeylElement) -> tuple[int, ...]:
     replaces w^{-1} by w^{-1} s_i, so only the inverse is tracked.
     """
     datum = w.datum
+    tables = root_tables(datum)
     word: list[int] = []
     winv = w.inverse()
     while not winv.is_identity():
-        for i in range(1, datum.size + 1):
-            if winv.act_root(simple_root(datum.size, i)).is_negative():
+        for i, r in enumerate(tables.simple, start=1):
+            if tables.negative[winv.perm[r]]:
                 break
         else:  # pragma: no cover - impossible for genuine group elements
             raise RuntimeError("no descent found for a non-identity element")
         word.append(i)
         winv = winv * datum.simple_reflection(i)
     return tuple(word)
-
-
-@functools.lru_cache(maxsize=None)
-def _identity_matrix(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
-
-
-def _mat_mul(a, b):
-    columns = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, column)) for column in columns) for row in a)
 
 
 def _mat_vec(a, v):

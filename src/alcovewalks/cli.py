@@ -21,7 +21,13 @@ from . import example8
 from .affine import AffineWeylGroup, WordError, element_from_json, parse_word
 from .cartan import CartanError, from_label, validate_cartan
 from .folding import cells_by_endpoint, endpoint_counts, enumerate_folded_paths, paths_to_json
-from .loopgroup import InvariantError, NormalizationError, brute_force_cells, check_type_a
+from .loopgroup import (
+    InvariantError,
+    NormalizationError,
+    brute_force_cells,
+    check_brute_force,
+    check_type_a,
+)
 from .render import SceneSpec, render_arrangement
 
 
@@ -167,6 +173,7 @@ def _cmd_oracle(args) -> int:
     group = _group_for(args.type)
     check_type_a(group.datum)
     word = parse_word(args.word)
+    check_brute_force(word, args.p)
     counts = endpoint_counts(group, word, args.allow_nonreduced)
     tallies = brute_force_cells(group.datum, word, args.p)
     mismatches = 0

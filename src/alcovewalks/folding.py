@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from math import comb
+from operator import sub
 from typing import Iterable, Sequence
 
 from .affine import (
@@ -26,7 +28,6 @@ from .affine import (
     WordError,
     affine_root_to_json,
     element_to_json,
-    is_uminus_positive,
 )
 
 
@@ -44,8 +45,12 @@ class StepOptions(enum.Enum):
 
 
 def step_options(group: AffineWeylGroup, v: AffineWeylElement, j: int) -> StepOptions:
-    beta = v.act(group.simple_affine_root(j))
-    return StepOptions.FORCED_POSITIVE if is_uminus_positive(beta) else StepOptions.BRANCH
+    """Forced exactly when v alpha_j is uminus-positive, that is when its
+    finite part is negative; the translation of v only moves its delta
+    coefficient."""
+    if v.finite.sends_to_negative(group.simple_affine_root(j).finite):
+        return StepOptions.FORCED_POSITIVE
+    return StepOptions.BRANCH
 
 
 @dataclass(frozen=True)
@@ -113,6 +118,15 @@ class CountPolynomial:
                 out[i + j] += a * b
         return CountPolynomial.make(out)
 
+    def times_q(self) -> "CountPolynomial":
+        return CountPolynomial((0,) + self.coeffs) if self.coeffs else self
+
+    def times_q_minus_one(self) -> "CountPolynomial":
+        """q f - f: shift, then subtract; the leading coefficient stays."""
+        if not self.coeffs:
+            return self
+        return CountPolynomial(tuple(map(sub, (0,) + self.coeffs, self.coeffs + (0,))))
+
     def evaluate(self, q: int) -> int:
         out = 0
         for c in reversed(self.coeffs):
@@ -142,16 +156,11 @@ class CountPolynomial:
         return text
 
 
-_Q = CountPolynomial.q_power(1)
-_Q_MINUS_ONE = CountPolynomial((-1, 1))
-
-
 def count_polynomial(path: FoldedPath) -> CountPolynomial:
-    """q to the number of positive crossings times (q-1) to the number of folds."""
-    out = CountPolynomial.q_power(path.count(StepKind.POSITIVE_CROSSING))
-    for _ in range(path.count(StepKind.FOLD)):
-        out = out * _Q_MINUS_ONE
-    return out
+    """q^a (q-1)^f for a positive crossings and f folds, by the binomial
+    theorem: the coefficient of q^(a+k) is (-1)^(f-k) C(f, k)."""
+    a, f = path.count(StepKind.POSITIVE_CROSSING), path.count(StepKind.FOLD)
+    return CountPolynomial((0,) * a + tuple((-1) ** (f - k) * comb(f, k) for k in range(f + 1)))
 
 
 def _check_word(group: AffineWeylGroup, word: Sequence[int], allow_nonreduced: bool) -> Word:
@@ -186,7 +195,7 @@ def enumerate_folded_paths(
             continue
         j = word[step]
         beta = v.act(group.simple_affine_root(j))
-        if is_uminus_positive(beta):
+        if step_options(group, v, j) is StepOptions.FORCED_POSITIVE:
             nv = v * group.simple_reflection(j)
             stack.append(
                 (step + 1, nv, kinds + (StepKind.POSITIVE_CROSSING,), walls + (beta,), alcoves + (nv,))
@@ -226,9 +235,9 @@ def endpoint_counts(
         for v, count in frontier.items():
             vs = v * s
             if step_options(group, v, j) is StepOptions.FORCED_POSITIVE:
-                moves = ((vs, count * _Q),)
+                moves = ((vs, count.times_q()),)
             else:
-                moves = ((v, count * _Q_MINUS_ONE), (vs, count))
+                moves = ((v, count.times_q_minus_one()), (vs, count))
             for end, c in moves:
                 nxt[end] = nxt[end] + c if end in nxt else c
         frontier = nxt

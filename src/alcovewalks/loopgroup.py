@@ -451,14 +451,24 @@ class LoopSL:
         return is_upper_triangular(m2.inverse() @ m1)
 
 
+# Most label tuples a brute force runs the executor on.
+BRUTE_FORCE_GUARD = 10**6
+
+
+def check_brute_force(word: Sequence[int], p: int) -> PrimeField:
+    """The label field F_p of a brute force over `word`; raises ValueError
+    when p^len(word) exceeds BRUTE_FORCE_GUARD or p is not prime."""
+    if p ** len(word) > BRUTE_FORCE_GUARD:
+        raise ValueError(f"{p}^{len(word)} label tuples exceed the guard {BRUTE_FORCE_GUARD}")
+    return PrimeField(p)
+
+
 def brute_force_cells(
-    datum: CartanDatum, word: Sequence[int], p: int, guard: int = 10**6
+    datum: CartanDatum, word: Sequence[int], p: int
 ) -> dict[AffineWeylElement, int]:
     """Endpoint tallies of the executor over every label tuple in F_p."""
     word = tuple(word)
-    if p ** len(word) > guard:
-        raise ValueError(f"{p}^{len(word)} label tuples exceed the guard {guard}")
-    field = PrimeField(p)
+    field = check_brute_force(word, p)
     sl = LoopSL(datum, field)
     tallies: dict[AffineWeylElement, int] = {}
     for labels in itertools.product(field.elements(), repeat=len(word)):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from alcovewalks.affine import (
     AffineRoot,
+    AffineWeylElement,
     AffineWeylGroup,
     WordError,
     element_from_json,
@@ -22,6 +23,18 @@ def a1():
 
 def a2():
     return AffineWeylGroup(from_label("A2"))
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "C3"])
+def test_right_multiplication_by_simple_reflection_is_the_general_product(label):
+    group = AffineWeylGroup(from_label(label))
+    for v in group.ball(4):
+        for j in range(group.rank + 1):
+            s = group.simple_reflection(j)
+            general = AffineWeylElement(
+                v.translation + v.finite.act_coweight(s.translation), v.finite * s.finite
+            )
+            assert v * s == general
 
 
 def test_reducible_rejected():

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from alcovewalks.cartan import (
+    MAX_RANK,
     CartanError,
     Coweight,
     FiniteRoot,
@@ -189,22 +190,25 @@ def test_pairing_invariance():
                     assert d.pairing(w.act_coweight(lam), w.act_root(mu)) == d.pairing(lam, mu)
 
 
-def _all_elements(datum):
+def _elements_with_words(datum):
+    """Every element of W with one reduced word, by breadth-first search."""
     gens = [datum.simple_reflection(i) for i in range(1, datum.size + 1)]
-    found = {datum.identity_weyl(): 0}
+    found = {datum.identity_weyl(): ()}
     frontier = [datum.identity_weyl()]
-    depth = 0
     while frontier:
-        depth += 1
         nxt = []
         for w in frontier:
-            for g in gens:
+            for i, g in enumerate(gens, start=1):
                 u = w * g
                 if u not in found:
-                    found[u] = depth
+                    found[u] = found[w] + (i,)
                     nxt.append(u)
         frontier = nxt
     return found
+
+
+def _all_elements(datum):
+    return {w: len(word) for w, word in _elements_with_words(datum).items()}
 
 
 def test_inversion_length_equals_word_metric():
@@ -272,6 +276,44 @@ def test_weyl_inverse_and_pairing_on_whole_group(label, order):
 
 def test_weyl_inverse_is_exact():
     d = from_label("A2")
-    doubled = ((2, 0), (0, 2))
+    size = len(d.roots())
+    for perm in ((0,) * size, tuple(range(size - 1)), tuple(range(1, size + 1))):
+        with pytest.raises(ValueError):
+            FiniteWeylElement(d, perm).inverse()
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "G2", "D4"])
+def test_permutation_actions_match_the_linear_action(label):
+    d = from_label(label)
+    coweights = [simple_coroot(d.size, i) for i in range(1, d.size + 1)]
+    coweights.append(Coweight(tuple(range(2, d.size + 2))))
+    for w, word in _elements_with_words(d).items():
+        for alpha in d.roots():
+            expected = alpha
+            for i in reversed(word):
+                expected = d.reflect_root(i, expected)
+            assert w.act_root(alpha) == expected
+        for lam in coweights:
+            expected = lam
+            for i in reversed(word):
+                expected = d.reflect_coweight(i, expected)
+            assert w.act_coweight(lam) == expected
+        assert w.length() == len(word)
+
+
+def test_act_root_rejects_non_roots():
+    d = from_label("A2")
     with pytest.raises(ValueError):
-        FiniteWeylElement(d, doubled, doubled).inverse()
+        d.simple_reflection(1).act_root(FiniteRoot((2, 0)))
+
+
+def test_rank_bound_is_checked_before_validation():
+    assert MAX_RANK >= 8
+    assert from_label("E8").size == 8
+    assert from_label(f"A{MAX_RANK}").size == MAX_RANK
+    for label in (f"A{MAX_RANK + 1}", f"A{MAX_RANK}xA1", "A1000000000"):
+        with pytest.raises(CartanError, match="maximum rank"):
+            from_label(label)
+    # rows of the wrong length would fail validation; the rank fails first
+    with pytest.raises(CartanError, match="maximum rank"):
+        validate_cartan([[2]] * (MAX_RANK + 1))

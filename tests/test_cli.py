@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +117,13 @@ def test_bad_type_exits_2(capsys):
     assert code == 2
 
 
+def test_rank_above_the_bound_exits_2(capsys):
+    code, out, err = run(capsys, "count", "--type", "A40", "--word", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: rank 40 exceeds the maximum rank")
+
+
 def test_nonreduced_word_exits_2(capsys):
     code, _, err = run(capsys, "count", "--type", "A1", "--word", "1,1")
     assert code == 2
@@ -151,6 +160,24 @@ def test_oracle_rejects_non_type_a_before_counting(capsys, monkeypatch):
     code, _, err = run(capsys, "oracle", "--type", "B2", "--word", "1,2", "--p", "2")
     assert code == 2
     assert "type A" in err
+
+
+A2_COUNT_WORD = "1,2,0,1,0,2,0,1,0,2,0,1,0,2,0,1,0,2,0,1,0,2,0,1,0,2,0,1,0,2,1,0"
+
+
+@pytest.mark.parametrize(
+    "word, p, message",
+    [(A2_COUNT_WORD, "3", "exceed the guard"), ("2,1,0", "4", "not prime")],
+)
+def test_oracle_checks_its_guard_before_counting(capsys, monkeypatch, word, p, message):
+    def fail(*args, **kwargs):
+        raise AssertionError("counted before checking the guard")
+
+    monkeypatch.setattr("alcovewalks.cli.endpoint_counts", fail)
+    code, out, err = run(capsys, "oracle", "--type", "A2", "--word", word, "--p", p)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and message in err
 
 
 def test_count_does_not_enumerate_paths(capsys, monkeypatch):
@@ -236,3 +263,19 @@ def test_malformed_json_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+BENCH_CASES = json.loads((Path(__file__).parents[1] / "perfbench" / "cases.json").read_text())
+GOLDEN_JOBS = [("count", case) for case in BENCH_CASES["count"]] + [
+    ("paths", case) for case in BENCH_CASES["paths"] if case["name"] == "B2"
+]
+
+
+@pytest.mark.parametrize(
+    "command, case", GOLDEN_JOBS, ids=[f"{command}-{case['name']}" for command, case in GOLDEN_JOBS]
+)
+def test_stdout_matches_benchmark_digest(capsys, command, case):
+    entry = case["pool"][0]
+    code, out, _ = run(capsys, command, "--type", case["type"], "--word", entry["word"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == entry["sha256"]

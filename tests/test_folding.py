@@ -6,6 +6,7 @@ from alcovewalks.affine import AffineRoot, AffineWeylGroup, WordError, is_uminus
 from alcovewalks.cartan import FiniteRoot, from_label
 from alcovewalks.folding import (
     CountPolynomial,
+    FoldedPath,
     StepKind,
     StepOptions,
     cells_by_endpoint,
@@ -116,6 +117,28 @@ def test_count_polynomial_algebra():
     assert str(one) == "1"
     assert qm1.evaluate(7) == 6
     assert CountPolynomial.make([0, 1, -2, 1]).evaluate(3) == 12
+
+
+def test_count_polynomial_closed_form_matches_repeated_product():
+    q_minus_one = CountPolynomial((-1, 1))
+    for a in range(13):
+        for f in range(13):
+            kinds = (StepKind.POSITIVE_CROSSING,) * a + (StepKind.ZERO_CROSSING, StepKind.FOLD) * f
+            expected = CountPolynomial.q_power(a)
+            for _ in range(f):
+                expected = expected * q_minus_one
+            assert count_polynomial(FoldedPath((), kinds, (), ())) == expected
+
+
+def test_shift_updates_match_multiplication():
+    q, q_minus_one = CountPolynomial((0, 1)), CountPolynomial((-1, 1))
+    rng = random.Random(5)
+    samples = [CountPolynomial.zero(), CountPolynomial.one()]
+    for _ in range(50):
+        samples.append(CountPolynomial.make(rng.randint(-9, 9) for _ in range(rng.randint(1, 8))))
+    for f in samples:
+        assert f.times_q() == f * q
+        assert f.times_q_minus_one() == f * q_minus_one
 
 
 def test_cells_by_endpoint_a1():
