@@ -4,7 +4,7 @@ All arithmetic is exact (integers and fractions.Fraction); every value is
 immutable and hashable, so elements can be shared freely and used as dict
 keys.  A finite Weyl group element is the permutation it induces on the
 roots, listed in the fixed order of `CartanDatum.roots()`; its actions on
-roots and coweights are read from the per-datum tables of `root_tables`.
+roots and coweights are read from the tables of `CartanDatum.root_tables`.
 
 Index conventions: simple roots/coroots are numbered 1..n.  The matrix
 entry a[i][j] is the value of the i-th simple root on the j-th simple
@@ -150,7 +150,7 @@ class CartanDatum:
     # -- Weyl group ------------------------------------------------------
 
     def identity_weyl(self) -> "FiniteWeylElement":
-        return FiniteWeylElement(self, tuple(range(len(root_tables(self).roots))))
+        return FiniteWeylElement(self, tuple(range(len(self.root_tables.roots))))
 
     def simple_reflection(self, i: int) -> "FiniteWeylElement":
         self._check_index(i)
@@ -159,7 +159,7 @@ class CartanDatum:
     def reflection(self, alpha: FiniteRoot) -> "FiniteWeylElement":
         """s_alpha, acting on roots by beta -> beta - beta(h_alpha) alpha."""
         h = self.coroot(alpha).coords
-        tables = root_tables(self)
+        tables = self.root_tables
         perm = []
         for beta, values in zip(tables.roots, tables.pairing):
             m = sum(map(mul, values, h))
@@ -174,17 +174,35 @@ class CartanDatum:
 
     # -- root system -----------------------------------------------------
 
+    @functools.cached_property
+    def root_tables(self) -> "RootTables":
+        """The lookup tables of the roots, built on first use.  The value is
+        kept in the instance __dict__, so the fields, equality and hash of
+        the datum are unchanged."""
+        table = _root_coroot_table(self)
+        roots = tuple(sorted(table, key=lambda r: (r.height, r.coords)))
+        columns = tuple(zip(*self.entries))
+        index = {alpha.coords: r for r, alpha in enumerate(roots)}
+        return RootTables(
+            roots=roots,
+            index=index,
+            negative=tuple(alpha.is_negative() for alpha in roots),
+            coroots=tuple(table[alpha].coords for alpha in roots),
+            pairing=tuple(_mat_vec(columns, alpha.coords) for alpha in roots),
+            simple=tuple(index[simple_root(self.size, i).coords] for i in range(1, self.size + 1)),
+        )
+
     def roots(self) -> tuple[FiniteRoot, ...]:
         """Every root, by height and then coordinates: the order Weyl
         elements permute."""
-        return root_tables(self).roots
+        return self.root_tables.roots
 
     def positive_roots(self) -> tuple[FiniteRoot, ...]:
         return tuple(r for r in self.roots() if r.is_positive())
 
     def coroot(self, alpha: FiniteRoot) -> Coweight:
         """The coroot h_alpha attached to a root alpha (w h_i for alpha = w alpha_i)."""
-        tables = root_tables(self)
+        tables = self.root_tables
         if alpha.coords not in tables.index:
             raise ValueError(f"{alpha} is not a root of this datum")
         return Coweight(tables.coroots[tables.index[alpha.coords]])
@@ -224,7 +242,7 @@ def _root_coroot_table(datum: CartanDatum) -> dict[FiniteRoot, Coweight]:
     """Closure of the simple roots under simple reflections, with coroots.
 
     BFS over the Weyl orbit; tracks h_alpha alongside alpha.  Read through
-    root_tables, which builds it once per datum.
+    CartanDatum.root_tables, which builds it once per datum.
     """
     n = datum.size
     table: dict[FiniteRoot, Coweight] = {}
@@ -509,23 +527,6 @@ class RootTables(NamedTuple):
     simple: tuple[int, ...]  # positions of alpha_1, ..., alpha_n
 
 
-@functools.lru_cache(maxsize=None)
-def root_tables(datum: CartanDatum) -> RootTables:
-    """Built once per datum, on first use."""
-    table = _root_coroot_table(datum)
-    roots = tuple(sorted(table, key=lambda r: (r.height, r.coords)))
-    columns = tuple(zip(*datum.entries))
-    index = {alpha.coords: r for r, alpha in enumerate(roots)}
-    return RootTables(
-        roots=roots,
-        index=index,
-        negative=tuple(alpha.is_negative() for alpha in roots),
-        coroots=tuple(table[alpha].coords for alpha in roots),
-        pairing=tuple(_mat_vec(columns, alpha.coords) for alpha in roots),
-        simple=tuple(index[simple_root(datum.size, i).coords] for i in range(1, datum.size + 1)),
-    )
-
-
 @dataclass(frozen=True)
 class FiniteWeylElement:
     """Weyl group element stored as the permutation it induces on the roots.
@@ -533,7 +534,7 @@ class FiniteWeylElement:
     perm[r] is the position of w beta_r in `datum.roots()`.  A product is
     a composition of permutations and the inverse is the inverse
     permutation; the linear actions on roots and coweights are read from
-    `root_tables(datum)`: w alpha_i is the root at perm of alpha_i's
+    `datum.root_tables`: w alpha_i is the root at perm of alpha_i's
     position, and w h_i is its coroot.  The hash is that of perm; equality
     also compares the datum (by identity first), so elements of different
     data with equal permutations stay distinct.
@@ -550,7 +551,7 @@ class FiniteWeylElement:
     def inverse(self) -> "FiniteWeylElement":
         """The inverse permutation; a tuple that is not a permutation of the
         root positions raises ValueError."""
-        size = len(root_tables(self.datum).roots)
+        size = len(self.datum.root_tables.roots)
         inv = [-1] * size
         for r, image in enumerate(self.perm):
             if 0 <= image < size:
@@ -561,7 +562,7 @@ class FiniteWeylElement:
 
     def _position(self, alpha: FiniteRoot) -> tuple[RootTables, int]:
         """The tables and the position of w alpha in them."""
-        tables = root_tables(self.datum)
+        tables = self.datum.root_tables
         try:
             return tables, self.perm[tables.index[alpha.coords]]
         except KeyError:
@@ -584,7 +585,7 @@ class FiniteWeylElement:
     @property
     def coweight_action(self) -> tuple[tuple[int, ...], ...]:
         """Matrix on coroot coordinates: column i is w h_i = h_{w alpha_i}."""
-        tables = root_tables(self.datum)
+        tables = self.datum.root_tables
         return tuple(zip(*(tables.coroots[self.perm[r]] for r in tables.simple)))
 
     def act_coweight(self, lam: Coweight) -> Coweight:
@@ -595,7 +596,7 @@ class FiniteWeylElement:
 
     def length(self) -> int:
         """Number of positive roots sent to negative roots."""
-        tables = root_tables(self.datum)
+        tables = self.datum.root_tables
         negative = tables.negative
         return sum(1 for r, image in enumerate(self.perm) if negative[image] and not negative[r])
 
@@ -611,7 +612,7 @@ def _canonical_word(w: FiniteWeylElement) -> tuple[int, ...]:
     replaces w^{-1} by w^{-1} s_i, so only the inverse is tracked.
     """
     datum = w.datum
-    tables = root_tables(datum)
+    tables = datum.root_tables
     word: list[int] = []
     winv = w.inverse()
     while not winv.is_identity():

@@ -31,10 +31,6 @@ from .loopgroup import (
 from .render import SceneSpec, render_arrangement
 
 
-def canonical_json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="alcovewalks",
@@ -115,22 +111,17 @@ def _endpoint_filter(group, args):
 
 def _cmd_paths(args) -> int:
     group = _group_for(args.type)
-    cells = cells_by_endpoint(group, parse_word(args.word), args.allow_nonreduced)
+    word = parse_word(args.word)
+    cells = cells_by_endpoint(group, word, args.allow_nonreduced)
     target = _endpoint_filter(group, args)
     if target is not None:
         cells = {end: cell for end, cell in cells.items() if end == target}
-    doc = paths_to_json(
-        group,
-        parse_word(args.word),
-        cells,
-        nonreduced=args.allow_nonreduced and not group.is_reduced(parse_word(args.word)),
-    )
-    text = canonical_json(doc)
+    nonreduced = args.allow_nonreduced and not group.is_reduced(word)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            paths_to_json(group, word, cells, fh.write, nonreduced)
     else:
-        sys.stdout.write(text)
+        paths_to_json(group, word, cells, sys.stdout.write, nonreduced)
     return 0
 
 

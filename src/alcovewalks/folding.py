@@ -9,7 +9,8 @@ beta = v alpha_{i_k}:
     alcove stays), a zero label crosses anyway (zero crossing).
 
 Each path contributes q^{#positive} (q-1)^{#fold} points; summing over
-paths grouped by endpoint yields the cell counts.
+paths grouped by endpoint yields the cell counts.  paths_to_json streams
+the paths and cells as the JSON document of the `paths` command.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import enum
 from dataclasses import dataclass
 from math import comb
 from operator import sub
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .affine import (
     AffineRoot,
@@ -108,15 +109,6 @@ class CountPolynomial:
         a = self.coeffs + (0,) * (n - len(self.coeffs))
         b = other.coeffs + (0,) * (n - len(other.coeffs))
         return CountPolynomial.make(x + y for x, y in zip(a, b))
-
-    def __mul__(self, other: "CountPolynomial") -> "CountPolynomial":
-        if not self.coeffs or not other.coeffs:
-            return CountPolynomial.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return CountPolynomial.make(out)
 
     def times_q(self) -> "CountPolynomial":
         return CountPolynomial((0,) + self.coeffs) if self.coeffs else self
@@ -251,6 +243,7 @@ class Cell:
     paths: tuple[FoldedPath, ...]
     count: CountPolynomial
     dimensions: tuple[int, ...]
+    counts: tuple[CountPolynomial, ...]  # each path's, in path order
 
 
 def cells_by_endpoint(
@@ -265,38 +258,93 @@ def cells_by_endpoint(
     out: dict[AffineWeylElement, Cell] = {}
     for end in group.canonical_words(grouped):
         paths = tuple(grouped[end])
+        counts = tuple(map(count_polynomial, paths))
         total = CountPolynomial.zero()
-        for p in paths:
-            total = total + count_polynomial(p)
-        out[end] = Cell(paths, total, tuple(p.dimension for p in paths))
+        for c in counts:
+            total = total + c
+        out[end] = Cell(paths, total, tuple(p.dimension for p in paths), counts)
     return out
 
 
+# The paths document has a fixed shape, so paths_to_json prints it from
+# templates; the pads are the indents of its nesting depths 2 to 6.
+_PAD4, _PAD6, _PAD8, _PAD10, _PAD12 = (" " * n for n in (4, 6, 8, 10, 12))
+_KIND_TEXT = {k: f'"{k.value}"' for k in StepKind}
+_NONREDUCED_WARNING = "type word is not reduced; path/cell bijection is not guaranteed"
+
+
+def _list(items: Iterable[str], pad: str) -> str:
+    """A list of formatted JSON values as json.dumps(indent=2) prints it,
+    the items at pad."""
+    body = f",\n{pad}".join(items)
+    return f"[\n{pad}{body}\n{pad[2:]}]" if body else "[]"
+
+
+def _element_text(group: AffineWeylGroup, g: AffineWeylElement) -> str:
+    """The element_to_json object of g as the value of a key at depth 3."""
+    doc = element_to_json(group, g)
+    fields = (f'{_PAD8}"{key}": {_list(map(str, doc[key]), _PAD10)}' for key in sorted(doc))
+    return "{\n" + ",\n".join(fields) + f"\n{_PAD6}}}"
+
+
+def _write_records(write: Callable[[str], object], key: str, records: Iterable[str]) -> None:
+    """A top-level list of objects, one write per record."""
+    empty = True
+    for text in records:
+        write((f'  "{key}": [\n' if empty else ",\n") + text)
+        empty = False
+    write(f'  "{key}": [],\n' if empty else "\n  ],\n")
+
+
 def paths_to_json(
-    group: AffineWeylGroup, word: Word, cells: dict[AffineWeylElement, Cell], nonreduced: bool = False
-) -> dict:
-    doc = {
-        "type_word": list(word),
-        "paths": [
-            {
-                "kinds": [k.value for k in p.kinds],
-                "end": element_to_json(group, p.endpoint),
-                "walls": [affine_root_to_json(w) for w in p.walls],
-                "count": list(count_polynomial(p).coeffs),
-                "dim": p.dimension,
-            }
-            for cell in cells.values()
-            for p in cell.paths
-        ],
-        "by_endpoint": [
-            {
-                "end": element_to_json(group, end),
-                "count": list(cell.count.coeffs),
-                "dims": list(cell.dimensions),
-            }
-            for end, cell in cells.items()
-        ],
-    }
-    if nonreduced:
-        doc["warning"] = "type word is not reduced; path/cell bijection is not guaranteed"
-    return doc
+    group: AffineWeylGroup,
+    word: Word,
+    cells: dict[AffineWeylElement, Cell],
+    write: Callable[[str], object],
+    nonreduced: bool = False,
+) -> None:
+    """Stream the paths document of `cells` to `write`, one call per record.
+
+    The text is json.dumps(doc, indent=2, sort_keys=True) + "\n" of
+    doc = {"by_endpoint": [{"count", "dims", "end"}, ...], "paths":
+    [{"count", "dim", "end", "kinds", "walls"}, ...], "type_word", and a
+    "warning" when `nonreduced`}, with endpoints as element_to_json objects
+    and walls as affine_root_to_json lists, but no document is built: each
+    endpoint is formatted once for its cell and its paths, and each wall
+    once per root.
+    """
+    ends = [_element_text(group, end) for end in cells]
+    walls: dict[tuple[tuple[int, ...], int], str] = {}
+
+    def wall_text(beta: AffineRoot) -> str:
+        key = (beta.finite.coords, beta.k)
+        text = walls.get(key)
+        if text is None:
+            coords, k = affine_root_to_json(beta)
+            text = walls[key] = _list((_list(map(str, coords), _PAD12), str(k)), _PAD10)
+        return text
+
+    def path_records():
+        for end, cell in zip(ends, cells.values()):
+            for p, count, dim in zip(cell.paths, cell.counts, cell.dimensions):
+                yield (
+                    f'{_PAD4}{{\n{_PAD6}"count": {_list(map(str, count.coeffs), _PAD8)},\n'
+                    f'{_PAD6}"dim": {dim},\n{_PAD6}"end": {end},\n'
+                    f'{_PAD6}"kinds": {_list(map(_KIND_TEXT.__getitem__, p.kinds), _PAD8)},\n'
+                    f'{_PAD6}"walls": {_list(map(wall_text, p.walls), _PAD8)}\n{_PAD4}}}'
+                )
+
+    write("{\n")
+    _write_records(
+        write,
+        "by_endpoint",
+        (
+            f'{_PAD4}{{\n{_PAD6}"count": {_list(map(str, cell.count.coeffs), _PAD8)},\n'
+            f'{_PAD6}"dims": {_list(map(str, cell.dimensions), _PAD8)},\n'
+            f'{_PAD6}"end": {end}\n{_PAD4}}}'
+            for end, cell in zip(ends, cells.values())
+        ),
+    )
+    _write_records(write, "paths", path_records())
+    write(f'  "type_word": {_list(map(str, word), _PAD4)}')
+    write(f',\n  "warning": "{_NONREDUCED_WARNING}"\n}}\n' if nonreduced else "\n}\n")

@@ -203,36 +203,40 @@ def render_arrangement(spec: SceneSpec) -> str:
             f'font-size="10" fill="#333333">H[{family}]</text>'
         )
 
+    centers: dict[AffineWeylElement, tuple[float, float]] = {}
     for overlay in spec.overlays:
-        parts.extend(_overlay_elements(group, emb, px, overlay))
+        parts.extend(_overlay_elements(group, emb, px, overlay, centers))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def _barycenter(group: AffineWeylGroup, emb: _Embedding, v: AffineWeylElement):
-    bary, _ = group.alcove_position(v)
-    if group.rank == 1:
-        return (emb.point(bary)[0], 0.0)
-    return emb.point(bary)
+def _barycenter(group: AffineWeylGroup, emb: _Embedding, v: AffineWeylElement, centers: dict):
+    """The drawing point of v's barycenter, computed once per alcove into centers."""
+    point = centers.get(v)
+    if point is None:
+        bary, _ = group.alcove_position(v)
+        point = centers[v] = emb.point(bary)
+    return point
 
 
-def _overlay_elements(group, emb, px, overlay):
+def _overlay_elements(group, emb, px, overlay, centers):
     if isinstance(overlay, FoldedPath):
-        return _folded_path_elements(group, emb, px, overlay)
-    return _walk_elements(group, emb, px, overlay)
+        return _folded_path_elements(group, emb, px, overlay, centers)
+    return _walk_elements(group, emb, px, overlay, centers)
 
 
-def _walk_elements(group, emb, px, walk: Walk):
+def _walk_elements(group, emb, px, walk: Walk, centers):
     parts = []
     if not walk:
         return parts
-    start = px(_barycenter(group, emb, walk[0]))
+    start = px(_barycenter(group, emb, walk[0], centers))
     parts.append(
         f'<circle class="start" cx="{_fmt(start[0])}" cy="{_fmt(start[1])}" r="3" fill="#1f3d7a"/>'
     )
     for a, b in zip(walk, walk[1:]):
-        pa, pb = px(_barycenter(group, emb, a)), px(_barycenter(group, emb, b))
+        pa = px(_barycenter(group, emb, a, centers))
+        pb = px(_barycenter(group, emb, b, centers))
         parts.append(
             f'<line class="crossing" x1="{_fmt(pa[0])}" y1="{_fmt(pa[1])}" '
             f'x2="{_fmt(pb[0])}" y2="{_fmt(pb[1])}" stroke="#1f3d7a" stroke-width="1.5" '
@@ -241,19 +245,19 @@ def _walk_elements(group, emb, px, walk: Walk):
     return parts
 
 
-def _folded_path_elements(group, emb, px, path: FoldedPath):
+def _folded_path_elements(group, emb, px, path: FoldedPath, centers):
     parts = []
-    start = px(_barycenter(group, emb, path.alcoves[0]))
+    start = px(_barycenter(group, emb, path.alcoves[0], centers))
     parts.append(
         f'<circle class="start" cx="{_fmt(start[0])}" cy="{_fmt(start[1])}" r="3" fill="#1f3d7a"/>'
     )
     for step, kind in enumerate(path.kinds):
         v = path.alcoves[step]
         j = path.type_word[step]
-        here = _barycenter(group, emb, v)
+        here = _barycenter(group, emb, v, centers)
         if kind is StepKind.FOLD:
             # hook toward the wall shared with v s_j and back
-            other = _barycenter(group, emb, v * group.simple_reflection(j))
+            other = _barycenter(group, emb, v * group.simple_reflection(j), centers)
             wall = ((here[0] + other[0]) / 2, (here[1] + other[1]) / 2)
             dx, dy = wall[0] - here[0], wall[1] - here[1]
             side = (-dy * 0.25, dx * 0.25)
@@ -266,7 +270,7 @@ def _folded_path_elements(group, emb, px, path: FoldedPath):
                 'fill="none" stroke="#a03030" stroke-width="1.5" marker-end="url(#arrow)"/>'
             )
         else:
-            nxt = _barycenter(group, emb, path.alcoves[step + 1])
+            nxt = _barycenter(group, emb, path.alcoves[step + 1], centers)
             pa, pb = px(here), px(nxt)
             parts.append(
                 f'<line class="crossing" x1="{_fmt(pa[0])}" y1="{_fmt(pa[1])}" '

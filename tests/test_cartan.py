@@ -317,3 +317,11 @@ def test_rank_bound_is_checked_before_validation():
     # rows of the wrong length would fail validation; the rank fails first
     with pytest.raises(CartanError, match="maximum rank"):
         validate_cartan([[2]] * (MAX_RANK + 1))
+
+
+def test_root_tables_are_built_once_and_leave_equality_and_hash_alone():
+    d, fresh = from_label("B3"), from_label("B3")
+    before = hash(d)
+    assert d.root_tables is d.root_tables
+    assert hash(d) == before == hash(fresh)
+    assert d == fresh and d.root_tables == fresh.root_tables

@@ -4,7 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from alcovewalks.cli import canonical_json, main
+from alcovewalks.affine import AffineWeylGroup, affine_root_to_json, element_to_json, parse_word
+from alcovewalks.cartan import from_label
+from alcovewalks.cli import main
+from alcovewalks.folding import cells_by_endpoint, count_polynomial
 
 
 def run(capsys, *argv):
@@ -56,7 +59,62 @@ def test_paths_endpoint_filter(capsys):
 def test_json_round_trip_is_byte_identical(capsys):
     code, out, _ = run(capsys, "paths", "--type", "A2", "--word", "2,1,0")
     assert code == 0
-    assert canonical_json(json.loads(out)) == out
+    assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
+
+
+def reference_paths_json(group, word, cells, nonreduced) -> str:
+    """The paths document built as a dict and printed by the json module."""
+    doc = {
+        "type_word": list(word),
+        "paths": [
+            {
+                "kinds": [k.value for k in p.kinds],
+                "end": element_to_json(group, p.endpoint),
+                "walls": [affine_root_to_json(w) for w in p.walls],
+                "count": list(count_polynomial(p).coeffs),
+                "dim": p.dimension,
+            }
+            for cell in cells.values()
+            for p in cell.paths
+        ],
+        "by_endpoint": [
+            {
+                "end": element_to_json(group, end),
+                "count": list(cell.count.coeffs),
+                "dims": list(cell.dimensions),
+            }
+            for end, cell in cells.items()
+        ],
+    }
+    if nonreduced:
+        doc["warning"] = "type word is not reduced; path/cell bijection is not guaranteed"
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "label, word, flags",
+    [
+        ("A1", "1", ()),
+        ("A2", "", ()),
+        ("A2", "1,1", ("--allow-nonreduced",)),
+        ("A2", "2,1,0", ("--end", "0,1,2,0")),
+        ("G2", "1,2,1,0,2,1", ()),
+        ("C3", "1,2,3,2,1,0,1", ()),
+    ],
+    ids=["A1", "A2-empty-word", "A2-nonreduced", "A2-no-matching-end", "G2", "C3"],
+)
+def test_paths_stream_matches_json_dumps(capsys, label, word, flags):
+    code, out, _ = run(capsys, "paths", "--type", label, "--word", word, *flags)
+    assert code == 0
+    group = AffineWeylGroup(from_label(label))
+    letters = parse_word(word)
+    nonreduced = not group.is_reduced(letters)
+    cells = cells_by_endpoint(group, letters, allow_nonreduced=nonreduced)
+    if "--end" in flags:
+        target = group.from_word(parse_word(flags[-1]))
+        cells = {end: cell for end, cell in cells.items() if end == target}
+        assert not cells
+    assert out == reference_paths_json(group, letters, cells, nonreduced)
 
 
 def test_verify_example8(capsys):
@@ -99,11 +157,13 @@ def test_render_writes_file(tmp_path, capsys):
 def test_paths_out_flag(tmp_path, capsys):
     out_file = tmp_path / "paths.json"
     code, out, _ = run(
-        capsys, "paths", "--type", "A1", "--word", "0", "--out", str(out_file)
+        capsys, "paths", "--type", "A2", "--word", "2,1,0,2,0", "--out", str(out_file)
     )
     assert code == 0
     assert out == ""
-    assert json.loads(out_file.read_text())["type_word"] == [0]
+    assert json.loads(out_file.read_text())["type_word"] == [2, 1, 0, 2, 0]
+    _, stdout, _ = run(capsys, "paths", "--type", "A2", "--word", "2,1,0,2,0")
+    assert out_file.read_bytes() == stdout.encode()
 
 
 def test_bad_word_letter_exits_2(capsys):
@@ -267,7 +327,7 @@ def test_malformed_json_exits_2(capsys, argv):
 
 BENCH_CASES = json.loads((Path(__file__).parents[1] / "perfbench" / "cases.json").read_text())
 GOLDEN_JOBS = [("count", case) for case in BENCH_CASES["count"]] + [
-    ("paths", case) for case in BENCH_CASES["paths"] if case["name"] == "B2"
+    ("paths", case) for case in BENCH_CASES["paths"]
 ]
 
 
