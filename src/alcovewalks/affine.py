@@ -9,12 +9,19 @@ exist here; the two positivity sets are
 
     iwahori set:  positive finite part with k >= 0, or negative with k > 0
     uminus set:   negative finite part, any k
+
+The hot loops (the counting DP, path enumeration, the reduced-word
+descent) work on raw alcove states (translation.coords, finite.perm)
+instead of elements.  AffineWeylGroup.step, read from a table built once
+per group, is the one place where s_j acts on a raw state; the forced
+test and the descent test read the same table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter, mul, sub
 from typing import Iterable, Sequence
 
 from .cartan import (
@@ -27,6 +34,17 @@ from .cartan import (
 )
 
 Word = tuple[int, ...]
+
+# Longest word parse_word and element_from_json accept, checked before the
+# letters are read.  The counting DP's cost grows polynomially with the
+# length, in a degree that grows with the rank: `count` on a 64-letter
+# translation word takes about 0.2 s in A2 (1,539 cells), 0.9 s in C3 and
+# 2.3 s in A3 (17,162 cells), and `paths` about 1 s in A2 (4,945 paths),
+# under CPython 3.11 on a 2-core Xeon.
+MAX_WORD_LENGTH = 64
+
+# the raw state of t_lam w: (lam.coords, w.perm)
+AlcoveState = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 class WordError(ValueError):
@@ -114,6 +132,61 @@ class AffineWeylGroup:
             AffineWeylElement(zero_coweight(self.rank), datum.simple_reflection(i))
             for i in range(1, self.rank + 1)
         )
+        tables = datum.root_tables
+        self._roots = tables.roots
+        self._negative = tables.negative
+        self._coroots = tables.coroots
+        self._pairing = tables.pairing
+        # the step table: per letter j, the gather w -> w s_j on root
+        # permutations, the position of alpha_j's finite part, and k_j
+        self._steps = tuple(
+            (itemgetter(*s.finite.perm), tables.index[alpha.finite.coords], alpha.k)
+            for s, alpha in zip(self._simple_reflections, self._simple_roots)
+        )
+        self._identity_state = self.state(self.identity())
+
+    # -- raw alcove states ---------------------------------------------------
+
+    @staticmethod
+    def state(g: AffineWeylElement) -> AlcoveState:
+        return g.translation.coords, g.finite.perm
+
+    def element(self, state: AlcoveState) -> AffineWeylElement:
+        t, w = state
+        return AffineWeylElement(Coweight(t), FiniteWeylElement(self.datum, w))
+
+    def step(self, state: AlcoveState, j: int) -> AlcoveState:
+        """The state of g s_j from the state of g, for a letter j in 0..n.
+
+        s_j = t_{-k_j h} s with h the coroot of alpha_j's finite part, so
+        the finite part gathers and, for j = 0, the translation loses
+        w h = h_{w(-theta)}: the coroot at w's image of alpha_0's position.
+        """
+        t, w = state
+        gather, pos, k = self._steps[j]
+        if k:
+            t = tuple(map(sub, t, self._coroots[w[pos]]))
+        return t, gather(w)
+
+    def sends_to_uminus(self, state: AlcoveState, j: int) -> bool:
+        """Whether g alpha_j is uminus-positive: its finite part w alpha_j
+        is negative, whatever the translation does to its delta part."""
+        return self._negative[state[1][self._steps[j][1]]]
+
+    def wall(self, state: AlcoveState, j: int) -> AffineRoot:
+        """g alpha_j: t_lam w sends alpha + k delta to w alpha + (k - <lam, w alpha>) delta."""
+        t, w = state
+        _, pos, k = self._steps[j]
+        r = w[pos]
+        return AffineRoot(self._roots[r], k - sum(map(mul, t, self._pairing[r])))
+
+    def _descends(self, state: AlcoveState, i: int) -> bool:
+        """Whether g alpha_i fails iwahori positivity (i is a right descent
+        of g): its delta coefficient is negative, or zero on a negative root."""
+        t, w = state
+        _, pos, k = self._steps[i]
+        r = w[pos]
+        return k - sum(map(mul, t, self._pairing[r])) < self._negative[r]
 
     # -- generators ------------------------------------------------------
 
@@ -135,42 +208,45 @@ class AffineWeylGroup:
     # -- words and length --------------------------------------------------
 
     def from_word(self, word: Sequence[int]) -> AffineWeylElement:
-        g = self.identity()
+        state = self._identity_state
         for i in word:
-            g = g * self.simple_reflection(i)
-        return g
+            self._check_letter(i)
+            state = self.step(state, i)
+        return self.element(state)
 
     def length(self, g: AffineWeylElement) -> int:
         return len(self.reduced_word(g))
 
     def reduced_word(
-        self, g: AffineWeylElement, tails: dict[AffineWeylElement, Word] | None = None
+        self, g: AffineWeylElement, tails: dict[AlcoveState, Word] | None = None
     ) -> Word:
         """Lexicographically smallest reduced word, by greedy left descent.
 
         The descent test is: i is a left descent iff g^{-1} alpha_i fails
         iwahori positivity.  Removing the descent replaces g^{-1} by
-        g^{-1} s_i, so only the inverse is tracked.
+        g^{-1} s_i, so only the inverse is tracked, as a raw state.
 
         The word of s_i g is the rest of the word of g, so words computed
-        together share tails: `tails` maps h^{-1} to the word of h for
-        every h already passed, and the descent stops at the first one.
+        together share tails: `tails` maps the state of h^{-1} to the word
+        of h for every h already passed, and the descent stops at the
+        first one.
         """
         if tails is None:
             tails = {}
+        letters = range(self.rank + 1)
         word: list[int] = []
-        passed: list[AffineWeylElement] = []
-        ginv = g.inverse()
-        while ginv not in tails and not ginv.is_identity():
-            for i in range(self.rank + 1):
-                if not is_iwahori_positive(ginv.act(self._simple_roots[i])):
+        passed: list[AlcoveState] = []
+        state = self.state(g.inverse())
+        while state not in tails and state != self._identity_state:
+            for i in letters:
+                if self._descends(state, i):
                     break
             else:  # pragma: no cover - impossible for genuine group elements
                 raise RuntimeError("no descent found for a non-identity element")
-            passed.append(ginv)
+            passed.append(state)
             word.append(i)
-            ginv = ginv * self._simple_reflections[i]
-        tail = tails.get(ginv, ())
+            state = self.step(state, i)
+        tail = tails.get(state, ())
         for k, hinv in enumerate(passed):
             tails[hinv] = tuple(word[k:]) + tail
         return tuple(word) + tail
@@ -179,11 +255,8 @@ class AffineWeylGroup:
         return len(word) == self.length(self.from_word(word))
 
     def right_descents(self, g: AffineWeylElement) -> tuple[int, ...]:
-        return tuple(
-            i
-            for i in range(self.rank + 1)
-            if not is_iwahori_positive(g.act(self.simple_affine_root(i)))
-        )
+        state = self.state(g)
+        return tuple(i for i in range(self.rank + 1) if self._descends(state, i))
 
     def all_reduced_words(self, g: AffineWeylElement, cap: int = 12) -> tuple[Word, ...]:
         """Every reduced word for g, guarded by a length cap."""
@@ -235,9 +308,10 @@ class AffineWeylGroup:
         """Each element's reduced word, in canonical order: shorter words
         first, then lexicographically.  One reduced_word call per element,
         so callers that print the words reuse them instead of recomputing."""
-        tails: dict[AffineWeylElement, Word] = {}
-        words = {g: self.reduced_word(g, tails) for g in elements}
-        return dict(sorted(words.items(), key=lambda item: (len(item[1]), item[1])))
+        tails: dict[AlcoveState, Word] = {}
+        words = [(g, self.reduced_word(g, tails)) for g in elements]
+        words.sort(key=lambda item: (len(item[1]), item[1]))
+        return dict(words)
 
     # -- alcove geometry (rank <= 2) ----------------------------------------
 
@@ -315,6 +389,7 @@ def element_from_json(group: AffineWeylGroup, data: dict) -> AffineWeylElement:
     translation = Coweight(tuple(data["translation"]))
     if len(translation.coords) != group.rank:
         raise WordError("translation has wrong rank")
+    _check_length(len(data["finite_word"]))
     word = tuple(data["finite_word"])
     if any(not 1 <= i <= group.rank for i in word):
         raise WordError(f"finite word letters must lie in 1..{group.rank}")
@@ -325,10 +400,16 @@ def affine_root_to_json(beta: AffineRoot) -> list:
     return [list(beta.finite.coords), beta.k]
 
 
+def _check_length(letters: int) -> None:
+    if letters > MAX_WORD_LENGTH:
+        raise WordError(f"word of {letters} letters exceeds the maximum length {MAX_WORD_LENGTH}")
+
+
 def parse_word(text: str) -> Word:
     text = text.strip()
     if not text:
         return ()
+    _check_length(text.count(",") + 1)
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:

@@ -551,12 +551,21 @@ class FiniteWeylElement:
     def inverse(self) -> "FiniteWeylElement":
         """The inverse permutation; a tuple that is not a permutation of the
         root positions raises ValueError."""
+        perm = self.perm
         size = len(self.datum.root_tables.roots)
         inv = [-1] * size
-        for r, image in enumerate(self.perm):
-            if 0 <= image < size:
+        try:
+            for r, image in enumerate(perm):
                 inv[image] = r
-        if len(self.perm) != size or -1 in inv:
+        except (IndexError, TypeError):
+            raise ValueError("perm is not a permutation of the root positions") from None
+        # Checked by two C-level sums instead of a test per image: every r
+        # survives in inv, which then sums to 0 + 1 + ... + (size-1), only
+        # if no image repeats; then the images are the positions, less size
+        # for each negative one that wrapped round, so perm has that sum too
+        # only if no image is negative.
+        total = size * (size - 1) // 2
+        if len(perm) != size or sum(inv) != total or sum(perm) != total:
             raise ValueError("perm is not a permutation of the root positions")
         return FiniteWeylElement(self.datum, tuple(inv))
 
@@ -576,11 +585,6 @@ class FiniteWeylElement:
         """w alpha together with its value on the coweight lam, (w alpha)(lam)."""
         tables, r = self._position(alpha)
         return tables.roots[r], sum(map(mul, lam.coords, tables.pairing[r]))
-
-    def sends_to_negative(self, alpha: FiniteRoot) -> bool:
-        """Whether w alpha is a negative root."""
-        tables, r = self._position(alpha)
-        return tables.negative[r]
 
     @property
     def coweight_action(self) -> tuple[tuple[int, ...], ...]:

@@ -28,7 +28,7 @@ from .loopgroup import (
     check_brute_force,
     check_type_a,
 )
-from .render import SceneSpec, render_arrangement
+from .render import SceneSpec, check_radius, render_arrangement
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -100,7 +100,7 @@ def _parse_endpoint(group, text: str):
 
 
 def _word_text(word) -> str:
-    return ",".join(str(i) for i in word) or "-"
+    return ",".join(map(str, word)) or "-"
 
 
 def _endpoint_filter(group, args):
@@ -110,10 +110,10 @@ def _endpoint_filter(group, args):
 
 
 def _cmd_paths(args) -> int:
-    group = _group_for(args.type)
     word = parse_word(args.word)
-    cells = cells_by_endpoint(group, word, args.allow_nonreduced)
+    group = _group_for(args.type)
     target = _endpoint_filter(group, args)
+    cells = cells_by_endpoint(group, word, args.allow_nonreduced)
     if target is not None:
         cells = {end: cell for end, cell in cells.items() if end == target}
     nonreduced = args.allow_nonreduced and not group.is_reduced(word)
@@ -126,10 +126,10 @@ def _cmd_paths(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    group = _group_for(args.type)
     word = parse_word(args.word)
-    counts = endpoint_counts(group, word, args.allow_nonreduced)
+    group = _group_for(args.type)
     target = _endpoint_filter(group, args)
+    counts = endpoint_counts(group, word, args.allow_nonreduced)
     if target is not None:
         if target not in counts:
             print("0")
@@ -161,9 +161,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    word = parse_word(args.word)
     group = _group_for(args.type)
     check_type_a(group.datum)
-    word = parse_word(args.word)
     check_brute_force(word, args.p)
     counts = endpoint_counts(group, word, args.allow_nonreduced)
     tallies = brute_force_cells(group.datum, word, args.p)
@@ -184,11 +184,12 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    check_radius(args.radius)
+    word = parse_word(args.word) if args.word else None
     datum = _datum_for(args.type)
     group = AffineWeylGroup(datum)
     overlays = ()
-    if args.word:
-        word = parse_word(args.word)
+    if word is not None:
         if args.end:
             target = _parse_endpoint(group, args.end)
             matching = [

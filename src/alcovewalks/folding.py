@@ -11,6 +11,11 @@ beta = v alpha_{i_k}:
 Each path contributes q^{#positive} (q-1)^{#fold} points; summing over
 paths grouped by endpoint yields the cell counts.  paths_to_json streams
 the paths and cells as the JSON document of the `paths` command.
+
+The counting DP and the enumerator walk raw alcove states (see affine):
+AffineWeylGroup.step is the one place where s_j acts on them, and
+AffineWeylGroup.sends_to_uminus the one forced/branch test, which
+step_options also asks for an element.
 """
 
 from __future__ import annotations
@@ -18,11 +23,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import comb
-from operator import sub
+from operator import add, sub
 from typing import Callable, Iterable, Sequence
 
 from .affine import (
     AffineRoot,
+    AlcoveState,
     AffineWeylElement,
     AffineWeylGroup,
     Word,
@@ -48,8 +54,9 @@ class StepOptions(enum.Enum):
 def step_options(group: AffineWeylGroup, v: AffineWeylElement, j: int) -> StepOptions:
     """Forced exactly when v alpha_j is uminus-positive, that is when its
     finite part is negative; the translation of v only moves its delta
-    coefficient."""
-    if v.finite.sends_to_negative(group.simple_affine_root(j).finite):
+    coefficient.  The counting DP and the enumerator ask the same
+    question of raw states, through AffineWeylGroup.sends_to_uminus."""
+    if group.sends_to_uminus(group.state(v), j):
         return StepOptions.FORCED_POSITIVE
     return StepOptions.BRANCH
 
@@ -79,6 +86,26 @@ class FoldedPath:
         return self.count(StepKind.POSITIVE_CROSSING) + self.count(StepKind.FOLD)
 
 
+# CountPolynomial arithmetic on bare coefficient tuples, ascending; the
+# counting DP runs on these and wraps only the final counts.
+
+
+def _plus(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The coefficientwise sum, as long as the longer input (not trimmed)."""
+    if len(a) < len(b):
+        a, b = b, a
+    return tuple(map(add, a, b + (0,) * (len(a) - len(b))))
+
+
+def _times_q(c: tuple[int, ...]) -> tuple[int, ...]:
+    return (0,) + c if c else c
+
+
+def _times_q_minus_one(c: tuple[int, ...]) -> tuple[int, ...]:
+    """q f - f: shift, then subtract; the leading coefficient stays."""
+    return tuple(map(sub, (0,) + c, c + (0,))) if c else c
+
+
 @dataclass(frozen=True)
 class CountPolynomial:
     """Integer polynomial in q, coefficients ascending, trailing zeros trimmed."""
@@ -105,19 +132,13 @@ class CountPolynomial:
         return CountPolynomial((0,) * n + (1,))
 
     def __add__(self, other: "CountPolynomial") -> "CountPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return CountPolynomial.make(x + y for x, y in zip(a, b))
+        return CountPolynomial.make(_plus(self.coeffs, other.coeffs))
 
     def times_q(self) -> "CountPolynomial":
-        return CountPolynomial((0,) + self.coeffs) if self.coeffs else self
+        return CountPolynomial(_times_q(self.coeffs))
 
     def times_q_minus_one(self) -> "CountPolynomial":
-        """q f - f: shift, then subtract; the leading coefficient stays."""
-        if not self.coeffs:
-            return self
-        return CountPolynomial(tuple(map(sub, (0,) + self.coeffs, self.coeffs + (0,))))
+        return CountPolynomial(_times_q_minus_one(self.coeffs))
 
     def evaluate(self, q: int) -> int:
         out = 0
@@ -174,33 +195,37 @@ def enumerate_folded_paths(
 
     Branch steps explore the fold child before the zero crossing, so the
     output order is deterministic.  Non-reduced words are rejected unless
-    explicitly allowed.
+    explicitly allowed.  The walk runs on raw alcove states; paths merge
+    at alcoves, so each distinct alcove's element is built once per call.
     """
     word = _check_word(group, word, allow_nonreduced)
     out = []
-    identity = group.identity()
-    stack = [(0, identity, (), (), (identity,))]
+    elements: dict[AlcoveState, AffineWeylElement] = {}
+
+    def element(state: AlcoveState) -> AffineWeylElement:
+        g = elements.get(state)
+        if g is None:
+            g = elements[state] = group.element(state)
+        return g
+
+    start = group.state(group.identity())
+    stack = [(0, start, (), (), (element(start),))]
     while stack:
         step, v, kinds, walls, alcoves = stack.pop()
         if step == len(word):
             out.append(FoldedPath(word, kinds, alcoves, walls))
             continue
         j = word[step]
-        beta = v.act(group.simple_affine_root(j))
-        if step_options(group, v, j) is StepOptions.FORCED_POSITIVE:
-            nv = v * group.simple_reflection(j)
-            stack.append(
-                (step + 1, nv, kinds + (StepKind.POSITIVE_CROSSING,), walls + (beta,), alcoves + (nv,))
-            )
+        beta = group.wall(v, j)
+        nv = group.step(v, j)
+        crossed = alcoves + (element(nv),)
+        if group.sends_to_uminus(v, j):
+            stack.append((step + 1, nv, kinds + (StepKind.POSITIVE_CROSSING,), walls + (beta,), crossed))
         else:
-            nv = v * group.simple_reflection(j)
             # pushed in reverse so the fold child is explored first
-            stack.append(
-                (step + 1, nv, kinds + (StepKind.ZERO_CROSSING,), walls + (-beta,), alcoves + (nv,))
-            )
-            stack.append(
-                (step + 1, v, kinds + (StepKind.FOLD,), walls + (-beta,), alcoves + (v,))
-            )
+            stack.append((step + 1, nv, kinds + (StepKind.ZERO_CROSSING,), walls + (-beta,), crossed))
+            folded = alcoves + (alcoves[-1],)
+            stack.append((step + 1, v, kinds + (StepKind.FOLD,), walls + (-beta,), folded))
     return tuple(out)
 
 
@@ -217,23 +242,29 @@ def endpoint_counts(
     factor q-1 and sends v s_j with factor 1.  The counts equal those of
     cells_by_endpoint; the keys come in the order the frontier reached
     them, and AffineWeylGroup.canonical_words puts them in canonical
-    order together with the reduced words it sorted by.
+    order together with the reduced words it sorted by.  The frontier maps
+    raw alcove states to bare coefficient tuples, one dict lookup and one
+    store per move; elements and CountPolynomials are built only for the
+    final endpoints.
     """
     word = _check_word(group, word, allow_nonreduced)
-    frontier = {group.identity(): CountPolynomial.one()}
+    frontier = {group.state(group.identity()): (1,)}
     for j in word:
-        s = group.simple_reflection(j)
-        nxt: dict[AffineWeylElement, CountPolynomial] = {}
+        nxt: dict[AlcoveState, tuple[int, ...]] = {}
+        get = nxt.get
         for v, count in frontier.items():
-            vs = v * s
-            if step_options(group, v, j) is StepOptions.FORCED_POSITIVE:
-                moves = ((vs, count.times_q()),)
+            vs = group.step(v, j)
+            if group.sends_to_uminus(v, j):
+                moves = ((vs, _times_q(count)),)
             else:
-                moves = ((v, count.times_q_minus_one()), (vs, count))
+                moves = ((v, _times_q_minus_one(count)), (vs, count))
             for end, c in moves:
-                nxt[end] = nxt[end] + c if end in nxt else c
+                old = get(end)
+                nxt[end] = c if old is None else _plus(old, c)
         frontier = nxt
-    return frontier
+    # a count's leading coefficient is its number of top-dimensional paths,
+    # so sums never cancel at the top and need no trimming
+    return {group.element(v): CountPolynomial(count) for v, count in frontier.items()}
 
 
 @dataclass(frozen=True)

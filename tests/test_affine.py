@@ -4,6 +4,7 @@ import pytest
 from fractions import Fraction
 
 from alcovewalks.affine import (
+    MAX_WORD_LENGTH,
     AffineRoot,
     AffineWeylElement,
     AffineWeylGroup,
@@ -25,16 +26,24 @@ def a2():
     return AffineWeylGroup(from_label("A2"))
 
 
-@pytest.mark.parametrize("label", ["A2", "B2", "G2", "C3"])
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "C3", "F4", "E6"])
 def test_right_multiplication_by_simple_reflection_is_the_general_product(label):
     group = AffineWeylGroup(from_label(label))
     for v in group.ball(4):
+        state = group.state(v)
+        assert group.element(state) == v
         for j in range(group.rank + 1):
             s = group.simple_reflection(j)
             general = AffineWeylElement(
                 v.translation + v.finite.act_coweight(s.translation), v.finite * s.finite
             )
             assert v * s == general
+            # the raw-state step table agrees with the element arithmetic
+            beta = v.act(group.simple_affine_root(j))
+            assert group.element(group.step(state, j)) == general
+            assert group.wall(state, j) == beta
+            assert group.sends_to_uminus(state, j) == is_uminus_positive(beta)
+            assert (j in group.right_descents(v)) == (not is_iwahori_positive(beta))
 
 
 def test_reducible_rejected():
@@ -277,9 +286,12 @@ def test_parse_word():
     assert parse_word("") == ()
     with pytest.raises(WordError):
         parse_word("2,x")
+    assert parse_word(",".join(["1"] * MAX_WORD_LENGTH)) == (1,) * MAX_WORD_LENGTH
+    with pytest.raises(WordError, match="exceeds the maximum length"):
+        parse_word(",".join(["1"] * (MAX_WORD_LENGTH + 1)))
 
 
-@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "C3"])
 def test_reduced_word_is_smallest_reduced_word(label):
     g = AffineWeylGroup(from_label(label))
     ball = g.ball(4)

@@ -277,9 +277,25 @@ def test_weyl_inverse_and_pairing_on_whole_group(label, order):
 def test_weyl_inverse_is_exact():
     d = from_label("A2")
     size = len(d.roots())
-    for perm in ((0,) * size, tuple(range(size - 1)), tuple(range(1, size + 1))):
+    bad = (
+        (0,) * size,
+        tuple(range(size - 1)),
+        tuple(range(1, size + 1)),
+        tuple(range(size)) + (0,),
+        (-size,) + tuple(range(1, size)),  # -size would index the first position
+    )
+    for perm in bad:
         with pytest.raises(ValueError):
             FiniteWeylElement(d, perm).inverse()
+    # every short tuple over A1's two positions: only the two permutations pass
+    d = from_label("A1")
+    for n in range(4):
+        for perm in itertools.product(range(-3, 4), repeat=n):
+            if sorted(perm) == [0, 1]:
+                assert FiniteWeylElement(d, perm).inverse().perm == perm
+            else:
+                with pytest.raises(ValueError):
+                    FiniteWeylElement(d, perm).inverse()
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "G2", "D4"])

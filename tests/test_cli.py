@@ -4,10 +4,17 @@ from pathlib import Path
 
 import pytest
 
-from alcovewalks.affine import AffineWeylGroup, affine_root_to_json, element_to_json, parse_word
+from alcovewalks.affine import (
+    MAX_WORD_LENGTH,
+    AffineWeylGroup,
+    affine_root_to_json,
+    element_to_json,
+    parse_word,
+)
 from alcovewalks.cartan import from_label
 from alcovewalks.cli import main
 from alcovewalks.folding import cells_by_endpoint, count_polynomial
+from alcovewalks.render import MAX_RADIUS
 
 
 def run(capsys, *argv):
@@ -266,6 +273,60 @@ def test_end_accepts_element_json(capsys):
     assert out.strip() == "q"
 
 
+# 1,0,1,0,...: a reduced word of affine A1 at the length bound
+A1_BOUND_WORD = ",".join("10"[k % 2] for k in range(MAX_WORD_LENGTH))
+
+
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("work started before the input was checked")
+
+
+def test_word_at_the_length_bound_is_accepted(capsys):
+    code, out, _ = run(capsys, "count", "--type", "A1", "--word", A1_BOUND_WORD)
+    assert code == 0
+    assert len(out.splitlines()) == MAX_WORD_LENGTH + 1
+
+
+# an --end word is read against the group, so only the counting must not start
+@pytest.mark.parametrize(
+    "argv, before_group",
+    [
+        (["count", "--word", A1_BOUND_WORD + ",1"], True),
+        (["paths", "--word", A1_BOUND_WORD + ",1"], True),
+        (["oracle", "--word", A1_BOUND_WORD + ",1", "--p", "2"], True),
+        (["render", "--word", A1_BOUND_WORD + ",1", "--out", "unused.svg"], True),
+        (["count", "--word", "1", "--end", A1_BOUND_WORD + ",1"], False),
+        (["count", "--word", "1", "--end", f'{{"translation": [0], "finite_word": [{A1_BOUND_WORD},1]}}'], False),
+    ],
+    ids=["count", "paths", "oracle", "render", "end-word", "end-json"],
+)
+def test_word_past_the_length_bound_exits_2_before_any_work(capsys, monkeypatch, argv, before_group):
+    monkeypatch.setattr("alcovewalks.cli.endpoint_counts", fail_if_called)
+    monkeypatch.setattr("alcovewalks.cli.cells_by_endpoint", fail_if_called)
+    if before_group:
+        monkeypatch.setattr("alcovewalks.cli._datum_for", fail_if_called)
+    code, out, err = run(capsys, argv[0], "--type", "A1", *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: word of {MAX_WORD_LENGTH + 1} letters exceeds the maximum length {MAX_WORD_LENGTH}\n"
+
+
+def test_render_radius_bound(tmp_path, capsys, monkeypatch):
+    out_file = tmp_path / "walls.svg"
+    code, _, _ = run(capsys, "render", "--type", "A1", "--radius", str(MAX_RADIUS), "--out", str(out_file))
+    assert code == 0
+    assert out_file.read_text().count('class="wall"') == 2 * MAX_RADIUS + 1
+    monkeypatch.setattr("alcovewalks.cli._datum_for", fail_if_called)
+    for radius in (MAX_RADIUS + 1, 0):
+        rejected = tmp_path / f"radius{radius}.svg"
+        code, out, err = run(
+            capsys, "render", "--type", "A1", "--radius", str(radius), "--out", str(rejected)
+        )
+        assert code == 2
+        assert out == "" and not rejected.exists()
+        assert err == f"error: radius {radius} is outside 1..{MAX_RADIUS}\n"
+
+
 def test_end_json_with_bad_letters_exits_2(capsys):
     code, _, err = run(
         capsys,
@@ -326,16 +387,22 @@ def test_malformed_json_exits_2(capsys, argv):
 
 
 BENCH_CASES = json.loads((Path(__file__).parents[1] / "perfbench" / "cases.json").read_text())
-GOLDEN_JOBS = [("count", case) for case in BENCH_CASES["count"]] + [
-    ("paths", case) for case in BENCH_CASES["paths"]
+# every pool word of every count and paths case; the first keeps the case's name
+GOLDEN_JOBS = [
+    (command, case, k)
+    for command in ("count", "paths")
+    for case in BENCH_CASES[command]
+    for k in range(len(case["pool"]))
 ]
 
 
 @pytest.mark.parametrize(
-    "command, case", GOLDEN_JOBS, ids=[f"{command}-{case['name']}" for command, case in GOLDEN_JOBS]
+    "command, case, k",
+    GOLDEN_JOBS,
+    ids=[f"{command}-{case['name']}" + (f"-{k}" if k else "") for command, case, k in GOLDEN_JOBS],
 )
-def test_stdout_matches_benchmark_digest(capsys, command, case):
-    entry = case["pool"][0]
+def test_stdout_matches_benchmark_digest(capsys, command, case, k):
+    entry = case["pool"][k]
     code, out, _ = run(capsys, command, "--type", case["type"], "--word", entry["word"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == entry["sha256"]

@@ -260,7 +260,7 @@ def random_reduced_word(group, rng, length):
     return tuple(word)
 
 
-@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "D4"])
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "D4", "E6", "F4"])
 def test_endpoint_counts_match_cells_by_endpoint(label):
     group = AffineWeylGroup(from_label(label))
     rng = random.Random(label)

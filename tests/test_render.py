@@ -7,7 +7,7 @@ import pytest
 from alcovewalks.affine import AffineWeylGroup
 from alcovewalks.cartan import from_label
 from alcovewalks.folding import enumerate_folded_paths
-from alcovewalks.render import SceneSpec, render_arrangement
+from alcovewalks.render import MAX_RADIUS, SceneSpec, render_arrangement
 
 GOLDEN = Path(__file__).parent / "golden" / "a2_radius2.svg"
 
@@ -38,6 +38,13 @@ def test_a1_radius1_wall_marks():
     counts = element_classes(svg)
     assert counts["wall"] == 3
     assert counts["alcove"] == 1
+
+
+def test_radius_bound():
+    assert SceneSpec(datum=from_label("G2"), radius=MAX_RADIUS).radius == MAX_RADIUS
+    for radius in (0, MAX_RADIUS + 1):
+        with pytest.raises(ValueError, match="outside"):
+            SceneSpec(datum=from_label("G2"), radius=radius)
 
 
 def test_counts_scale_with_radius():
