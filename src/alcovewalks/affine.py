@@ -137,6 +137,7 @@ class AffineWeylGroup:
         self._negative = tables.negative
         self._coroots = tables.coroots
         self._pairing = tables.pairing
+        self._simple = tables.simple
         # the step table: per letter j, the gather w -> w s_j on root
         # permutations, the position of alpha_j's finite part, and k_j
         self._steps = tuple(
@@ -150,6 +151,15 @@ class AffineWeylGroup:
     @staticmethod
     def state(g: AffineWeylElement) -> AlcoveState:
         return g.translation.coords, g.finite.perm
+
+    def inverse_state(self, g: AffineWeylElement) -> AlcoveState:
+        """The state of g^{-1} = t_{-w^{-1} lam} w^{-1} for g = t_lam w,
+        without building g^{-1} or the coweight action of w^{-1}: w^{-1} lam
+        sums lam_i times the coroot at w^{-1}'s image of alpha_i's position."""
+        winv = g.finite.inverse().perm
+        lam = g.translation.coords
+        columns = [self._coroots[winv[r]] for r in self._simple]
+        return tuple(-sum(map(mul, row, lam)) for row in zip(*columns)), winv
 
     def element(self, state: AlcoveState) -> AffineWeylElement:
         t, w = state
@@ -236,7 +246,7 @@ class AffineWeylGroup:
         letters = range(self.rank + 1)
         word: list[int] = []
         passed: list[AlcoveState] = []
-        state = self.state(g.inverse())
+        state = self.inverse_state(g)
         while state not in tails and state != self._identity_state:
             for i in letters:
                 if self._descends(state, i):

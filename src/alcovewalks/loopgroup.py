@@ -18,11 +18,17 @@ Structure-constant signs are never tabulated; every sign emerges from an
 actual matrix product.  Every entry is a Laurent polynomial, so products
 and determinants are division-free; inverses divide only by a unit
 determinant, and the executor never takes one.
+
+`LoopSL.step` is the one executor step: the factorization of a prefix,
+a letter and a label give the factorization one letter longer.
+`execute_folding` folds it over a word.  The F_p brute force walks the
+trie of label tuples depth first with the same step, so a label prefix
+shared by many tuples is stepped once: p + p^2 + ... + p^L steps for a
+word of L letters instead of L p^L.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -173,7 +179,8 @@ def is_upper_triangular(m: GroupMatrix) -> bool:
 
 @dataclass(frozen=True)
 class ExecutorState:
-    """Running factorization u . v_rep . b of a partially consumed word."""
+    """Running factorization u . v_rep . b of a partially consumed word,
+    with v_rep^-1 carried along so that a step never inverts a matrix."""
 
     u: GroupMatrix
     u_factors: tuple[tuple[AffineRoot, object], ...]
@@ -181,6 +188,7 @@ class ExecutorState:
     v_rep: GroupMatrix
     b: GroupMatrix
     kinds: tuple[StepKind, ...]
+    v_rep_inv: GroupMatrix
 
 
 def check_type_a(datum: CartanDatum) -> None:
@@ -349,11 +357,48 @@ class LoopSL:
 
     # -- the matrix folding executor --------------------------------------
 
+    def initial_state(self) -> ExecutorState:
+        """The factorization of the empty word: u = v_rep = b = 1."""
+        one = self._identity
+        return ExecutorState(one, (), self.group.identity(), one, one, (), one)
+
+    def step(self, state: ExecutorState, j: int, label) -> ExecutorState:
+        """The factorization of the prefix one letter longer: `state`
+        followed by x_j(label) n_j^{-1}."""
+        ct, b2 = self.iwahori_normalize(state.b, j, label)
+        alpha = self.group.simple_affine_root(j)
+        beta = state.v.act(alpha)
+        if is_uminus_positive(beta):
+            kind, wall, x = StepKind.POSITIVE_CROSSING, beta, self.x_simple(j, ct)
+        elif ct:
+            kind, wall, x = StepKind.FOLD, -beta, self.x_root(-alpha, 1 / ct)
+        else:
+            kind, wall, x = StepKind.ZERO_CROSSING, -beta, None
+        u, coeff = state.u, self.field.zero()
+        if x is not None:
+            x = state.v_rep @ x @ state.v_rep_inv
+            coeff = self._extract_root_coeff(x, wall)
+            u = u @ x
+        u_factors = state.u_factors + ((wall, coeff),)
+        kinds = state.kinds + (kind,)
+        if kind is StepKind.FOLD:
+            b = self.x_simple(j, -ct) @ self.h_root(alpha, ct) @ b2
+            return ExecutorState(u, u_factors, state.v, state.v_rep, b, kinds, state.v_rep_inv)
+        return ExecutorState(
+            u,
+            u_factors,
+            state.v * self.group.simple_reflection(j),
+            state.v_rep @ self.n_simple_inv(j),
+            b2,
+            kinds,
+            self.n_simple(j) @ state.v_rep_inv,
+        )
+
     def execute_folding(
         self, word: Sequence[int], labels: Sequence, validate: bool = False
     ) -> ExecutorState:
-        """Consume x_{i_1}(c_1) n_{i_1}^{-1} ... left to right, maintaining
-        the exact factorization u . v_rep . b.
+        """Consume x_{i_1}(c_1) n_{i_1}^{-1} ... left to right, one `step`
+        per letter, maintaining the exact factorization u . v_rep . b.
 
         With validate=True every invariant is re-checked after each step
         and a failure raises InvariantError.
@@ -362,46 +407,14 @@ class LoopSL:
         if len(labels) != len(word):
             raise ValueError("need exactly one label per letter")
         labels = [self.field.of(c) for c in labels]
-        u = self.identity()
-        u_factors: list[tuple[AffineRoot, object]] = []
-        v = self.group.identity()
-        v_rep = v_rep_inv = self.identity()
-        b = self.identity()
-        kinds: list[StepKind] = []
-        consumed = self.identity() if validate else None
+        state = self.initial_state()
+        consumed = self.identity()
         for j, label in zip(word, labels):
-            ct, b2 = self.iwahori_normalize(b, j, label)
-            beta = v.act(self.group.simple_affine_root(j))
-            nj_inv = self.n_simple_inv(j)
+            state = self.step(state, j, label)
             if validate:
-                consumed = consumed @ (self.x_simple(j, label) @ nj_inv)
-            if is_uminus_positive(beta):
-                x = v_rep @ self.x_simple(j, ct) @ v_rep_inv
-                u_factors.append((beta, self._extract_root_coeff(x, beta)))
-                u = u @ x
-                v = v * self.group.simple_reflection(j)
-                v_rep = v_rep @ nj_inv
-                v_rep_inv = self.n_simple(j) @ v_rep_inv
-                b = b2
-                kinds.append(StepKind.POSITIVE_CROSSING)
-            elif ct:
-                gamma = -beta
-                x = v_rep @ self.x_root(-self.group.simple_affine_root(j), 1 / ct) @ v_rep_inv
-                u_factors.append((gamma, self._extract_root_coeff(x, gamma)))
-                u = u @ x
-                b = self.x_simple(j, -ct) @ self.h_root(self.group.simple_affine_root(j), ct) @ b2
-                kinds.append(StepKind.FOLD)
-            else:
-                gamma = -beta
-                u_factors.append((gamma, self.field.zero()))
-                v = v * self.group.simple_reflection(j)
-                v_rep = v_rep @ nj_inv
-                v_rep_inv = self.n_simple(j) @ v_rep_inv
-                b = b2
-                kinds.append(StepKind.ZERO_CROSSING)
-            if validate:
-                self._check_state(consumed, u, v, v_rep, b, tuple(u_factors))
-        return ExecutorState(u, tuple(u_factors), v, v_rep, b, tuple(kinds))
+                consumed = consumed @ (self.x_simple(j, label) @ self.n_simple_inv(j))
+                self._check_state(consumed, state)
+        return state
 
     def _extract_root_coeff(self, x: GroupMatrix, gamma: AffineRoot):
         """Read c from x == x_gamma(c); the sign of c comes out of the matrix."""
@@ -412,7 +425,8 @@ class LoopSL:
             raise NormalizationError("conjugated generator is not a root element")
         return coeff
 
-    def _check_state(self, consumed, u, v, v_rep, b, u_factors) -> None:
+    def _check_state(self, consumed: GroupMatrix, state: ExecutorState) -> None:
+        u, v, v_rep, b = state.u, state.v, state.v_rep, state.b
         if not in_uminus(u):
             raise InvariantError("u left the lower unipotent subgroup")
         if not in_iwahori(b):
@@ -424,7 +438,7 @@ class LoopSL:
         if consumed != u @ v_rep @ b:
             raise InvariantError("running factorization identity failed")
         prod = self.identity()
-        for gamma, coeff in u_factors:
+        for gamma, coeff in state.u_factors:
             if not is_uminus_positive(gamma):
                 raise InvariantError("recorded wall is not uminus positive")
             prod = prod @ self.x_root(gamma, coeff)
@@ -451,29 +465,50 @@ class LoopSL:
         return is_upper_triangular(m2.inverse() @ m1)
 
 
-# Most label tuples a brute force runs the executor on.
-BRUTE_FORCE_GUARD = 10**6
+# Most executor steps a brute force makes: p + p^2 + ... + p^L for L
+# letters over F_p, one per node of the label-tuple trie.  At the bound
+# a run takes about 40 s in A2 and longer at higher rank, the step cost
+# growing with the matrix size; README has the measured times.
+BRUTE_FORCE_GUARD = 10**5
 
 
 def check_brute_force(word: Sequence[int], p: int) -> PrimeField:
     """The label field F_p of a brute force over `word`; raises ValueError
-    when p^len(word) exceeds BRUTE_FORCE_GUARD or p is not prime."""
-    if p ** len(word) > BRUTE_FORCE_GUARD:
-        raise ValueError(f"{p}^{len(word)} label tuples exceed the guard {BRUTE_FORCE_GUARD}")
+    when its p + p^2 + ... + p^L executor steps exceed BRUTE_FORCE_GUARD
+    or p is not prime."""
+    steps = sum(p**k for k in range(1, len(word) + 1))
+    if steps > BRUTE_FORCE_GUARD:
+        raise ValueError(
+            f"{steps} executor steps over F_{p}^{len(word)} exceed the guard {BRUTE_FORCE_GUARD}"
+        )
     return PrimeField(p)
 
 
 def brute_force_cells(
     datum: CartanDatum, word: Sequence[int], p: int
 ) -> dict[AffineWeylElement, int]:
-    """Endpoint tallies of the executor over every label tuple in F_p."""
+    """Endpoint tallies of the executor over every label tuple in F_p.
+
+    The label tuples form a trie walked depth first: a node's state is
+    its parent's after one executor step, so each label prefix is stepped
+    once and the walk makes p + p^2 + ... + p^L steps, not L p^L.  Leaves
+    come in `itertools.product` order and only one state per depth is held.
+    """
     word = tuple(word)
     field = check_brute_force(word, p)
     sl = LoopSL(datum, field)
+    labels = field.elements()
     tallies: dict[AffineWeylElement, int] = {}
-    for labels in itertools.product(field.elements(), repeat=len(word)):
-        state = sl.execute_folding(word, labels)
-        tallies[state.v] = tallies.get(state.v, 0) + 1
+
+    def walk(state: ExecutorState, depth: int) -> None:
+        if depth == len(word):
+            tallies[state.v] = tallies.get(state.v, 0) + 1
+            return
+        j = word[depth]
+        for label in labels:
+            walk(sl.step(state, j, label), depth + 1)
+
+    walk(sl.initial_state(), 0)
     return {end: tallies[end] for end in sl.group.canonical_words(tallies)}
 
 

@@ -303,3 +303,10 @@ def test_reduced_word_is_smallest_reduced_word(label):
     words = g.canonical_words(ball)
     assert words == {elem: g.reduced_word(elem) for elem in words}
     assert [(len(w), w) for w in words.values()] == sorted((len(w), w) for w in words.values())
+
+
+@pytest.mark.parametrize("label", ["A2", "C3", "G2"])
+def test_inverse_state_is_state_of_inverse(label):
+    group = AffineWeylGroup(from_label(label))
+    for g in group.ball(4):
+        assert group.inverse_state(g) == group.state(g.inverse())

@@ -406,3 +406,26 @@ def test_stdout_matches_benchmark_digest(capsys, command, case, k):
     code, out, _ = run(capsys, command, "--type", case["type"], "--word", entry["word"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == entry["sha256"]
+
+
+# oracle stdout of every oracle pool word, recorded with the brute force
+# that ran the executor once per label tuple
+ORACLE_DIGESTS = {
+    ("A3", "3,2,1,0", 2): "868bd5a3a8a27920ed16ce2ca5868e57ccd28036529f22e037c518991f2636bb",
+    ("A3", "1,2,3,0", 2): "fd92e8bdc048fc705e7a2e87b6fcf33346eefbe8cd2da8d771945db39027205a",
+    ("A2", "2,1,0,2,0", 3): "0a6cc49e2ad4353e5f90ac8b1fcaefe4fe43f0bccc7470ab2e3dc5f119011018",
+    ("A2", "1,2,0,1,0", 3): "a1a8aaf9e3fb284fd66eac0ce5361df9bc1230151d6e6669dd48050a2cf29120",
+}
+ORACLE_JOBS = [
+    (case["type"], entry["word"], case["p"])
+    for case in BENCH_CASES["oracle"]
+    for entry in case["pool"]
+]
+
+
+@pytest.mark.parametrize("job", ORACLE_JOBS, ids=[f"{t}-{w}-p{p}" for t, w, p in ORACLE_JOBS])
+def test_oracle_stdout_matches_recorded_digest(capsys, job):
+    type_label, word, p = job
+    code, out, _ = run(capsys, "oracle", "--type", type_label, "--word", word, "--p", str(p))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_DIGESTS[job]

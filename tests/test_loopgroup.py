@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,10 +9,12 @@ from alcovewalks.affine import AffineRoot, AffineWeylGroup, is_iwahori_positive
 from alcovewalks.cartan import Coweight, FiniteRoot, from_label
 from alcovewalks.folding import StepKind, cells_by_endpoint
 from alcovewalks.loopgroup import (
+    BRUTE_FORCE_GUARD,
     GroupMatrix,
     LoopSL,
     NormalizationError,
     brute_force_cells,
+    check_brute_force,
     in_iwahori,
     in_uminus,
     is_monomial,
@@ -361,6 +364,69 @@ def test_brute_force_cells_a1():
 def test_brute_force_guard():
     with pytest.raises(ValueError):
         brute_force_cells(from_label("A1"), (0, 1) * 11, 2)
+
+
+def test_brute_force_guard_counts_trie_steps():
+    # the guard bounds p + p^2 + ... + p^L, the steps of the trie walk
+    def steps(p, length):
+        return sum(p**k for k in range(1, length + 1))
+
+    for p in (2, 3, 5, 7):
+        length = 0
+        while steps(p, length + 1) <= BRUTE_FORCE_GUARD:
+            length += 1
+        check_brute_force((1,) * length, p)
+        with pytest.raises(ValueError, match="exceed the guard"):
+            check_brute_force((1,) * (length + 1), p)
+    # every word the old bound p^L <= 10^6 rejected is still rejected
+    for p in (2, 3, 5, 7, 11, 1009):
+        length = next(k for k in itertools.count() if p**k > 10**6)
+        with pytest.raises(ValueError, match="exceed the guard"):
+            check_brute_force((1,) * length, p)
+
+
+@pytest.mark.parametrize(
+    "label, word, p",
+    [
+        ("A1", (1, 0, 1), 3),
+        ("A1", (1, 1, 0), 2),  # not reduced
+        ("A2", (2, 1, 0, 2), 3),
+        ("A2", (1, 2, 0, 1), 2),
+        ("A3", (3, 2, 1, 0), 2),
+        ("A3", (1, 2, 3), 3),
+    ],
+)
+def test_brute_force_trie_matches_tally_over_tuples(label, word, p):
+    datum = from_label(label)
+    field = PrimeField(p)
+    sl = LoopSL(datum, field)
+    reference = Counter(
+        sl.execute_folding(word, labels).v
+        for labels in itertools.product(field.elements(), repeat=len(word))
+    )
+    got = brute_force_cells(datum, word, p)
+    want = [(end, reference[end]) for end in sl.group.canonical_words(reference)]
+    assert list(got.items()) == want
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["QQ", "F3"])
+def test_step_fold_matches_execute_folding(field):
+    rng = random.Random(17)
+    for label, word in [("A1", (1, 0, 1, 1)), ("A2", (2, 1, 0, 2, 0, 1)), ("A3", (3, 2, 1, 0, 3))]:
+        sl = LoopSL(from_label(label), field)
+        for _ in range(4):
+            labels = [field.of(rng.randint(-2, 2)) for _ in word]
+            state = sl.initial_state()
+            for j, c in zip(word, labels):
+                state = sl.step(state, j, c)
+            want = sl.execute_folding(word, labels, validate=True)
+            assert state.u == want.u
+            assert state.u_factors == want.u_factors
+            assert state.v == want.v
+            assert state.v_rep == want.v_rep
+            assert state.b == want.b
+            assert state.kinds == want.kinds
+            assert state.v_rep @ state.v_rep_inv == sl.identity()
 
 
 def test_brute_force_prime_field_executor():
