@@ -234,7 +234,12 @@ A2_COUNT_WORD = "1,2,0,1,0,2,0,1,0,2,0,1,0,2,0,1,0,2,0,1,0,2,0,1,0,2,0,1,0,2,1,0
 
 @pytest.mark.parametrize(
     "word, p, message",
-    [(A2_COUNT_WORD, "3", "exceed the guard"), ("2,1,0", "4", "not prime")],
+    [
+        (A2_COUNT_WORD, "3", "exceed the guard"),
+        ("2,1,0", "4", "not prime"),
+        # a Mersenne prime, refused before its primality test would run for minutes
+        ("", str(2**61 - 1), "exceeds the guard"),
+    ],
 )
 def test_oracle_checks_its_guard_before_counting(capsys, monkeypatch, word, p, message):
     def fail(*args, **kwargs):
