@@ -154,7 +154,12 @@ class CartanDatum:
 
     def simple_reflection(self, i: int) -> "FiniteWeylElement":
         self._check_index(i)
-        return self.reflection(simple_root(self.size, i))
+        return self._simple_reflections[i - 1]
+
+    @functools.cached_property
+    def _simple_reflections(self) -> tuple["FiniteWeylElement", ...]:
+        """s_1..s_n, built on first use and kept like root_tables."""
+        return tuple(self.reflection(simple_root(self.size, i)) for i in range(1, self.size + 1))
 
     def reflection(self, alpha: FiniteRoot) -> "FiniteWeylElement":
         """s_alpha, acting on roots by beta -> beta - beta(h_alpha) alpha."""

@@ -113,9 +113,7 @@ def _cmd_paths(args) -> int:
     word = parse_word(args.word)
     group = _group_for(args.type)
     target = _endpoint_filter(group, args)
-    cells = cells_by_endpoint(group, word, args.allow_nonreduced)
-    if target is not None:
-        cells = {end: cell for end, cell in cells.items() if end == target}
+    cells = cells_by_endpoint(group, word, args.allow_nonreduced, target)
     nonreduced = args.allow_nonreduced and not group.is_reduced(word)
     if args.out:
         with open(args.out, "w") as fh:
@@ -192,15 +190,10 @@ def _cmd_render(args) -> int:
     if word is not None:
         if args.end:
             target = _parse_endpoint(group, args.end)
-            matching = [
-                p
-                for p in enumerate_folded_paths(group, word)
-                if p.endpoint == target
-            ]
-            if not matching:
+            overlays = enumerate_folded_paths(group, word, end=target)
+            if not overlays:
                 print("no folded path has that endpoint", file=sys.stderr)
                 return 1
-            overlays = tuple(matching)
         else:
             walk = [group.identity()]
             for i in word:

@@ -186,19 +186,41 @@ def _check_word(group: AffineWeylGroup, word: Sequence[int], allow_nonreduced: b
     return word
 
 
+def _reaching_states(
+    group: AffineWeylGroup, word: Word, end: AffineWeylElement
+) -> list[set[AlcoveState]]:
+    """reach[k]: the states from which the steps word[k:] can end at `end`.
+
+    Read backwards from reach[L] = {end}: a step at (y, j) may cross to
+    y s_j, and may also stay at y when it branches, so reach[k] is
+    reach[k+1] s_j together with the branch states of reach[k+1].
+    """
+    reach = [{group.state(end)}]
+    for j in reversed(word):
+        after = reach[-1]
+        crossing = {group.step(z, j) for z in after}
+        reach.append(crossing | {y for y in after if not group.sends_to_uminus(y, j)})
+    return reach[::-1]
+
+
 def enumerate_folded_paths(
     group: AffineWeylGroup,
     word: Sequence[int],
     allow_nonreduced: bool = False,
+    end: AffineWeylElement | None = None,
 ) -> tuple[FoldedPath, ...]:
-    """Depth-first enumeration of all folded paths of type `word`.
+    """Depth-first enumeration of all folded paths of type `word`, or with
+    `end` of those that end there.
 
     Branch steps explore the fold child before the zero crossing, so the
     output order is deterministic.  Non-reduced words are rejected unless
     explicitly allowed.  The walk runs on raw alcove states; paths merge
     at alcoves, so each distinct alcove's element is built once per call.
+    With `end` only children that can still reach it are pushed, so the
+    paths come in the order of the full enumeration.
     """
     word = _check_word(group, word, allow_nonreduced)
+    reach = None if end is None else _reaching_states(group, word, end)
     out = []
     elements: dict[AlcoveState, AffineWeylElement] = {}
 
@@ -209,7 +231,8 @@ def enumerate_folded_paths(
         return g
 
     start = group.state(group.identity())
-    stack = [(0, start, (), (), (element(start),))]
+    reachable = reach is None or start in reach[0]
+    stack = [(0, start, (), (), (element(start),))] if reachable else []
     while stack:
         step, v, kinds, walls, alcoves = stack.pop()
         if step == len(word):
@@ -218,14 +241,18 @@ def enumerate_folded_paths(
         j = word[step]
         beta = group.wall(v, j)
         nv = group.step(v, j)
-        crossed = alcoves + (element(nv),)
         if group.sends_to_uminus(v, j):
-            stack.append((step + 1, nv, kinds + (StepKind.POSITIVE_CROSSING,), walls + (beta,), crossed))
+            children = ((nv, StepKind.POSITIVE_CROSSING, beta),)
         else:
             # pushed in reverse so the fold child is explored first
-            stack.append((step + 1, nv, kinds + (StepKind.ZERO_CROSSING,), walls + (-beta,), crossed))
-            folded = alcoves + (alcoves[-1],)
-            stack.append((step + 1, v, kinds + (StepKind.FOLD,), walls + (-beta,), folded))
+            wall = -beta
+            children = ((nv, StepKind.ZERO_CROSSING, wall), (v, StepKind.FOLD, wall))
+        ahead = None if reach is None else reach[step + 1]
+        for child, kind, wall in children:
+            if ahead is None or child in ahead:
+                stack.append(
+                    (step + 1, child, kinds + (kind,), walls + (wall,), alcoves + (element(child),))
+                )
     return tuple(out)
 
 
@@ -281,10 +308,12 @@ def cells_by_endpoint(
     group: AffineWeylGroup,
     word: Sequence[int],
     allow_nonreduced: bool = False,
+    end: AffineWeylElement | None = None,
 ) -> dict[AffineWeylElement, Cell]:
-    """Group folded paths by endpoint, in canonical endpoint order."""
+    """Group folded paths by endpoint, in canonical endpoint order; with
+    `end` only its cell, if any path reaches it."""
     grouped: dict[AffineWeylElement, list[FoldedPath]] = {}
-    for path in enumerate_folded_paths(group, word, allow_nonreduced):
+    for path in enumerate_folded_paths(group, word, allow_nonreduced, end):
         grouped.setdefault(path.endpoint, []).append(path)
     out: dict[AffineWeylElement, Cell] = {}
     for end in group.canonical_words(grouped):

@@ -21,7 +21,10 @@ determinant, and the executor never takes one.
 
 `LoopSL.step` is the one executor step: the factorization of a prefix,
 a letter and a label give the factorization one letter longer.
-`execute_folding` folds it over a word.  The F_p brute force walks the
+`execute_folding` folds it over a word.  Validation is inductive: each
+step is checked against the previous, already checked state, with one
+product of u, v_rep and b, so a validated step costs a fixed number of
+matrix products whatever the word's length.  The F_p brute force walks the
 trie of label tuples depth first with the same step, so a label prefix
 shared by many tuples is stepped once: p + p^2 + ... + p^L steps for a
 word of L letters instead of L p^L.
@@ -400,8 +403,8 @@ class LoopSL:
         """Consume x_{i_1}(c_1) n_{i_1}^{-1} ... left to right, one `step`
         per letter, maintaining the exact factorization u . v_rep . b.
 
-        With validate=True every invariant is re-checked after each step
-        and a failure raises InvariantError.
+        With validate=True every invariant is checked after each step
+        (see _check_state) and a failure raises InvariantError.
         """
         word = tuple(word)
         if len(labels) != len(word):
@@ -410,10 +413,10 @@ class LoopSL:
         state = self.initial_state()
         consumed = self.identity()
         for j, label in zip(word, labels):
-            state = self.step(state, j, label)
+            prev, state = state, self.step(state, j, label)
             if validate:
                 consumed = consumed @ (self.x_simple(j, label) @ self.n_simple_inv(j))
-                self._check_state(consumed, state)
+                self._check_state(consumed, prev, state)
         return state
 
     def _extract_root_coeff(self, x: GroupMatrix, gamma: AffineRoot):
@@ -425,7 +428,18 @@ class LoopSL:
             raise NormalizationError("conjugated generator is not a root element")
         return coeff
 
-    def _check_state(self, consumed: GroupMatrix, state: ExecutorState) -> None:
+    def _check_state(
+        self, consumed: GroupMatrix, prev: ExecutorState, state: ExecutorState
+    ) -> None:
+        """Check `state`, one step past the already checked `prev`, against
+        the product `consumed` of the generators read so far.
+
+        u's recorded factorization is checked by induction: prev's factors
+        are kept, the new wall is uminus positive and prev.u x_gamma(c) == u
+        for the new factor (gamma, c), so u is the product of all of them
+        (the initial state's u and factors are 1 and ()).  With one product
+        u . v_rep . b, a step costs a fixed number of matrix products.
+        """
         u, v, v_rep, b = state.u, state.v, state.v_rep, state.b
         if not in_uminus(u):
             raise InvariantError("u left the lower unipotent subgroup")
@@ -435,17 +449,18 @@ class LoopSL:
             raise InvariantError("v_rep is not monomial")
         if self.monomial_to_weyl(v_rep) != v:
             raise InvariantError("v_rep does not lie over the tracked Weyl element")
-        if consumed != u @ v_rep @ b:
+        whole = u @ v_rep @ b
+        if consumed != whole:
             raise InvariantError("running factorization identity failed")
-        prod = self.identity()
-        for gamma, coeff in state.u_factors:
-            if not is_uminus_positive(gamma):
-                raise InvariantError("recorded wall is not uminus positive")
-            prod = prod @ self.x_root(gamma, coeff)
-        if prod != u:
+        factors = state.u_factors
+        if len(factors) != len(prev.u_factors) + 1 or factors[:-1] != prev.u_factors:
             raise InvariantError("u does not match its recorded factorization")
-        det = (u @ v_rep @ b).determinant()
-        if det != self._one:
+        gamma, coeff = factors[-1]
+        if not is_uminus_positive(gamma):
+            raise InvariantError("recorded wall is not uminus positive")
+        if prev.u @ self.x_root(gamma, coeff) != u:
+            raise InvariantError("u does not match its recorded factorization")
+        if whole.determinant() != self._one:
             raise InvariantError("determinant drifted from 1")
 
     # -- finite Bruhat layer ----------------------------------------------

@@ -341,3 +341,19 @@ def test_root_tables_are_built_once_and_leave_equality_and_hash_alone():
     assert d.root_tables is d.root_tables
     assert hash(d) == before == hash(fresh)
     assert d == fresh and d.root_tables == fresh.root_tables
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2", "E6"])
+def test_simple_reflections_are_cached_reflections(label):
+    d, fresh = from_label(label), from_label(label)
+    before = hash(d)
+    for i in range(1, d.size + 1):
+        assert d.simple_reflection(i) == d.reflection(simple_root(d.size, i))
+        assert d.simple_reflection(i) is d.simple_reflection(i)
+    assert d._simple_reflections is d._simple_reflections
+    assert hash(d) == before == hash(fresh)
+    assert d == fresh
+    with pytest.raises(IndexError):
+        d.simple_reflection(d.size + 1)
+    with pytest.raises(IndexError):
+        d.simple_reflection(0)

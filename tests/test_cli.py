@@ -434,3 +434,40 @@ def test_oracle_stdout_matches_recorded_digest(capsys, job):
     code, out, _ = run(capsys, "oracle", "--type", type_label, "--word", word, "--p", str(p))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_DIGESTS[job]
+
+
+RENDER_END_JOBS = [
+    (case["type"], entry)
+    for case in BENCH_CASES["paths"]
+    for entry in case["pool"]
+    if "render_sha256" in entry
+]
+
+
+@pytest.mark.parametrize("job", RENDER_END_JOBS, ids=[f"{t}-{k}" for k, (t, _) in enumerate(RENDER_END_JOBS)])
+def test_render_end_matches_benchmark_digest(tmp_path, capsys, job):
+    type_label, entry = job
+    out_file = tmp_path / "end.svg"
+    code, _, _ = run(
+        capsys, "render", "--type", type_label, "--radius", "2", "--word", entry["word"],
+        "--end", entry["largest_end"], "--out", str(out_file),
+    )
+    assert code == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == entry["render_sha256"]
+
+
+def test_render_end_that_no_path_reaches_exits_1(tmp_path, capsys):
+    out_file = tmp_path / "end.svg"
+    code, out, err = run(
+        capsys, "render", "--type", "A2", "--radius", "2", "--word", "2,1,0",
+        "--end", "2,1,0,2", "--out", str(out_file),
+    )
+    assert (code, out, err) == (1, "", "no folded path has that endpoint\n")
+    assert not out_file.exists()
+
+
+def test_paths_end_that_no_path_reaches_prints_no_paths(capsys):
+    code, out, _ = run(capsys, "paths", "--type", "A2", "--word", "2,1,0", "--end", "2,1,0,2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["by_endpoint"] == [] and doc["paths"] == []

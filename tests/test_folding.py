@@ -281,3 +281,30 @@ def test_endpoint_counts_guards_match_the_enumerator():
     counts = endpoint_counts(g, (1, 1), allow_nonreduced=True)
     cells = cells_by_endpoint(g, (1, 1), allow_nonreduced=True)
     assert counts == {end: cell.count for end, cell in cells.items()}
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "C3"])
+def test_enumeration_to_an_end_is_the_filtered_enumeration(label):
+    group = AffineWeylGroup(from_label(label))
+    rng = random.Random(f"end-{label}")
+    for length in (0, 3, 8, 11):
+        word = random_reduced_word(group, rng, length)
+        paths = enumerate_folded_paths(group, word)
+        # every endpoint, plus an alcove too long for any path to reach
+        ends = list(group.canonical_words({p.endpoint for p in paths}))
+        unreached = next(g for g, ell in group.ball(length + 1).items() if ell > length)
+        for end in ends + [unreached]:
+            want = tuple(p for p in paths if p.endpoint == end)
+            assert enumerate_folded_paths(group, word, end=end) == want
+            cell = cells_by_endpoint(group, word, end=end)
+            assert list(cell) == ([end] if want else [])
+            if want:
+                assert cell[end].paths == want
+
+
+def test_enumeration_to_an_end_of_a_nonreduced_word():
+    g = a1()
+    paths = enumerate_folded_paths(g, (1, 1), allow_nonreduced=True)
+    for end in {p.endpoint for p in paths}:
+        want = tuple(p for p in paths if p.endpoint == end)
+        assert enumerate_folded_paths(g, (1, 1), allow_nonreduced=True, end=end) == want

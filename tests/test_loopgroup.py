@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -11,6 +12,7 @@ from alcovewalks.folding import StepKind, cells_by_endpoint
 from alcovewalks.loopgroup import (
     BRUTE_FORCE_GUARD,
     GroupMatrix,
+    InvariantError,
     LoopSL,
     NormalizationError,
     brute_force_cells,
@@ -579,3 +581,156 @@ def test_label_tuples_per_path_match_polynomial():
         for p in paths:
             key = tuple(k.value for k in p.kinds)
             assert by_kinds[key] == count_polynomial(p).evaluate(3)
+
+
+def reduced_word(group, rng, length):
+    """A random reduced word: each letter is not a right descent."""
+    g, word = group.identity(), []
+    while len(word) < length:
+        j = rng.randrange(group.rank + 1)
+        if j not in group.right_descents(g):
+            g = g * group.simple_reflection(j)
+            word.append(j)
+    return tuple(word)
+
+
+def nonzero_labels(rng, length):
+    return [Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)) for _ in range(length)]
+
+
+def with_entry(m, r, c, value):
+    rows = [list(row) for row in m.entries]
+    rows[r][c] = value
+    return GroupMatrix(tuple(map(tuple, rows)))
+
+
+def lower_root(sl, k):
+    """-alpha_1 + k delta: uminus positive, at matrix position (2, 1)."""
+    return AffineRoot(-FiniteRoot((1,) + (0,) * (sl.n - 2)), k)
+
+
+def bump_first_coeff(sl, s):
+    (gamma, c), *rest = s.u_factors
+    return dataclasses.replace(s, u_factors=((gamma, c + 1), *rest))
+
+
+def negate_last_wall(sl, s):
+    *rest, (gamma, c) = s.u_factors
+    return dataclasses.replace(s, u_factors=(*rest, (-gamma, c)))
+
+
+def u_off_uminus(sl, s):
+    return dataclasses.replace(s, u=with_entry(s.u, 0, 1, rf(1)))
+
+
+def u_times_extra_x(sl, s):
+    return dataclasses.replace(s, u=s.u @ sl.x_root(lower_root(sl, 0), 1))
+
+
+def u_times_extra_x_b_compensating(sl, s):
+    # u x and x^-1 moved into b: u . v_rep . b is unchanged, b stays Iwahori
+    # (x's root sits high in t), so only u's recorded factorization is off
+    gamma = lower_root(sl, 20)
+    b = s.v_rep_inv @ sl.x_root(gamma, -1) @ s.v_rep @ s.b
+    assert in_iwahori(b)
+    return dataclasses.replace(s, u=s.u @ sl.x_root(gamma, 1), b=b)
+
+
+def b_with_pole(sl, s):
+    return dataclasses.replace(s, b=with_entry(s.b, 1, 0, s.b.entries[1][0] + rf({-1: 1})))
+
+
+def v_rep_not_monomial(sl, s):
+    r, c = next((r, c) for r in range(sl.n) for c in range(sl.n) if s.v_rep.entries[r][c].is_zero())
+    return dataclasses.replace(s, v_rep=with_entry(s.v_rep, r, c, rf(1)))
+
+
+def v_off_v_rep(sl, s):
+    return dataclasses.replace(s, v=s.v * sl.group.simple_reflection(1))
+
+
+def b_scaled(sl, s):
+    rows = (tuple(rf(2) * e for e in s.b.entries[0]),) + s.b.entries[1:]
+    return dataclasses.replace(s, b=GroupMatrix(rows))
+
+
+CORRUPTIONS = [
+    (bump_first_coeff, "recorded factorization"),
+    (negate_last_wall, "not uminus positive"),
+    (u_off_uminus, "lower unipotent"),
+    (u_times_extra_x, "running factorization identity"),
+    (u_times_extra_x_b_compensating, "recorded factorization"),
+    (b_with_pole, "Iwahori"),
+    (v_rep_not_monomial, "v_rep is not monomial"),
+    (v_off_v_rep, "tracked Weyl element"),
+    # det(b) = 2 while the generators have det 1, so the product identity
+    # fails first; the determinant check is exercised on its own below
+    (b_scaled, "running factorization identity"),
+]
+
+
+@pytest.mark.parametrize("label", ["A2", "A3"])
+@pytest.mark.parametrize("corrupt, message", CORRUPTIONS, ids=[f.__name__ for f, _ in CORRUPTIONS])
+def test_each_invariant_raises_at_the_corrupted_step(monkeypatch, label, corrupt, message):
+    sl = LoopSL(from_label(label), QQ)
+    rng = random.Random(f"corrupt-{label}")
+    word = reduced_word(sl.group, rng, 8)
+    labels = nonzero_labels(rng, 8)
+    sl.execute_folding(word, labels, validate=True)  # passes uncorrupted
+    real_step, k, steps = LoopSL.step, 6, []
+
+    def step(self, state, j, c):
+        steps.append(j)
+        out = real_step(self, state, j, c)
+        return corrupt(self, out) if len(steps) == k else out
+
+    monkeypatch.setattr(LoopSL, "step", step)
+    with pytest.raises(InvariantError, match=message):
+        sl.execute_folding(word, labels, validate=True)
+    assert len(steps) == k
+
+
+@pytest.mark.parametrize("label", ["A2", "A3"])
+def test_determinant_check_raises(label):
+    sl = LoopSL(from_label(label), QQ)
+    rng = random.Random(f"det-{label}")
+    word = reduced_word(sl.group, rng, 5)
+    labels = nonzero_labels(rng, 5)
+    state = sl.execute_folding(word[:-1], labels[:-1], validate=True)
+    bad = b_scaled(sl, sl.step(state, word[-1], labels[-1]))
+    whole = bad.u @ bad.v_rep @ bad.b
+    with pytest.raises(InvariantError, match="determinant drifted from 1"):
+        sl._check_state(whole, state, bad)
+
+
+def test_validated_step_costs_a_fixed_number_of_products(monkeypatch):
+    sl = LoopSL(from_label("A3"), QQ)
+    rng = random.Random(12)
+    products = [0]
+    real_matmul, real_check = GroupMatrix.__matmul__, LoopSL._check_state
+
+    def matmul(a, b):
+        products[0] += 1
+        return real_matmul(a, b)
+
+    marks = []
+
+    def check(self, consumed, prev, state):
+        real_check(self, consumed, prev, state)
+        marks.append(products[0])
+
+    for j in range(sl.group.rank + 1):  # the n_j are cached on first use
+        sl.n_simple(j), sl.n_simple_inv(j)
+    monkeypatch.setattr(GroupMatrix, "__matmul__", matmul)
+    monkeypatch.setattr(LoopSL, "_check_state", check)
+    per_step = {}
+    for length in (4, 12):
+        costs = []
+        for _ in range(3):
+            word = reduced_word(sl.group, rng, length)
+            products[0], marks[:] = 0, []
+            sl.execute_folding(word, nonzero_labels(rng, length), validate=True)
+            costs += [b - a for a, b in zip([0] + marks, marks)]
+        assert len(costs) == 3 * length
+        per_step[length] = costs
+    assert max(per_step[12]) <= max(per_step[4]) <= 15

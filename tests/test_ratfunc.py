@@ -196,3 +196,23 @@ def test_str():
     f = RationalFunction.from_laurent(QQ, {-2: Fraction(1, 6), 0: 1, 1: 1, 3: -5})
     assert str(f) == "1/6*t^-2 + 1 + t + -5*t^3"
     assert str(RationalFunction.of(PrimeField(5), 0)) == "0"
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["QQ", "F3"])
+def test_product_with_one_is_the_other_operand(field):
+    one = RationalFunction.of(field, 1)
+    cases = [
+        RationalFunction.of(field, 0),
+        RationalFunction.from_laurent(field, {-2: 2}),
+        RationalFunction.from_laurent(field, {-1: 1, 0: 2, 3: 1}),
+        one,
+    ]
+    for f in cases:
+        terms = dict(f.terms)
+        for product in (f * one, one * f):
+            assert product == f and product.field == field
+        assert f.terms == terms  # neither operand was mutated
+        assert one.terms == {0: 1}
+    # a unit other than 1 still multiplies
+    two = RationalFunction.of(field, 2)
+    assert (two * cases[2]).terms == {k: field.coefficient(2 * c) for k, c in cases[2].terms.items()}
