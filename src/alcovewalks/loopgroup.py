@@ -14,10 +14,16 @@ with u lower unipotent, v_rep monomial, and b in the Iwahori subgroup.
 Each step moves b past x_j(c) n_j^{-1} with the closed form
 b x_j(c) n_j^{-1} = x_j(ct) n_j^{-1} b2, ct = (a c + x) / d, where
 [[a, x], [0, d]] is the level-zero SL_2 block of b at alpha_j.
-Structure-constant signs are never tabulated; every sign emerges from an
-actual matrix product.  Every entry is a Laurent polynomial, so products
-and determinants are division-free; inverses divide only by a unit
-determinant, and the executor never takes one.
+Every factor a step multiplies by is a generator x_gamma(f), n_j^{+-1} or
+h_alpha(g), and a product by one changes at most two rows or two columns,
+so the step applies them as row and column operations and makes no n x n
+product; conjugating x_gamma(f) by the monomial v_rep moves its one entry.
+Structure-constant signs are never tabulated: they are read from the
+cached n_j, which are built as products x_b(1) x_{-b}(-1) x_b(1) and
+checked to be signed transpositions.  Validation checks each step against
+independent dense products.  Every entry is a Laurent polynomial, so
+products and determinants are division-free; inverses divide only by a
+unit determinant, and the executor never takes one.
 
 `LoopSL.step` is the one executor step: the factorization of a prefix,
 a letter and a label give the factorization one letter longer.
@@ -69,7 +75,7 @@ class GroupMatrix:
         return self.entries[0][0].field
 
     def __matmul__(self, other: "GroupMatrix") -> "GroupMatrix":
-        zero = RationalFunction.of(self.field, 0)
+        zero = RationalFunction(self.field, {})
         cols = [
             [(k, e) for k, e in enumerate(col) if e.terms] for col in zip(*other.entries)
         ]
@@ -117,7 +123,7 @@ def _minor(rows, cols: tuple[int, ...], memo: dict) -> RationalFunction:
     row = rows[len(rows) - len(cols)]
     if len(cols) == 1:
         return row[cols[0]]
-    acc = RationalFunction.of(row[0].field, 0)
+    acc = RationalFunction(row[0].field, {})
     for i, c in enumerate(cols):
         e = row[c]
         if e.terms:
@@ -126,6 +132,59 @@ def _minor(rows, cols: tuple[int, ...], memo: dict) -> RationalFunction:
                 acc = acc - e * sub if i % 2 else acc + e * sub
     memo[cols] = acc
     return acc
+
+
+# Products by a generator as row and column operations, on 0-based indices.
+# A row operation rebuilds only the rows it changes and shares the others.
+
+
+def add_col(m: GroupMatrix, src: int, dst: int, f: RationalFunction) -> GroupMatrix:
+    """m . (1 + f E_{src,dst}): f times column src added to column dst."""
+    if not f.terms:
+        return m
+    rows = []
+    for row in m.entries:
+        if row[src].terms:
+            row = row[:dst] + (row[dst] + row[src] * f,) + row[dst + 1 :]
+        rows.append(row)
+    return GroupMatrix(tuple(rows))
+
+
+def add_row(m: GroupMatrix, dst: int, src: int, f: RationalFunction) -> GroupMatrix:
+    """(1 + f E_{dst,src}) . m: f times row src added to row dst."""
+    if not f.terms:
+        return m
+    rows = list(m.entries)
+    rows[dst] = tuple(a + f * e if e.terms else a for a, e in zip(rows[dst], rows[src]))
+    return GroupMatrix(tuple(rows))
+
+
+def scale_rows(m: GroupMatrix, r: int, g, s: int, h) -> GroupMatrix:
+    """diag(g at r, h at s, 1 elsewhere) . m, for RationalFunctions g, h."""
+    rows = list(m.entries)
+    rows[r] = tuple(e * g for e in rows[r])
+    rows[s] = tuple(e * h for e in rows[s])
+    return GroupMatrix(tuple(rows))
+
+
+def swap_cols(m: GroupMatrix, nm: GroupMatrix, r: int, s: int) -> GroupMatrix:
+    """m . nm, for nm the identity outside rows and columns r, s and
+    [[0, nm_rs], [nm_sr, 0]] on them: columns r and s exchanged and scaled."""
+    nrs, nsr = nm.entries[r][s], nm.entries[s][r]
+    rows = []
+    for row in m.entries:
+        row = list(row)
+        row[r], row[s] = row[s] * nsr, row[r] * nrs
+        rows.append(tuple(row))
+    return GroupMatrix(tuple(rows))
+
+
+def swap_rows(nm: GroupMatrix, r: int, s: int, m: GroupMatrix) -> GroupMatrix:
+    """nm . m, for nm as in swap_cols: rows r and s exchanged and scaled."""
+    rows = list(m.entries)
+    rows[r] = tuple(e * nm.entries[r][s] for e in m.entries[s])
+    rows[s] = tuple(e * nm.entries[s][r] for e in m.entries[r])
+    return GroupMatrix(tuple(rows))
 
 
 def in_iwahori(m: GroupMatrix) -> bool:
@@ -219,37 +278,51 @@ class LoopSL:
         )
         self._n_cache: dict[int, GroupMatrix] = {}
         self._n_inv_cache: dict[int, GroupMatrix] = {}
+        self._positions: dict[tuple[int, ...], tuple[int, int]] = {}
+        self._letters: dict[int, tuple] = {}
 
     # -- elementary constructors ----------------------------------------
 
     def identity(self) -> GroupMatrix:
         return self._identity
 
+    def _identity_with(self, changes: dict) -> GroupMatrix:
+        """The identity with the entries at the 0-based positions of `changes` replaced."""
+        rows = [list(row) for row in self._identity.entries]
+        for (r, c), e in changes.items():
+            rows[r][c] = e
+        return GroupMatrix(tuple(map(tuple, rows)))
+
     def _as_rf(self, value) -> RationalFunction:
         if isinstance(value, RationalFunction):
             return value
         return RationalFunction.of(self.field, value)
 
+    def _laurent(self, value, k: int) -> RationalFunction:
+        """The scalar value times t^k."""
+        return RationalFunction.from_laurent(self.field, {k: value})
+
     def root_position(self, alpha: FiniteRoot) -> tuple[int, int]:
         """Matrix position (row, col) of the root +-(e_a - e_b), 1-based."""
-        support = alpha.support()
-        values = {alpha.coords[i - 1] for i in support}
-        if (
-            not support
-            or values not in ({1}, {-1})
-            or support != tuple(range(support[0], support[-1] + 1))
-        ):
-            raise ValueError(f"{alpha} is not a type A root")
-        a, b = support[0], support[-1] + 1
-        return (a, b) if values == {1} else (b, a)
+        pos = self._positions.get(alpha.coords)
+        if pos is None:
+            support = alpha.support()
+            values = {alpha.coords[i - 1] for i in support}
+            if (
+                not support
+                or values not in ({1}, {-1})
+                or support != tuple(range(support[0], support[-1] + 1))
+            ):
+                raise ValueError(f"{alpha} is not a type A root")
+            a, b = support[0], support[-1] + 1
+            pos = self._positions[alpha.coords] = (a, b) if values == {1} else (b, a)
+        return pos
 
     def x_root(self, beta: AffineRoot, value) -> GroupMatrix:
         """Identity plus (value * t^k) in the matrix position of the finite part."""
         r, c = self.root_position(beta.finite)
         f = self._as_rf(value) * RationalFunction.t_power(self.field, beta.k)
-        rows = [list(row) for row in self.identity().entries]
-        rows[r - 1][c - 1] = f
-        return GroupMatrix(tuple(tuple(row) for row in rows))
+        return self._identity_with({(r - 1, c - 1): f})
 
     def x_simple(self, j: int, value) -> GroupMatrix:
         return self.x_root(self.group.simple_affine_root(j), value)
@@ -263,24 +336,45 @@ class LoopSL:
 
     def n_simple(self, j: int) -> GroupMatrix:
         if j not in self._n_cache:
-            self._n_cache[j] = self.n_root(self.group.simple_affine_root(j), 1)
+            self._n_cache[j] = self._signed_swap(j, 1)
         return self._n_cache[j]
 
     def n_simple_inv(self, j: int) -> GroupMatrix:
         """n_j^{-1} = n_j(-1), since n_beta(g)^{-1} = n_beta(-g)."""
         if j not in self._n_inv_cache:
-            self._n_inv_cache[j] = self.n_root(self.group.simple_affine_root(j), -1)
+            self._n_inv_cache[j] = self._signed_swap(j, -1)
         return self._n_inv_cache[j]
+
+    def _signed_swap(self, j: int, g: int) -> GroupMatrix:
+        """n_{alpha_j}(g), checked to be the identity outside the rows and
+        columns r, s of alpha_j and [[0, unit], [unit, 0]] on them: the shape
+        that swap_cols and swap_rows rely on."""
+        alpha = self.group.simple_affine_root(j)
+        m = self.n_root(alpha, g)
+        r, s = (i - 1 for i in self.root_position(alpha.finite))
+        nrs, nsr = m.entries[r][s], m.entries[s][r]
+        block = {(r, r): self._zero, (s, s): self._zero, (r, s): nrs, (s, r): nsr}
+        units = nrs.is_unit_monomial() and nsr.is_unit_monomial()
+        if not units or m != self._identity_with(block):
+            raise InvariantError(f"n_{j}({g}) is not a signed transposition")
+        return m
+
+    def _letter(self, j: int) -> tuple:
+        """alpha_j, its 0-based matrix position r, s, n_j and n_j^{-1}."""
+        letter = self._letters.get(j)
+        if letter is None:
+            alpha = self.group.simple_affine_root(j)
+            r, s = self.root_position(alpha.finite)
+            n, n_inv = self.n_simple(j), self.n_simple_inv(j)
+            letter = self._letters[j] = (alpha, r - 1, s - 1, n, n_inv)
+        return letter
 
     def h_root(self, beta: AffineRoot, value) -> GroupMatrix:
         """n_beta(g) n_beta(1)^{-1}, the cocharacter of beta evaluated at g:
         g in row r and g^{-1} in row s of the root position (r, s), for any k."""
         g = self._as_rf(value)
         r, s = self.root_position(beta.finite)
-        rows = [list(row) for row in self.identity().entries]
-        rows[r - 1][r - 1] = g
-        rows[s - 1][s - 1] = g.inverse()
-        return GroupMatrix(tuple(tuple(row) for row in rows))
+        return self._identity_with({(r - 1, r - 1): g, (s - 1, s - 1): g.inverse()})
 
     def h_cochar(self, lam: Coweight, value) -> GroupMatrix:
         """Diagonal matrix with entries g^{<lam, eps_a>} for the coordinate
@@ -288,12 +382,9 @@ class LoopSL:
         g = self._as_rf(value)
         if g.is_zero():
             raise ZeroDivisionError("cocharacter needs an invertible parameter")
-        rows = [list(row) for row in self.identity().entries]
-        for a in range(self.n):
-            before = lam.coords[a - 1] if a >= 1 else 0
-            after = lam.coords[a] if a < self.n - 1 else 0
-            rows[a][a] = g ** (after - before)
-        return GroupMatrix(tuple(tuple(row) for row in rows))
+        coords = (0, *lam.coords, 0)
+        diagonal = {(a, a): g ** (coords[a + 1] - coords[a]) for a in range(self.n)}
+        return self._identity_with(diagonal)
 
     def t_translation(self, lam: Coweight) -> GroupMatrix:
         return self.h_cochar(lam, RationalFunction.t_power(self.field, -1))
@@ -346,14 +437,14 @@ class LoopSL:
         """
         if not in_iwahori(b):
             raise NormalizationError("normalization input is not in the Iwahori subgroup")
-        alpha = self.group.simple_affine_root(j)
-        r, s = self.root_position(alpha.finite)
-        a = b.entries[r - 1][r - 1].coeff(0)
-        d = b.entries[s - 1][s - 1].coeff(0)
-        x = b.entries[r - 1][s - 1].coeff(alpha.k)
+        alpha, r, s, n, n_inv = self._letter(j)
+        a = b.entries[r][r].coeff(0)
+        d = b.entries[s][s].coeff(0)
+        x = b.entries[r][s].coeff(alpha.k)
         ct = (a * self.field.of(c) + x) / d
-        m = b @ self.x_simple(j, c) @ self.n_simple_inv(j)
-        b2 = self.n_simple(j) @ (self.x_simple(j, -ct) @ m)
+        # b2 = n_j x_j(-ct) b x_j(c) n_j^{-1}, x_j at (r, s)
+        m = swap_cols(add_col(b, r, s, self._laurent(c, alpha.k)), n_inv, r, s)
+        b2 = swap_rows(n, r, s, add_row(m, r, s, self._laurent(-ct, alpha.k)))
         if not in_iwahori(b2):
             raise NormalizationError("solved label does not yield an Iwahori element")
         return ct, b2
@@ -369,33 +460,51 @@ class LoopSL:
         """The factorization of the prefix one letter longer: `state`
         followed by x_j(label) n_j^{-1}."""
         ct, b2 = self.iwahori_normalize(state.b, j, label)
-        alpha = self.group.simple_affine_root(j)
+        alpha, r, s, n, n_inv = self._letter(j)
         beta = state.v.act(alpha)
         if is_uminus_positive(beta):
-            kind, wall, x = StepKind.POSITIVE_CROSSING, beta, self.x_simple(j, ct)
+            kind, wall, gamma, value = StepKind.POSITIVE_CROSSING, beta, alpha, ct
         elif ct:
-            kind, wall, x = StepKind.FOLD, -beta, self.x_root(-alpha, 1 / ct)
+            kind, wall, gamma, value = StepKind.FOLD, -beta, -alpha, 1 / ct
         else:
-            kind, wall, x = StepKind.ZERO_CROSSING, -beta, None
+            kind, wall, gamma = StepKind.ZERO_CROSSING, -beta, None
         u, coeff = state.u, self.field.zero()
-        if x is not None:
-            x = state.v_rep @ x @ state.v_rep_inv
+        if gamma is not None:
+            x, a, c = self.conjugate(state.v_rep, state.v_rep_inv, gamma, value)
             coeff = self._extract_root_coeff(x, wall)
-            u = u @ x
+            u = add_col(u, a, c, x.entries[a][c])  # u x
         u_factors = state.u_factors + ((wall, coeff),)
         kinds = state.kinds + (kind,)
         if kind is StepKind.FOLD:
-            b = self.x_simple(j, -ct) @ self.h_root(alpha, ct) @ b2
+            # b = x_j(-ct) h_alpha(ct) b2
+            g = RationalFunction.of(self.field, ct)
+            b = add_row(scale_rows(b2, r, g, s, g.inverse()), r, s, self._laurent(-ct, alpha.k))
             return ExecutorState(u, u_factors, state.v, state.v_rep, b, kinds, state.v_rep_inv)
         return ExecutorState(
             u,
             u_factors,
             state.v * self.group.simple_reflection(j),
-            state.v_rep @ self.n_simple_inv(j),
+            swap_cols(state.v_rep, n_inv, r, s),
             b2,
             kinds,
-            self.n_simple(j) @ state.v_rep_inv,
+            swap_rows(n, r, s, state.v_rep_inv),
         )
+
+    def conjugate(
+        self, v_rep: GroupMatrix, v_rep_inv: GroupMatrix, gamma: AffineRoot, value
+    ) -> tuple[GroupMatrix, int, int]:
+        """v_rep x_gamma(value) v_rep^{-1} = 1 + value t^k e1 e2 E_ab and
+        its 0-based position a, b: for gamma at (r, c), e1 is the one nonzero
+        entry of column r of v_rep, in row a, and e2 that of row c of
+        v_rep^{-1}, in column b."""
+        r, c = self.root_position(gamma.finite)
+        col = [i for i, row in enumerate(v_rep.entries) if row[r - 1].terms]
+        row = [i for i, e in enumerate(v_rep_inv.entries[c - 1]) if e.terms]
+        if len(col) != 1 or len(row) != 1:
+            raise NormalizationError("v_rep or its inverse is not monomial")
+        (a,), (b,) = col, row
+        f = self._laurent(value, gamma.k) * v_rep.entries[a][r - 1] * v_rep_inv.entries[c - 1][b]
+        return self._identity_with({(a, b): self._identity.entries[a][b] + f}), a, b
 
     def execute_folding(
         self, word: Sequence[int], labels: Sequence, validate: bool = False
@@ -482,7 +591,7 @@ class LoopSL:
 
 # Most executor steps a brute force makes: p + p^2 + ... + p^L for L
 # letters over F_p, one per node of the label-tuple trie.  At the bound
-# a run takes about 40 s in A2 and longer at higher rank, the step cost
+# a run takes about 12 s in A2 and longer at higher rank, the step cost
 # growing with the matrix size; README has the measured times.
 BRUTE_FORCE_GUARD = 10**5
 

@@ -182,10 +182,6 @@ Field = Union[RationalField, PrimeField]
 QQ = RationalField()
 
 
-# The terms of the constant 1, in either field (Fraction(1) == 1).
-_ONE_TERMS = {0: 1}
-
-
 class RationalFunction:
     """Element sum c_k t^k of the Laurent ring F[t, t^-1].
 
@@ -261,14 +257,20 @@ class RationalFunction:
         if len(a) < len(b):
             a, b = b, a
         if len(b) == 1:
-            if b == _ONE_TERMS:
-                # times 1: the other operand, whose terms are never mutated
-                return self if a is self.terms else other
             # times a unit c * t^k: no coefficient can cancel
             ((j, y),) = b.items()
             p = self.field.characteristic
+            if y == 1:
+                if not j:
+                    # times 1: the other operand, whose terms are never mutated
+                    return self if a is self.terms else other
+                return RationalFunction(self.field, {i + j: x for i, x in a.items()})
             if p:
+                if y == p - 1:
+                    return RationalFunction(self.field, {i + j: p - x for i, x in a.items()})
                 return RationalFunction(self.field, {i + j: x * y % p for i, x in a.items()})
+            if y == -1:
+                return RationalFunction(self.field, {i + j: -x for i, x in a.items()})
             return RationalFunction(self.field, {i + j: x * y for i, x in a.items()})
         if not b:
             return RationalFunction(self.field, {})

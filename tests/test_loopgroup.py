@@ -703,6 +703,30 @@ def test_determinant_check_raises(label):
         sl._check_state(whole, state, bad)
 
 
+def test_cached_n_must_be_a_signed_transposition(monkeypatch):
+    # the step's row and column exchanges read their signs from n_j
+    sl = sl3()
+    monkeypatch.setattr(LoopSL, "n_root", lambda self, beta, g: self.x_root(beta, g))
+    with pytest.raises(InvariantError, match="signed transposition"):
+        sl.n_simple(1)
+    with pytest.raises(InvariantError, match="signed transposition"):
+        sl.n_simple_inv(0)
+
+
+def test_conjugate_needs_one_entry_in_the_column_and_row_it_reads():
+    sl = sl3()
+    gamma = AffineRoot(FiniteRoot((1, 0)), 0)  # position (1, 2)
+    two_in_column = with_entry(sl.identity(), 1, 0, rf(1))
+    with pytest.raises(NormalizationError, match="not monomial"):
+        sl.conjugate(two_in_column, sl.identity(), gamma, 1)
+    two_in_row = with_entry(sl.identity(), 1, 2, rf(1))
+    with pytest.raises(NormalizationError, match="not monomial"):
+        sl.conjugate(sl.identity(), two_in_row, gamma, 1)
+    empty_column = with_entry(sl.identity(), 0, 0, rf(0))
+    with pytest.raises(NormalizationError, match="not monomial"):
+        sl.conjugate(empty_column, sl.identity(), gamma, 1)
+
+
 def test_validated_step_costs_a_fixed_number_of_products(monkeypatch):
     sl = LoopSL(from_label("A3"), QQ)
     rng = random.Random(12)
@@ -728,9 +752,15 @@ def test_validated_step_costs_a_fixed_number_of_products(monkeypatch):
         costs = []
         for _ in range(3):
             word = reduced_word(sl.group, rng, length)
-            products[0], marks[:] = 0, []
-            sl.execute_folding(word, nonzero_labels(rng, length), validate=True)
+            labels = nonzero_labels(rng, length)
+            products[0] = 0
+            sl.execute_folding(word, labels)
+            assert products[0] == 0  # the step itself makes no matrix product
+            marks[:] = []
+            sl.execute_folding(word, labels, validate=True)
             costs += [b - a for a, b in zip([0] + marks, marks)]
         assert len(costs) == 3 * length
         per_step[length] = costs
-    assert max(per_step[12]) <= max(per_step[4]) <= 15
+    # every product of a validated step is in its check: two for the
+    # consumed generators, two for u . v_rep . b and one for prev.u x_gamma(c)
+    assert max(per_step[12]) <= max(per_step[4]) <= 5

@@ -2,27 +2,56 @@
 
 Each example runs execute_folding(..., validate=True), which re-checks the
 running factorization, the memberships and det = 1 after every step, and
-then compares the step kinds with the combinatorial folded paths.
+then compares the step kinds with the combinatorial folded paths.  The row
+and column operations the step uses in place of matrix products are
+compared with the dense products they replace.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from alcovewalks.affine import AffineWeylGroup
+from alcovewalks.affine import AffineRoot, AffineWeylGroup
 from alcovewalks.cartan import from_label
 from alcovewalks.folding import enumerate_folded_paths
-from alcovewalks.loopgroup import LoopSL, in_iwahori, in_uminus, is_monomial
-from alcovewalks.ratfunc import QQ, PrimeField
+from alcovewalks.loopgroup import (
+    GroupMatrix,
+    LoopSL,
+    add_col,
+    add_row,
+    in_iwahori,
+    in_uminus,
+    is_monomial,
+    scale_rows,
+    swap_cols,
+    swap_rows,
+)
+from alcovewalks.ratfunc import QQ, PrimeField, RationalFunction
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 TYPES = ("A1", "A2", "A3")
-GROUPS = {label: AffineWeylGroup(from_label(label)) for label in TYPES}
+SPARSE_TYPES = TYPES + ("A4",)
+GROUPS = {label: AffineWeylGroup(from_label(label)) for label in SPARSE_TYPES}
 FIELDS = {"QQ": QQ, **{f"F_{p}": PrimeField(p) for p in (2, 3, 5)}}
 LOOPS = {(label, name): LoopSL(from_label(label), field)
-         for label in TYPES for name, field in FIELDS.items()}
+         for label in SPARSE_TYPES for name, field in FIELDS.items()}
+
+
+def affine_roots(label):
+    """Every affine root alpha + k delta of height 1 or 2 in absolute value,
+    delta having height n + 1 in type A_n."""
+    datum = from_label(label)
+    return [
+        AffineRoot(alpha, k)
+        for alpha in datum.roots()
+        for k in range(-3, 4)
+        if 1 <= abs(alpha.height + k * (datum.size + 1)) <= 2
+    ]
+
+
+ROOTS = {label: affine_roots(label) for label in SPARSE_TYPES}
 
 rationals = st.one_of(
     st.just(Fraction(0)),
@@ -45,8 +74,8 @@ def reduced_words(draw, label):
 
 
 @st.composite
-def executor_runs(draw):
-    label = draw(st.sampled_from(TYPES))
+def executor_runs(draw, types=TYPES):
+    label = draw(st.sampled_from(types))
     field_name = draw(st.sampled_from(tuple(FIELDS)))
     word = draw(reduced_words(label))
     if field_name == "QQ":
@@ -71,3 +100,68 @@ def test_validated_executor_matches_exactly_one_folded_path(run):
         if p.endpoint == state.v and tuple(p.kinds) == kinds
     ]
     assert len(matches) == 1
+
+
+def scalars(field):
+    if field == QQ:
+        return st.one_of(st.sampled_from((1, -1)), st.fractions(-4, 4, max_denominator=3))
+    return st.integers(0, field.p - 1)
+
+
+@st.composite
+def laurent(draw, field, max_terms=3):
+    """Zero, a unit c t^k or a sum of several terms (zero coefficients drop)."""
+    exps = draw(st.lists(st.integers(-2, 2), max_size=max_terms, unique=True))
+    return RationalFunction.from_laurent(field, {k: draw(scalars(field)) for k in exps})
+
+
+@st.composite
+def sparse_cases(draw):
+    """A loop, a random Laurent matrix and a Laurent polynomial."""
+    label = draw(st.sampled_from(SPARSE_TYPES))
+    sl = LOOPS[(label, draw(st.sampled_from(tuple(FIELDS))))]
+    m = GroupMatrix(tuple(
+        tuple(draw(laurent(sl.field)) for _ in range(sl.n)) for _ in range(sl.n)
+    ))
+    return label, sl, m, draw(laurent(sl.field))
+
+
+def zero_based(sl, root):
+    r, c = sl.root_position(root.finite)
+    return r - 1, c - 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_cases())
+def test_row_and_column_operations_equal_dense_products(case):
+    label, sl, m, f = case
+    for gamma in ROOTS[label]:
+        r, c = zero_based(sl, gamma)
+        entry = f * RationalFunction.t_power(sl.field, gamma.k)
+        assert add_col(m, r, c, entry) == m @ sl.x_root(gamma, f)
+        assert add_row(m, r, c, entry) == sl.x_root(gamma, f) @ m
+        if f.is_unit_monomial():
+            assert scale_rows(m, r, f, c, f.inverse()) == sl.h_root(gamma, f) @ m
+    for j in range(sl.group.rank + 1):
+        r, s = zero_based(sl, sl.group.simple_affine_root(j))
+        for nm in (sl.n_simple(j), sl.n_simple_inv(j)):
+            assert swap_cols(m, nm, r, s) == m @ nm
+            assert swap_rows(nm, r, s, m) == nm @ m
+
+
+@st.composite
+def conjugation_cases(draw):
+    """A state the executor reaches on a random reduced word and a scalar."""
+    label, name, word, labels = draw(executor_runs(SPARSE_TYPES))
+    sl = LOOPS[(label, name)]
+    return label, sl, sl.execute_folding(word, labels), draw(scalars(sl.field))
+
+
+@settings(max_examples=60, deadline=None)
+@given(conjugation_cases())
+def test_conjugation_by_v_rep_equals_dense_product(case):
+    label, sl, state, value = case
+    for gamma in ROOTS[label]:
+        x, a, b = sl.conjugate(state.v_rep, state.v_rep_inv, gamma, value)
+        assert x == state.v_rep @ sl.x_root(gamma, value) @ state.v_rep_inv
+        assert a != b

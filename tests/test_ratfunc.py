@@ -216,3 +216,37 @@ def test_product_with_one_is_the_other_operand(field):
     # a unit other than 1 still multiplies
     two = RationalFunction.of(field, 2)
     assert (two * cases[2]).terms == {k: field.coefficient(2 * c) for k, c in cases[2].terms.items()}
+
+
+def convolve(field, f: dict, g: dict) -> dict:
+    """The terms of the product of two {exponent: coefficient} maps, by the
+    schoolbook sum, reduced in the field with zero coefficients dropped."""
+    out: dict = {}
+    for i, x in f.items():
+        for j, y in g.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return {k: c for k, v in out.items() if (c := field.coefficient(v))}
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=["QQ", "F2", "F3", "F5"]
+)
+def test_products_by_plus_and_minus_t_powers(field):
+    # over F_2, -t^k is t^k; over F_p, -1 is stored as p - 1
+    cases = [{}, {0: 1}, {0: -1}, {3: 2}, {-2: 1, 0: 2, 1: -1, 4: 3}, {-1: 3, 2: 4}]
+    if field == QQ:
+        cases.append({-1: Fraction(1, 2), 3: Fraction(-5, 3)})
+    for terms in cases:
+        f = RationalFunction.from_laurent(field, terms)
+        f_terms = {k: field.coefficient(c) for k, c in terms.items()}
+        for k in (-2, 0, 1, 3):
+            for sign in (1, -1):
+                unit = RationalFunction.from_laurent(field, {k: sign})
+                want = convolve(field, f_terms, {k: sign})
+                for product in (f * unit, unit * f):
+                    assert product.terms == want and product.field == field, (terms, k, sign)
+                    if field == QQ:
+                        assert all(type(c) is Fraction for c in product.terms.values())
+                    else:
+                        assert all(0 < c < field.p for c in product.terms.values())
+        assert f.terms == {k: c for k, c in f_terms.items() if c}  # f was not mutated
