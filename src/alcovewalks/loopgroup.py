@@ -276,8 +276,6 @@ class LoopSL:
                 for r in range(self.n)
             )
         )
-        self._n_cache: dict[int, GroupMatrix] = {}
-        self._n_inv_cache: dict[int, GroupMatrix] = {}
         self._positions: dict[tuple[int, ...], tuple[int, int]] = {}
         self._letters: dict[int, tuple] = {}
 
@@ -335,38 +333,30 @@ class LoopSL:
         return self.x_root(beta, g) @ self.x_root(-beta, -g.inverse()) @ self.x_root(beta, g)
 
     def n_simple(self, j: int) -> GroupMatrix:
-        if j not in self._n_cache:
-            self._n_cache[j] = self._signed_swap(j, 1)
-        return self._n_cache[j]
+        return self._letter(j)[3]
 
     def n_simple_inv(self, j: int) -> GroupMatrix:
         """n_j^{-1} = n_j(-1), since n_beta(g)^{-1} = n_beta(-g)."""
-        if j not in self._n_inv_cache:
-            self._n_inv_cache[j] = self._signed_swap(j, -1)
-        return self._n_inv_cache[j]
-
-    def _signed_swap(self, j: int, g: int) -> GroupMatrix:
-        """n_{alpha_j}(g), checked to be the identity outside the rows and
-        columns r, s of alpha_j and [[0, unit], [unit, 0]] on them: the shape
-        that swap_cols and swap_rows rely on."""
-        alpha = self.group.simple_affine_root(j)
-        m = self.n_root(alpha, g)
-        r, s = (i - 1 for i in self.root_position(alpha.finite))
-        nrs, nsr = m.entries[r][s], m.entries[s][r]
-        block = {(r, r): self._zero, (s, s): self._zero, (r, s): nrs, (s, r): nsr}
-        units = nrs.is_unit_monomial() and nsr.is_unit_monomial()
-        if not units or m != self._identity_with(block):
-            raise InvariantError(f"n_{j}({g}) is not a signed transposition")
-        return m
+        return self._letter(j)[4]
 
     def _letter(self, j: int) -> tuple:
-        """alpha_j, its 0-based matrix position r, s, n_j and n_j^{-1}."""
+        """alpha_j, its 0-based matrix position r, s, n_j and n_j^{-1}, cached.
+
+        Each n_j(g) is checked to be the identity outside rows and columns
+        r, s and [[0, unit], [unit, 0]] on them, the shape swap_cols and
+        swap_rows rely on."""
         letter = self._letters.get(j)
         if letter is None:
             alpha = self.group.simple_affine_root(j)
-            r, s = self.root_position(alpha.finite)
-            n, n_inv = self.n_simple(j), self.n_simple_inv(j)
-            letter = self._letters[j] = (alpha, r - 1, s - 1, n, n_inv)
+            r, s = (i - 1 for i in self.root_position(alpha.finite))
+            ns = tuple(self.n_root(alpha, g) for g in (1, -1))
+            for g, m in zip((1, -1), ns):
+                nrs, nsr = m.entries[r][s], m.entries[s][r]
+                block = {(r, r): self._zero, (s, s): self._zero, (r, s): nrs, (s, r): nsr}
+                units = nrs.is_unit_monomial() and nsr.is_unit_monomial()
+                if not units or m != self._identity_with(block):
+                    raise InvariantError(f"n_{j}({g}) is not a signed transposition")
+            letter = self._letters[j] = (alpha, r, s, *ns)
         return letter
 
     def h_root(self, beta: AffineRoot, value) -> GroupMatrix:
