@@ -32,14 +32,12 @@ from .folding import (
     CountPolynomial,
     FoldedPath,
     StepKind,
-    StepOptions,
     cells_by_endpoint,
     count_polynomial,
     endpoint_counts,
     enumerate_folded_paths,
-    step_options,
 )
-from .ratfunc import FpElement, PrimeField, QQ, RationalFunction
+from .ratfunc import PrimeField, QQ, RationalFunction
 from .loopgroup import (
     ExecutorState,
     GroupMatrix,
@@ -63,14 +61,12 @@ __all__ = [
     "FiniteRoot",
     "FiniteWeylElement",
     "FoldedPath",
-    "FpElement",
     "GroupMatrix",
     "LoopSL",
     "PrimeField",
     "QQ",
     "RationalFunction",
     "StepKind",
-    "StepOptions",
     "brute_force_cells",
     "cells_by_endpoint",
     "count_polynomial",
@@ -82,6 +78,5 @@ __all__ = [
     "is_iwahori_positive",
     "is_monomial",
     "is_uminus_positive",
-    "step_options",
     "validate_cartan",
 ]

@@ -7,14 +7,16 @@ Subcommands:
   oracle  finite-field brute force vs count polynomial comparison
   render  SVG of the wall arrangement with optional walk overlays
 
-Exit codes: 0 success, 1 verification failure, 2 bad flags, 3 internal
-error (the matrix executor broke an invariant).
+Exit codes: 0 success, 1 verification failure, 2 bad flags or a failed
+write, 3 internal error (the matrix executor broke an invariant), and 141
+when the reader closes stdout, as for a process that SIGPIPE ends.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import example8
@@ -99,6 +101,14 @@ def _parse_endpoint(group, text: str):
     return group.from_word(parse_word(text))
 
 
+def _check_out(path) -> None:
+    """Raise ValueError unless --out's directory exists, before any work."""
+    if path is not None:
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise ValueError(f"--out directory {directory} does not exist")
+
+
 def _word_text(word) -> str:
     return ",".join(map(str, word)) or "-"
 
@@ -110,6 +120,7 @@ def _endpoint_filter(group, args):
 
 
 def _cmd_paths(args) -> int:
+    _check_out(args.out)
     word = parse_word(args.word)
     group = _group_for(args.type)
     target = _endpoint_filter(group, args)
@@ -183,6 +194,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_render(args) -> int:
     check_radius(args.radius)
+    _check_out(args.out)
     word = parse_word(args.word) if args.word else None
     datum = _datum_for(args.type)
     group = AffineWeylGroup(datum)
@@ -214,11 +226,38 @@ _COMMANDS = {
 }
 
 
+# the exit status of a process that SIGPIPE ends: 128 + 13
+EXIT_CLOSED_STDOUT = 141
+
+
+def _discard_stdout() -> None:
+    """After a failed write, point stdout at devnull if output is still
+    buffered for it, so that the interpreter's final flush does not fail
+    again (Python docs, signal module, "Note on SIGPIPE")."""
+    try:
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a failed write to stdout raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout, as `| head` does: stop quietly
+        _discard_stdout()
+        return EXIT_CLOSED_STDOUT
+    except OSError as exc:
+        # a failed write: a full disk, or an --out that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        _discard_stdout()
+        return 2
     except (CartanError, WordError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

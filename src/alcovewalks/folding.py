@@ -14,8 +14,7 @@ the paths and cells as the JSON document of the `paths` command.
 
 The counting DP and the enumerator walk raw alcove states (see affine):
 AffineWeylGroup.step is the one place where s_j acts on them, and
-AffineWeylGroup.sends_to_uminus the one forced/branch test, which
-step_options also asks for an element.
+AffineWeylGroup.sends_to_uminus the one forced/branch test.
 """
 
 from __future__ import annotations
@@ -42,23 +41,6 @@ class StepKind(enum.Enum):
     POSITIVE_CROSSING = "P"
     FOLD = "F"
     ZERO_CROSSING = "Z"
-
-
-class StepOptions(enum.Enum):
-    """What the orientation allows at one step."""
-
-    FORCED_POSITIVE = "forced-positive"
-    BRANCH = "branch"
-
-
-def step_options(group: AffineWeylGroup, v: AffineWeylElement, j: int) -> StepOptions:
-    """Forced exactly when v alpha_j is uminus-positive, that is when its
-    finite part is negative; the translation of v only moves its delta
-    coefficient.  The counting DP and the enumerator ask the same
-    question of raw states, through AffineWeylGroup.sends_to_uminus."""
-    if group.sends_to_uminus(group.state(v), j):
-        return StepOptions.FORCED_POSITIVE
-    return StepOptions.BRANCH
 
 
 @dataclass(frozen=True)

@@ -297,8 +297,8 @@ class LoopSL:
         return RationalFunction.of(self.field, value)
 
     def _laurent(self, value, k: int) -> RationalFunction:
-        """The scalar value times t^k."""
-        return RationalFunction.from_laurent(self.field, {k: value})
+        """The scalar value, in the canonical form `field.of` gives, times t^k."""
+        return RationalFunction(self.field, {k: value} if value else {})
 
     def root_position(self, alpha: FiniteRoot) -> tuple[int, int]:
         """Matrix position (row, col) of the root +-(e_a - e_b), 1-based."""
@@ -424,17 +424,22 @@ class LoopSL:
         x the t^k coefficient of b_rs; so ct = (a c + x) / d.  The affine
         letter 0 is the case r = n, s = 1, k = 1.  ct is unique because the
         cells x_j(c') n_j^{-1} I are disjoint.
+
+        a, d, x and ct are plain field scalars, the coefficients the
+        entries store; ct comes back in the canonical form `field.of` gives.
         """
         if not in_iwahori(b):
             raise NormalizationError("normalization input is not in the Iwahori subgroup")
         alpha, r, s, n, n_inv = self._letter(j)
+        field = self.field
+        c = field.of(c)
         a = b.entries[r][r].coeff(0)
         d = b.entries[s][s].coeff(0)
         x = b.entries[r][s].coeff(alpha.k)
-        ct = (a * self.field.of(c) + x) / d
+        ct = field.of((a * c + x) * field.inv(d))
         # b2 = n_j x_j(-ct) b x_j(c) n_j^{-1}, x_j at (r, s)
         m = swap_cols(add_col(b, r, s, self._laurent(c, alpha.k)), n_inv, r, s)
-        b2 = swap_rows(n, r, s, add_row(m, r, s, self._laurent(-ct, alpha.k)))
+        b2 = swap_rows(n, r, s, add_row(m, r, s, self._laurent(field.of(-ct), alpha.k)))
         if not in_iwahori(b2):
             raise NormalizationError("solved label does not yield an Iwahori element")
         return ct, b2
@@ -455,10 +460,10 @@ class LoopSL:
         if is_uminus_positive(beta):
             kind, wall, gamma, value = StepKind.POSITIVE_CROSSING, beta, alpha, ct
         elif ct:
-            kind, wall, gamma, value = StepKind.FOLD, -beta, -alpha, 1 / ct
+            kind, wall, gamma, value = StepKind.FOLD, -beta, -alpha, self.field.inv(ct)
         else:
             kind, wall, gamma = StepKind.ZERO_CROSSING, -beta, None
-        u, coeff = state.u, self.field.zero()
+        u, coeff = state.u, self.field.of(0)
         if gamma is not None:
             x, a, c = self.conjugate(state.v_rep, state.v_rep_inv, gamma, value)
             coeff = self._extract_root_coeff(x, wall)
@@ -467,8 +472,8 @@ class LoopSL:
         kinds = state.kinds + (kind,)
         if kind is StepKind.FOLD:
             # b = x_j(-ct) h_alpha(ct) b2
-            g = RationalFunction.of(self.field, ct)
-            b = add_row(scale_rows(b2, r, g, s, g.inverse()), r, s, self._laurent(-ct, alpha.k))
+            b = scale_rows(b2, r, self._laurent(ct, 0), s, self._laurent(value, 0))
+            b = add_row(b, r, s, self._laurent(self.field.of(-ct), alpha.k))
             return ExecutorState(u, u_factors, state.v, state.v_rep, b, kinds, state.v_rep_inv)
         return ExecutorState(
             u,
@@ -493,7 +498,8 @@ class LoopSL:
         if len(col) != 1 or len(row) != 1:
             raise NormalizationError("v_rep or its inverse is not monomial")
         (a,), (b,) = col, row
-        f = self._laurent(value, gamma.k) * v_rep.entries[a][r - 1] * v_rep_inv.entries[c - 1][b]
+        f = self._laurent(self.field.of(value), gamma.k)
+        f = f * v_rep.entries[a][r - 1] * v_rep_inv.entries[c - 1][b]
         return self._identity_with({(a, b): self._identity.entries[a][b] + f}), a, b
 
     def execute_folding(
@@ -628,31 +634,3 @@ def brute_force_cells(
     walk(sl.initial_state(), 0)
     return {end: tallies[end] for end in sl.group.canonical_words(tallies)}
 
-
-def matrix_to_json(m: GroupMatrix) -> list:
-    """Rows of {"num": [...], "den": [...]} entries: ascending coefficient
-    strings of the reduced fraction num / t^k, with den = t^k monic."""
-
-    def entry(e: RationalFunction) -> dict:
-        if not e.terms:
-            return {"num": [], "den": ["1"]}
-        low, high = min(e.terms), max(e.terms)
-        shift = min(low, 0)
-        num = [str(e.terms.get(k, 0)) for k in range(shift, high + 1)]
-        return {"num": num, "den": ["0"] * -shift + ["1"]}
-
-    return [[entry(e) for e in row] for row in m.entries]
-
-
-def matrix_from_json(field: Field, doc: list) -> GroupMatrix:
-    """Inverse of matrix_to_json; a denominator other than c * t^k raises
-    ValueError."""
-
-    def entry(d) -> RationalFunction:
-        num = RationalFunction.from_laurent(field, dict(enumerate(d["num"])))
-        den = RationalFunction.from_laurent(field, dict(enumerate(d["den"])))
-        if not den.is_unit_monomial():
-            raise ValueError(f"denominator {den} is not of the form c*t^k")
-        return num * den.inverse()
-
-    return GroupMatrix(tuple(tuple(entry(e) for e in row) for row in doc))

@@ -7,94 +7,23 @@ The matrix layer works in the loop group SL_n(F[t, t^-1]), so its
 entries are Laurent polynomials: finite sums c_k t^k with k of either
 sign.  A RationalFunction (the name is historical) is such an element,
 stored as a sparse {exponent: coefficient} map without zero
-coefficients.  Inside the ring a coefficient is a Fraction over QQ and a
-plain int residue 0..p-1 over F_p; field elements (FpElement) appear only
-where a scalar is read out.  Only the units c * t^k can be inverted; the
-inverse of anything else raises ZeroDivisionError.
+coefficients.  A field's scalar is the coefficient its Laurent
+polynomials store: a Fraction over QQ and an int residue 0..p-1 over F_p.
+Each field has one coercion into that canonical form, `of`, and one scalar
+inverse, `inv`.  Only the units c * t^k can be inverted; the inverse of
+anything else raises ZeroDivisionError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
-
-
-@dataclass(frozen=True)
-class FpElement:
-    """Element of the prime field F_p, stored as a residue in 0..p-1."""
-
-    value: int
-    p: int
-
-    def _coerce(self, other):
-        if isinstance(other, FpElement):
-            if other.p != self.p:
-                raise ValueError("prime field mismatch")
-            return other
-        if isinstance(other, int):
-            return FpElement(other % self.p, self.p)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement((self.value + other.value) % self.p, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement((self.value - other.value) % self.p, self.p)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement((self.value * other.value) % self.p, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __neg__(self):
-        return FpElement((-self.value) % self.p, self.p)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def inverse(self) -> "FpElement":
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of zero in a prime field")
-        return FpElement(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.p})"
 
 
 class RationalField:
     """Marker object for exact rationals."""
 
     characteristic = 0
-
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
 
     def of(self, value) -> Fraction:
         """Coerce an int, Fraction, or "a/b" string."""
@@ -106,11 +35,9 @@ class RationalField:
             return Fraction(value)
         raise TypeError(f"cannot coerce {value!r} into the rationals")
 
-    coefficient = of
-
-    def element(self, c) -> Fraction:
-        """The field element of a ring coefficient."""
-        return c
+    def inv(self, c: Fraction) -> Fraction:
+        """1 / c; raises ZeroDivisionError for c = 0."""
+        return Fraction(1) / c
 
     def elements(self):
         raise ValueError("the rationals are not finite")
@@ -126,7 +53,7 @@ class RationalField:
 
 
 class PrimeField:
-    """The field with p elements, p prime."""
+    """The field with p elements, p prime; its scalars are the residues 0..p-1."""
 
     def __init__(self, p: int):
         if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
@@ -134,39 +61,26 @@ class PrimeField:
         self.p = p
         self.characteristic = p
 
-    def zero(self):
-        return FpElement(0, self.p)
-
-    def one(self):
-        return FpElement(1, self.p)
-
-    def of(self, value) -> FpElement:
-        if isinstance(value, FpElement):
-            if value.p != self.p:
-                raise ValueError("prime field mismatch")
-            return value
+    def of(self, value) -> int:
+        """Coerce an int, Fraction or integer string to its residue."""
         if isinstance(value, int):
-            return FpElement(value % self.p, self.p)
+            return value % self.p
         if isinstance(value, str):
-            return FpElement(int(value) % self.p, self.p)
+            return int(value) % self.p
         if isinstance(value, Fraction):
             if value.denominator % self.p == 0:
                 raise ZeroDivisionError("denominator divisible by p")
-            return self.of(value.numerator) / self.of(value.denominator)
+            return value.numerator * pow(value.denominator, -1, self.p) % self.p
         raise TypeError(f"cannot coerce {value!r} into F_{self.p}")
 
-    def coefficient(self, value) -> int:
-        """Coerce like `of`, to the residue a ring coefficient stores."""
-        if isinstance(value, int):
-            return value % self.p
-        return self.of(value).value
-
-    def element(self, c: int) -> FpElement:
-        """The field element of a ring coefficient."""
-        return FpElement(c, self.p)
+    def inv(self, c: int) -> int:
+        """The residue of 1 / c; raises ZeroDivisionError for c = 0."""
+        if not c % self.p:
+            raise ZeroDivisionError("inverse of zero in a prime field")
+        return pow(c, -1, self.p)
 
     def elements(self):
-        return tuple(FpElement(v, self.p) for v in range(self.p))
+        return tuple(range(self.p))
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -206,18 +120,18 @@ class RationalFunction:
 
     @staticmethod
     def of(field: Field, value) -> "RationalFunction":
-        c = field.coefficient(value)
+        c = field.of(value)
         return RationalFunction(field, {0: c} if c else {})
 
     @staticmethod
     def t_power(field: Field, k: int) -> "RationalFunction":
-        return RationalFunction(field, {k: field.coefficient(1)})
+        return RationalFunction(field, {k: field.of(1)})
 
     @staticmethod
     def from_laurent(field: Field, terms: Mapping[int, object]) -> "RationalFunction":
         """Build sum of c * t^k from a {k: c} mapping (k may be negative)."""
         return RationalFunction(
-            field, {k: c for k, v in terms.items() if (c := field.coefficient(v))}
+            field, {k: c for k, v in terms.items() if (c := field.of(v))}
         )
 
     def is_zero(self) -> bool:
@@ -288,8 +202,7 @@ class RationalFunction:
         if len(self.terms) != 1:
             raise ZeroDivisionError(f"{self} is not a unit of F[t, t^-1]")
         ((k, c),) = self.terms.items()
-        p = self.field.characteristic
-        return RationalFunction(self.field, {-k: pow(c, -1, p) if p else 1 / c})
+        return RationalFunction(self.field, {-k: self.field.inv(c)})
 
     def __pow__(self, k: int) -> "RationalFunction":
         out = RationalFunction.of(self.field, 1)
@@ -307,9 +220,9 @@ class RationalFunction:
         return not self.terms or min(self.terms) >= 0
 
     def coeff(self, i: int):
-        """Coefficient of t^i, as a field element."""
+        """Coefficient of t^i, a scalar of the field."""
         c = self.terms.get(i)
-        return self.field.zero() if c is None else self.field.element(c)
+        return self.field.of(0) if c is None else c
 
     def ev0(self):
         """Evaluate at t = 0; only defined for integral functions."""

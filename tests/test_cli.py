@@ -1,9 +1,15 @@
+import errno
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import alcovewalks
 from alcovewalks.affine import (
     MAX_WORD_LENGTH,
     AffineWeylGroup,
@@ -12,7 +18,7 @@ from alcovewalks.affine import (
     parse_word,
 )
 from alcovewalks.cartan import from_label
-from alcovewalks.cli import main
+from alcovewalks.cli import EXIT_CLOSED_STDOUT, main
 from alcovewalks.folding import cells_by_endpoint, count_polynomial
 from alcovewalks.render import MAX_RADIUS
 
@@ -471,3 +477,91 @@ def test_paths_end_that_no_path_reaches_prints_no_paths(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["by_endpoint"] == [] and doc["paths"] == []
+
+
+class FailingStdout(io.StringIO):
+    """A stdout on its own descriptor `fd` that raises `exc` on every
+    flush, and on every write too when `writes_fail`; without writes_fail
+    the output stays buffered until the flush."""
+
+    def __init__(self, exc, writes_fail, fd):
+        super().__init__()
+        self.exc, self.writes_fail, self.fd = exc, writes_fail, fd
+
+    def write(self, text):
+        if self.writes_fail:
+            raise self.exc
+        return super().write(text)
+
+    def flush(self):
+        raise self.exc
+
+    def fileno(self):
+        return self.fd
+
+
+OUTPUT_COMMANDS = [
+    ["count", "--type", "A2", "--word", "2,1,0,2,0"],
+    ["paths", "--type", "A2", "--word", "2,1,0"],
+    ["oracle", "--type", "A1", "--word", "1,0", "--p", "3"],
+    ["verify", "example8"],
+]
+
+
+@pytest.mark.parametrize("argv", OUTPUT_COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("writes_fail", [True, False], ids=["write", "flush"])
+@pytest.mark.parametrize(
+    "exc, code, err",
+    [
+        (BrokenPipeError(errno.EPIPE, "Broken pipe"), EXIT_CLOSED_STDOUT, ""),
+        (OSError(errno.ENOSPC, "No space left on device"), 2,
+         "error: [Errno 28] No space left on device\n"),
+    ],
+    ids=["closed", "full"],
+)
+def test_failed_stdout_write(tmp_path, capsys, monkeypatch, argv, writes_fail, exc, code, err):
+    # a closed stdout ends quietly, a full one with one line; either way the
+    # descriptor is pointed at devnull so that the final flush cannot fail
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", FailingStdout(exc, writes_fail, fd))
+        assert (main(argv), capsys.readouterr().err) == (code, err)
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+
+
+def test_reader_closing_the_pipe_ends_the_command_quietly():
+    # 16 letters of the A2 bench word: about 280 KB of JSON, more than a
+    # pipe holds, so the command is still writing when the reader leaves
+    word = "1,2,0,1,0,2,0,1,0,2,0,1,0,2,0,1"
+    # block-buffered, as by default, so that output is still buffered at exit
+    env = dict(os.environ, PYTHONPATH=str(Path(alcovewalks.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "alcovewalks.cli", "paths", "--type", "A2", "--word", word],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (EXIT_CLOSED_STDOUT, b"")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["paths", "--type", "A2", "--word", "2,1,0"],
+        ["render", "--type", "A2", "--word", "2,1,0"],
+    ],
+    ids=["paths", "render"],
+)
+def test_out_in_a_missing_directory_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr("alcovewalks.cli.cells_by_endpoint", fail_if_called)
+    monkeypatch.setattr("alcovewalks.cli._datum_for", fail_if_called)
+    out_file = tmp_path / "missing" / "out"
+    code, out, err = run(capsys, *argv, "--out", str(out_file))
+    assert (code, out) == (2, "")
+    assert err == f"error: --out directory {out_file.parent} does not exist\n"
+    assert not out_file.parent.exists()

@@ -10,13 +10,11 @@ from alcovewalks.folding import (
     CountPolynomial,
     FoldedPath,
     StepKind,
-    StepOptions,
     cells_by_endpoint,
     count_polynomial,
     endpoint_counts,
     enumerate_folded_paths,
     paths_to_json,
-    step_options,
 )
 
 
@@ -49,18 +47,19 @@ def paths_document(group, word, cells, nonreduced=False) -> dict:
     return json.loads(out.getvalue())
 
 
-def test_step_options_at_identity():
+def test_sends_to_uminus_at_identity():
+    # a finite letter branches, the affine letter is forced
     g = a2()
-    assert step_options(g, g.identity(), 1) is StepOptions.BRANCH
-    assert step_options(g, g.identity(), 0) is StepOptions.FORCED_POSITIVE
+    assert not g.sends_to_uminus(g.state(g.identity()), 1)
+    assert g.sends_to_uminus(g.state(g.identity()), 0)
 
 
-def test_step_options_mid_walk():
+def test_sends_to_uminus_mid_walk():
     # after the first four crossings of the long walk, the affine letter branches
     g = a2()
     v = g.from_word((2, 1, 0, 2))
     assert v.act(g.simple_affine_root(0)) == AffineRoot(FiniteRoot((1, 0)), 0)
-    assert step_options(g, v, 0) is StepOptions.BRANCH
+    assert not g.sends_to_uminus(g.state(v), 0)
 
 
 def test_single_forced_step():

@@ -440,37 +440,15 @@ def test_brute_force_prime_field_executor():
     assert state.u_factors[0][1] == field.of(3)  # 2^{-1} mod 5
 
 
-def test_matrix_json_round_trip():
-    from alcovewalks.loopgroup import matrix_from_json, matrix_to_json
-
-    sl = sl3()
-    m = mat(
-        [
-            [{0: Fraction(1, 2), 1: Fraction(-5, 12)}, Fraction(-25, 12), 0],
-            [{2: 1}, 1, 0],
-            [{-2: Fraction(1, 6)}, 0, 1],
-        ]
-    )
-    doc = matrix_to_json(m)
-    assert doc[0][0] == {"num": ["1/2", "-5/12"], "den": ["1"]}
-    assert doc[2][0] == {"num": ["1/6"], "den": ["0", "0", "1"]}
-    assert matrix_from_json(QQ, doc) == m
-    f5 = PrimeField(5)
-    sl5 = LoopSL(from_label("A1"), f5)
-    m5 = sl5.x_simple(0, f5.of(3))
-    doc5 = matrix_to_json(m5)
-    assert matrix_from_json(f5, doc5) == m5
-
-
-def test_matrix_from_json_rejects_non_monomial_denominator():
-    from alcovewalks.loopgroup import matrix_from_json
-
-    with pytest.raises(ValueError):
-        matrix_from_json(QQ, [[{"num": ["1"], "den": ["1", "1"]}]])
-    with pytest.raises(ValueError):
-        matrix_from_json(QQ, [[{"num": ["1"], "den": []}]])
-    scaled = matrix_from_json(QQ, [[{"num": ["2", "4"], "den": ["0", "2"]}]])
-    assert scaled == GroupMatrix(((rf({-1: 1, 0: 2}),),))
+def test_step_coerces_its_label():
+    # a label enters the ring through field.of, so every form of a scalar steps alike
+    field = PrimeField(5)
+    sl = LoopSL(from_label("A2"), field)
+    state = sl.execute_folding((1, 2), (1, 3))
+    for j in (0, 1, 2):
+        want = sl.step(state, j, 3)
+        for label in (-2, 8, "3", Fraction(3), Fraction(-1, 3)):
+            assert sl.step(state, j, label) == want
 
 
 def test_inverse_without_unit_pivots():

@@ -2,9 +2,10 @@
 
 Each example runs execute_folding(..., validate=True), which re-checks the
 running factorization, the memberships and det = 1 after every step, and
-then compares the step kinds with the combinatorial folded paths.  The row
-and column operations the step uses in place of matrix products are
-compared with the dense products they replace.
+then compares the step kinds with the combinatorial folded paths and
+checks that every stored coefficient has the canonical form `field.of`
+gives.  The row and column operations the step uses in place of matrix
+products are compared with the dense products they replace.
 """
 
 from fractions import Fraction
@@ -86,11 +87,27 @@ def executor_runs(draw, types=TYPES):
     return label, field_name, word, tuple(labels)
 
 
+def is_canonical(c, field):
+    """Whether c has the form `field.of` gives: a Fraction over QQ, an int
+    in 0..p-1 over F_p."""
+    if field == QQ:
+        return type(c) is Fraction
+    return type(c) is int and 0 <= c < field.p
+
+
+def stored_coefficients(*matrices):
+    return [c for m in matrices for row in m.entries for e in row for c in e.terms.values()]
+
+
 @settings(max_examples=150, deadline=None)
 @given(executor_runs())
 def test_validated_executor_matches_exactly_one_folded_path(run):
     label, field_name, word, labels = run
+    field = FIELDS[field_name]
     state = LOOPS[(label, field_name)].execute_folding(word, labels, validate=True)
+    assert all(is_canonical(c, field) for _, c in state.u_factors)
+    stored = stored_coefficients(state.u, state.v_rep, state.b, state.v_rep_inv)
+    assert all(c and is_canonical(c, field) for c in stored)
     assert in_uminus(state.u)
     assert in_iwahori(state.b)
     assert is_monomial(state.v_rep)
@@ -164,4 +181,5 @@ def test_conjugation_by_v_rep_equals_dense_product(case):
     for gamma in ROOTS[label]:
         x, a, b = sl.conjugate(state.v_rep, state.v_rep_inv, gamma, value)
         assert x == state.v_rep @ sl.x_root(gamma, value) @ state.v_rep_inv
+        assert all(c and is_canonical(c, sl.field) for c in stored_coefficients(x))
         assert a != b

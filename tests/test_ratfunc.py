@@ -3,12 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from alcovewalks.ratfunc import (
-    FpElement,
-    PrimeField,
-    QQ,
-    RationalFunction,
-)
+from alcovewalks.ratfunc import PrimeField, QQ, RationalFunction
 
 
 def test_prime_field_validation():
@@ -18,27 +13,38 @@ def test_prime_field_validation():
     assert PrimeField(7).p == 7
 
 
-def test_fp_arithmetic():
-    f5 = PrimeField(5)
-    a, b = f5.of(3), f5.of(4)
-    assert (a + b).value == 2
-    assert (a - b).value == 4
-    assert (a * b).value == 2
-    assert (a / b).value == (3 * 4) % 5  # 4^{-1} = 4 mod 5
-    assert (-a).value == 2
-    assert a.inverse() * a == f5.one()
-    assert bool(f5.zero()) is False
-    with pytest.raises(ZeroDivisionError):
-        f5.zero().inverse()
-
-
 def test_fp_field_coercion():
+    # a scalar of F_p is the int residue 0..p-1 its Laurent polynomials store
     f5 = PrimeField(5)
-    assert f5.of(Fraction(1, 2)) == f5.of(3)  # 2^{-1} = 3 mod 5
-    assert f5.of("7") == f5.of(2)
-    with pytest.raises(ValueError):
-        f5.of(FpElement(1, 7))
-    assert f5.elements() == tuple(FpElement(v, 5) for v in range(5))
+    assert f5.of(-1) == 4 and f5.of(-10) == 0 and f5.of(12) == 2
+    assert f5.of("7") == 2 and f5.of("-3") == 2
+    assert f5.of(Fraction(1, 2)) == 3  # 2^{-1} = 3 mod 5
+    assert f5.of(Fraction(-7, 3)) == 1  # -7 * 3^{-1} = 3 * 2 mod 5
+    for value in (-1, "7", Fraction(1, 2), Fraction(10, 3)):
+        assert type(f5.of(value)) is int
+    with pytest.raises(ZeroDivisionError):
+        f5.of(Fraction(1, 10))
+    with pytest.raises(TypeError):
+        f5.of(1.5)
+    assert f5.elements() == (0, 1, 2, 3, 4)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_fp_inverse(p):
+    field = PrimeField(p)
+    for c in range(1, p):
+        assert field.inv(c) * c % p == 1
+        assert 0 <= field.inv(c) < p
+    with pytest.raises(ZeroDivisionError):
+        field.inv(0)
+
+
+def test_rational_inverse():
+    assert QQ.inv(Fraction(-5, 3)) == Fraction(-3, 5)
+    assert QQ.inv(QQ.of(2)) == Fraction(1, 2)
+    assert type(QQ.inv(QQ.of(7))) is Fraction
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(QQ.of(0))
 
 
 def test_polynomial_trim_and_degree():
@@ -215,7 +221,7 @@ def test_product_with_one_is_the_other_operand(field):
         assert one.terms == {0: 1}
     # a unit other than 1 still multiplies
     two = RationalFunction.of(field, 2)
-    assert (two * cases[2]).terms == {k: field.coefficient(2 * c) for k, c in cases[2].terms.items()}
+    assert (two * cases[2]).terms == {k: field.of(2 * c) for k, c in cases[2].terms.items()}
 
 
 def convolve(field, f: dict, g: dict) -> dict:
@@ -225,7 +231,7 @@ def convolve(field, f: dict, g: dict) -> dict:
     for i, x in f.items():
         for j, y in g.items():
             out[i + j] = out.get(i + j, 0) + x * y
-    return {k: c for k, v in out.items() if (c := field.coefficient(v))}
+    return {k: c for k, v in out.items() if (c := field.of(v))}
 
 
 @pytest.mark.parametrize(
@@ -238,7 +244,7 @@ def test_products_by_plus_and_minus_t_powers(field):
         cases.append({-1: Fraction(1, 2), 3: Fraction(-5, 3)})
     for terms in cases:
         f = RationalFunction.from_laurent(field, terms)
-        f_terms = {k: field.coefficient(c) for k, c in terms.items()}
+        f_terms = {k: field.of(c) for k, c in terms.items()}
         for k in (-2, 0, 1, 3):
             for sign in (1, -1):
                 unit = RationalFunction.from_laurent(field, {k: sign})
