@@ -19,7 +19,6 @@ test and the descent test read the same table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, mul, sub
 from typing import Iterable, Sequence
@@ -29,6 +28,8 @@ from .cartan import (
     Coweight,
     FiniteRoot,
     FiniteWeylElement,
+    Frozen,
+    _set,
     simple_root,
     zero_coweight,
 )
@@ -51,12 +52,25 @@ class WordError(ValueError):
     """A word uses letters outside 0..n or violates a reducedness guard."""
 
 
-@dataclass(frozen=True)
-class AffineRoot:
+class AffineRoot(Frozen):
     """A real affine root: finite root plus k copies of delta."""
 
+    __slots__ = __match_args__ = ("finite", "k")
     finite: FiniteRoot
     k: int
+
+    def __init__(self, finite: FiniteRoot, k: int):
+        _set(self, "finite", finite)
+        _set(self, "k", k)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.k == other.k and self.finite == other.finite
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        # hash((finite, k)), with the field's hash((coords,)) inlined
+        return hash(((self.finite.coords,), self.k))
 
     def __neg__(self) -> "AffineRoot":
         return AffineRoot(-self.finite, -self.k)
@@ -74,12 +88,26 @@ def is_uminus_positive(beta: AffineRoot) -> bool:
     return beta.finite.is_negative()
 
 
-@dataclass(frozen=True)
-class AffineWeylElement:
+class AffineWeylElement(Frozen):
     """Pair (translation coweight, finite Weyl part)."""
 
+    __slots__ = __match_args__ = ("translation", "finite")
     translation: Coweight
     finite: FiniteWeylElement
+
+    def __init__(self, translation: Coweight, finite: FiniteWeylElement):
+        _set(self, "translation", translation)
+        _set(self, "finite", finite)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.translation == other.translation and self.finite == other.finite
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        # hash((translation, finite)), with the fields' hash((coords,)) and
+        # hash((perm,)) inlined: the same value without two method calls
+        return hash(((self.translation.coords,), (self.finite.perm,)))
 
     def __mul__(self, other: "AffineWeylElement") -> "AffineWeylElement":
         translation = self.translation
@@ -267,50 +295,6 @@ class AffineWeylGroup:
     def right_descents(self, g: AffineWeylElement) -> tuple[int, ...]:
         state = self.state(g)
         return tuple(i for i in range(self.rank + 1) if self._descends(state, i))
-
-    def all_reduced_words(self, g: AffineWeylElement, cap: int = 12) -> tuple[Word, ...]:
-        """Every reduced word for g, guarded by a length cap."""
-        if self.length(g) > cap:
-            raise WordError(f"length exceeds cap {cap}")
-        memo: dict[AffineWeylElement, tuple[Word, ...]] = {}
-
-        def words(h: AffineWeylElement) -> tuple[Word, ...]:
-            if h.is_identity():
-                return ((),)
-            if h in memo:
-                return memo[h]
-            out = []
-            for i in self.right_descents(h):
-                for w in words(h * self.simple_reflection(i)):
-                    out.append(w + (i,))
-            memo[h] = tuple(sorted(out))
-            return memo[h]
-
-        return words(g)
-
-    def inversion_sequence(self, word: Sequence[int]) -> tuple[AffineRoot, ...]:
-        """beta_k = s_{i_1} ... s_{i_{k-1}} alpha_{i_k}."""
-        out = []
-        prefix = self.identity()
-        for i in word:
-            out.append(prefix.act(self.simple_affine_root(i)))
-            prefix = prefix * self.simple_reflection(i)
-        return tuple(out)
-
-    def ball(self, max_length: int) -> dict[AffineWeylElement, int]:
-        """All elements of length <= max_length, mapped to their lengths."""
-        lengths = {self.identity(): 0}
-        frontier = [self.identity()]
-        for ell in range(1, max_length + 1):
-            nxt = []
-            for g in frontier:
-                for i in range(self.rank + 1):
-                    h = g * self.simple_reflection(i)
-                    if h not in lengths:
-                        lengths[h] = ell
-                        nxt.append(h)
-            frontier = nxt
-        return lengths
 
     def canonical_words(
         self, elements: Iterable[AffineWeylElement]

@@ -2,9 +2,15 @@
 
 All arithmetic is exact (integers and fractions.Fraction); every value is
 immutable and hashable, so elements can be shared freely and used as dict
-keys.  A finite Weyl group element is the permutation it induces on the
-roots, listed in the fixed order of `CartanDatum.roots()`; its actions on
-roots and coweights are read from the tables of `CartanDatum.root_tables`.
+keys.  The value types of the package derive from `Frozen`: slotted
+classes whose __init__, __eq__ and __hash__ are written out per class, so
+that building, hashing and comparing them stay cheap.  Equality holds only
+between instances of the same class, and the hash is that of the tuple of
+the hashed fields.
+
+A finite Weyl group element is the permutation it induces on the roots,
+listed in the fixed order of `CartanDatum.roots()`; its actions on roots
+and coweights are read from the tables of `CartanDatum.root_tables`.
 
 Index conventions: simple roots/coroots are numbered 1..n.  The matrix
 entry a[i][j] is the value of the i-th simple root on the j-th simple
@@ -15,7 +21,6 @@ on the coroot basis.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -37,11 +42,54 @@ def _check_rank(n: int) -> None:
         raise CartanError(f"rank {n} exceeds the maximum rank {MAX_RANK}")
 
 
-@dataclass(frozen=True)
-class FiniteRoot:
+# sets a field of a value type in its __init__, past Frozen.__setattr__
+_set = object.__setattr__
+
+
+class Frozen:
+    """Base of the immutable value types.
+
+    A subclass names its fields in __slots__ and __match_args__, sets each
+    once in its __init__ with `_set`, and writes its own __eq__ (true only
+    against the same class, else NotImplemented) and __hash__ (the hash of
+    the tuple of its hashed fields).  The base holds what no hot loop
+    calls: assigning or deleting a field raises AttributeError, the repr is
+    Name(field=value, ...), and copy and pickle rebuild through __init__.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+class FiniteRoot(Frozen):
     """Integer coefficient vector on the simple roots."""
 
+    __slots__ = __match_args__ = ("coords",)
     coords: tuple[int, ...]
+
+    def __init__(self, coords: tuple[int, ...]):
+        _set(self, "coords", coords)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.coords == other.coords
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coords,))
 
     def __neg__(self) -> "FiniteRoot":
         return FiniteRoot(tuple(-c for c in self.coords))
@@ -61,11 +109,22 @@ class FiniteRoot:
         return tuple(i + 1 for i, c in enumerate(self.coords) if c != 0)
 
 
-@dataclass(frozen=True)
-class Coweight:
+class Coweight(Frozen):
     """Integer coefficient vector on the simple coroots."""
 
+    __slots__ = __match_args__ = ("coords",)
     coords: tuple[int, ...]
+
+    def __init__(self, coords: tuple[int, ...]):
+        _set(self, "coords", coords)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.coords == other.coords
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coords,))
 
     def __neg__(self) -> "Coweight":
         return Coweight(tuple(-c for c in self.coords))
@@ -101,17 +160,36 @@ def zero_coweight(n: int) -> Coweight:
 # Cartan matrix validation and classification
 
 
-@dataclass(frozen=True)
-class CartanDatum:
+class CartanDatum(Frozen):
     """A validated finite-type Cartan matrix with its classification tag.
 
     Construct through :func:`validate_cartan` or :func:`from_label`; the
-    raw constructor performs no checking.
+    raw constructor performs no checking.  Besides its fields a datum has
+    an instance __dict__, which holds only the cached properties.
     """
 
+    __match_args__ = ("size", "entries", "type_label")
+    __slots__ = (*__match_args__, "__dict__")
     size: int
     entries: tuple[tuple[int, ...], ...]
     type_label: str
+
+    def __init__(self, size: int, entries: tuple[tuple[int, ...], ...], type_label: str):
+        _set(self, "size", size)
+        _set(self, "entries", entries)
+        _set(self, "type_label", type_label)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return (
+                self.size == other.size
+                and self.entries == other.entries
+                and self.type_label == other.type_label
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.size, self.entries, self.type_label))
 
     # -- basic queries ------------------------------------------------
 
@@ -182,8 +260,8 @@ class CartanDatum:
     @functools.cached_property
     def root_tables(self) -> "RootTables":
         """The lookup tables of the roots, built on first use.  The value is
-        kept in the instance __dict__, so the fields, equality and hash of
-        the datum are unchanged."""
+        kept in the instance __dict__, apart from the slotted fields, so the
+        equality, hash and repr of the datum do not see it."""
         table = _root_coroot_table(self)
         roots = tuple(sorted(table, key=lambda r: (r.height, r.coords)))
         columns = tuple(zip(*self.entries))
@@ -532,8 +610,7 @@ class RootTables(NamedTuple):
     simple: tuple[int, ...]  # positions of alpha_1, ..., alpha_n
 
 
-@dataclass(frozen=True)
-class FiniteWeylElement:
+class FiniteWeylElement(Frozen):
     """Weyl group element stored as the permutation it induces on the roots.
 
     perm[r] is the position of w beta_r in `datum.roots()`.  A product is
@@ -545,8 +622,23 @@ class FiniteWeylElement:
     data with equal permutations stay distinct.
     """
 
-    datum: CartanDatum = field(hash=False)
+    __slots__ = __match_args__ = ("datum", "perm")
+    datum: CartanDatum
     perm: tuple[int, ...]
+
+    def __init__(self, datum: CartanDatum, perm: tuple[int, ...]):
+        _set(self, "datum", datum)
+        _set(self, "perm", perm)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.perm == other.perm and (
+                self.datum is other.datum or self.datum == other.datum
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.perm,))
 
     def __mul__(self, other: "FiniteWeylElement") -> "FiniteWeylElement":
         if self.datum is not other.datum and self.datum != other.datum:

@@ -20,7 +20,6 @@ AffineWeylGroup.sends_to_uminus the one forced/branch test.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import comb
 from operator import add, sub
 from typing import Callable, Iterable, Sequence
@@ -35,6 +34,7 @@ from .affine import (
     affine_root_to_json,
     element_to_json,
 )
+from .cartan import Frozen, _set
 
 
 class StepKind(enum.Enum):
@@ -43,18 +43,43 @@ class StepKind(enum.Enum):
     ZERO_CROSSING = "Z"
 
 
-@dataclass(frozen=True)
-class FoldedPath:
+class FoldedPath(Frozen):
     """One labeled folded path of a fixed type.
 
     alcoves has length len(type_word) + 1 and starts at the identity;
     walls[k] is the uminus-positive wall recorded at step k.
     """
 
+    __slots__ = __match_args__ = ("type_word", "kinds", "alcoves", "walls")
     type_word: Word
     kinds: tuple[StepKind, ...]
     alcoves: tuple[AffineWeylElement, ...]
     walls: tuple[AffineRoot, ...]
+
+    def __init__(
+        self,
+        type_word: Word,
+        kinds: tuple[StepKind, ...],
+        alcoves: tuple[AffineWeylElement, ...],
+        walls: tuple[AffineRoot, ...],
+    ):
+        _set(self, "type_word", type_word)
+        _set(self, "kinds", kinds)
+        _set(self, "alcoves", alcoves)
+        _set(self, "walls", walls)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return (
+                self.type_word == other.type_word
+                and self.kinds == other.kinds
+                and self.alcoves == other.alcoves
+                and self.walls == other.walls
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.type_word, self.kinds, self.alcoves, self.walls))
 
     @property
     def endpoint(self) -> AffineWeylElement:
@@ -88,11 +113,22 @@ def _times_q_minus_one(c: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(sub, (0,) + c, c + (0,))) if c else c
 
 
-@dataclass(frozen=True)
-class CountPolynomial:
+class CountPolynomial(Frozen):
     """Integer polynomial in q, coefficients ascending, trailing zeros trimmed."""
 
+    __slots__ = __match_args__ = ("coeffs",)
     coeffs: tuple[int, ...]
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        _set(self, "coeffs", coeffs)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     @staticmethod
     def make(coeffs: Iterable[int]) -> "CountPolynomial":
@@ -109,18 +145,8 @@ class CountPolynomial:
     def one() -> "CountPolynomial":
         return CountPolynomial((1,))
 
-    @staticmethod
-    def q_power(n: int) -> "CountPolynomial":
-        return CountPolynomial((0,) * n + (1,))
-
     def __add__(self, other: "CountPolynomial") -> "CountPolynomial":
         return CountPolynomial.make(_plus(self.coeffs, other.coeffs))
-
-    def times_q(self) -> "CountPolynomial":
-        return CountPolynomial(_times_q(self.coeffs))
-
-    def times_q_minus_one(self) -> "CountPolynomial":
-        return CountPolynomial(_times_q_minus_one(self.coeffs))
 
     def evaluate(self, q: int) -> int:
         out = 0
@@ -276,14 +302,39 @@ def endpoint_counts(
     return {group.element(v): CountPolynomial(count) for v, count in frontier.items()}
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(Frozen):
     """All folded paths of one type sharing an endpoint."""
 
+    __slots__ = __match_args__ = ("paths", "count", "dimensions", "counts")
     paths: tuple[FoldedPath, ...]
     count: CountPolynomial
     dimensions: tuple[int, ...]
     counts: tuple[CountPolynomial, ...]  # each path's, in path order
+
+    def __init__(
+        self,
+        paths: tuple[FoldedPath, ...],
+        count: CountPolynomial,
+        dimensions: tuple[int, ...],
+        counts: tuple[CountPolynomial, ...],
+    ):
+        _set(self, "paths", paths)
+        _set(self, "count", count)
+        _set(self, "dimensions", dimensions)
+        _set(self, "counts", counts)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return (
+                self.paths == other.paths
+                and self.count == other.count
+                and self.dimensions == other.dimensions
+                and self.counts == other.counts
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.paths, self.count, self.dimensions, self.counts))
 
 
 def cells_by_endpoint(

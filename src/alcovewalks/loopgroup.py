@@ -38,7 +38,6 @@ word of L letters instead of L p^L.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .affine import (
@@ -47,7 +46,7 @@ from .affine import (
     AffineWeylGroup,
     is_uminus_positive,
 )
-from .cartan import CartanDatum, Coweight, FiniteRoot
+from .cartan import CartanDatum, Coweight, FiniteRoot, Frozen, _set
 from .folding import StepKind
 from .ratfunc import Field, PrimeField, RationalFunction
 
@@ -60,11 +59,22 @@ class InvariantError(RuntimeError):
     """A validated executor run broke one of its invariants."""
 
 
-@dataclass(frozen=True)
-class GroupMatrix:
+class GroupMatrix(Frozen):
     """Square matrix of Laurent polynomials."""
 
+    __slots__ = __match_args__ = ("entries",)
     entries: tuple[tuple[RationalFunction, ...], ...]
+
+    def __init__(self, entries: tuple[tuple[RationalFunction, ...], ...]):
+        _set(self, "entries", entries)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
 
     @property
     def n(self) -> int:
@@ -233,17 +243,11 @@ def is_monomial(m: GroupMatrix) -> bool:
     return all(h == 1 for h in row_hits) and all(h == 1 for h in col_hits)
 
 
-def is_upper_triangular(m: GroupMatrix) -> bool:
-    return all(
-        m.entries[r][c].is_zero() for r in range(m.n) for c in range(m.n) if r > c
-    )
-
-
-@dataclass(frozen=True)
-class ExecutorState:
+class ExecutorState(Frozen):
     """Running factorization u . v_rep . b of a partially consumed word,
     with v_rep^-1 carried along so that a step never inverts a matrix."""
 
+    __slots__ = __match_args__ = ("u", "u_factors", "v", "v_rep", "b", "kinds", "v_rep_inv")
     u: GroupMatrix
     u_factors: tuple[tuple[AffineRoot, object], ...]
     v: AffineWeylElement
@@ -251,6 +255,42 @@ class ExecutorState:
     b: GroupMatrix
     kinds: tuple[StepKind, ...]
     v_rep_inv: GroupMatrix
+
+    def __init__(
+        self,
+        u: GroupMatrix,
+        u_factors: tuple[tuple[AffineRoot, object], ...],
+        v: AffineWeylElement,
+        v_rep: GroupMatrix,
+        b: GroupMatrix,
+        kinds: tuple[StepKind, ...],
+        v_rep_inv: GroupMatrix,
+    ):
+        _set(self, "u", u)
+        _set(self, "u_factors", u_factors)
+        _set(self, "v", v)
+        _set(self, "v_rep", v_rep)
+        _set(self, "b", b)
+        _set(self, "kinds", kinds)
+        _set(self, "v_rep_inv", v_rep_inv)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return (
+                self.u == other.u
+                and self.u_factors == other.u_factors
+                and self.v == other.v
+                and self.v_rep == other.v_rep
+                and self.b == other.b
+                and self.kinds == other.kinds
+                and self.v_rep_inv == other.v_rep_inv
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(
+            (self.u, self.u_factors, self.v, self.v_rep, self.b, self.kinds, self.v_rep_inv)
+        )
 
 
 def check_type_a(datum: CartanDatum) -> None:
@@ -375,9 +415,6 @@ class LoopSL:
         coords = (0, *lam.coords, 0)
         diagonal = {(a, a): g ** (coords[a + 1] - coords[a]) for a in range(self.n)}
         return self._identity_with(diagonal)
-
-    def t_translation(self, lam: Coweight) -> GroupMatrix:
-        return self.h_cochar(lam, RationalFunction.t_power(self.field, -1))
 
     # -- reading a monomial matrix back into the affine Weyl group -------
 
@@ -567,22 +604,6 @@ class LoopSL:
             raise InvariantError("u does not match its recorded factorization")
         if whole.determinant() != self._one:
             raise InvariantError("determinant drifted from 1")
-
-    # -- finite Bruhat layer ----------------------------------------------
-
-    def bruhat_point_finite(self, word: Sequence[int], labels: Sequence) -> GroupMatrix:
-        """x_{i_1}(c_1) n_{i_1}^{-1} ... over constant scalars, finite letters only."""
-        if len(labels) != len(word):
-            raise ValueError("need exactly one label per letter")
-        m = self.identity()
-        for j, c in zip(word, labels):
-            if not 1 <= j <= self.datum.size:
-                raise ValueError("finite Bruhat points use letters 1..n only")
-            m = m @ self.x_simple(j, c) @ self.n_simple_inv(j)
-        return m
-
-    def coset_equal_borel(self, m1: GroupMatrix, m2: GroupMatrix) -> bool:
-        return is_upper_triangular(m2.inverse() @ m1)
 
 
 # Most executor steps a brute force makes: p + p^2 + ... + p^L for L

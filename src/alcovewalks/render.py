@@ -9,12 +9,11 @@ fundamental alcove "alcove", and walk overlays "crossing"/"fold".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
 from .affine import AffineWeylElement, AffineWeylGroup
-from .cartan import CartanDatum
+from .cartan import CartanDatum, Frozen, _set
 from .folding import FoldedPath, StepKind
 
 Walk = tuple[AffineWeylElement, ...]
@@ -34,16 +33,31 @@ def check_radius(radius: int) -> None:
         raise ValueError(f"radius {radius} is outside 1..{MAX_RADIUS}")
 
 
-@dataclass(frozen=True)
-class SceneSpec:
+class SceneSpec(Frozen):
+    __slots__ = __match_args__ = ("datum", "radius", "overlays")
     datum: CartanDatum
-    radius: int = 2
-    overlays: tuple[Overlay, ...] = ()
+    radius: int
+    overlays: tuple[Overlay, ...]
 
-    def __post_init__(self):
-        if self.datum.size > 2:
+    def __init__(self, datum: CartanDatum, radius: int = 2, overlays: tuple[Overlay, ...] = ()):
+        if datum.size > 2:
             raise ValueError("rendering supports rank <= 2 only")
-        check_radius(self.radius)
+        check_radius(radius)
+        _set(self, "datum", datum)
+        _set(self, "radius", radius)
+        _set(self, "overlays", overlays)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return (
+                self.datum == other.datum
+                and self.radius == other.radius
+                and self.overlays == other.overlays
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.datum, self.radius, self.overlays))
 
 
 def _fmt(x: float) -> str:

@@ -1,0 +1,111 @@
+"""Constructions that only the tests use: balls and all reduced words of
+affine Weyl groups, inversion sequences, finite Bruhat points of the loop
+group, and CountPolynomial shifts.  They are built from the package's own
+operations, so a test that calls them still exercises the package."""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from alcovewalks.affine import AffineRoot, AffineWeylElement, AffineWeylGroup, Word, WordError
+from alcovewalks.cartan import Coweight
+from alcovewalks.folding import CountPolynomial, _times_q, _times_q_minus_one
+from alcovewalks.loopgroup import GroupMatrix, LoopSL
+from alcovewalks.ratfunc import RationalFunction
+
+# -- affine Weyl groups -------------------------------------------------------
+
+
+def ball(group: AffineWeylGroup, max_length: int) -> dict[AffineWeylElement, int]:
+    """All elements of length <= max_length, mapped to their lengths."""
+    lengths = {group.identity(): 0}
+    frontier = [group.identity()]
+    for ell in range(1, max_length + 1):
+        nxt = []
+        for g in frontier:
+            for i in range(group.rank + 1):
+                h = g * group.simple_reflection(i)
+                if h not in lengths:
+                    lengths[h] = ell
+                    nxt.append(h)
+        frontier = nxt
+    return lengths
+
+
+def all_reduced_words(
+    group: AffineWeylGroup, g: AffineWeylElement, cap: int = 12
+) -> tuple[Word, ...]:
+    """Every reduced word for g, guarded by a length cap."""
+    if group.length(g) > cap:
+        raise WordError(f"length exceeds cap {cap}")
+    memo: dict[AffineWeylElement, tuple[Word, ...]] = {}
+
+    def words(h: AffineWeylElement) -> tuple[Word, ...]:
+        if h.is_identity():
+            return ((),)
+        if h in memo:
+            return memo[h]
+        out = []
+        for i in group.right_descents(h):
+            for w in words(h * group.simple_reflection(i)):
+                out.append(w + (i,))
+        memo[h] = tuple(sorted(out))
+        return memo[h]
+
+    return words(g)
+
+
+def inversion_sequence(group: AffineWeylGroup, word: Sequence[int]) -> tuple[AffineRoot, ...]:
+    """beta_k = s_{i_1} ... s_{i_{k-1}} alpha_{i_k}."""
+    out = []
+    prefix = group.identity()
+    for i in word:
+        out.append(prefix.act(group.simple_affine_root(i)))
+        prefix = prefix * group.simple_reflection(i)
+    return tuple(out)
+
+
+# -- loop group -----------------------------------------------------------------
+
+
+def t_translation(sl: LoopSL, lam: Coweight) -> GroupMatrix:
+    """The translation t_lam: the cocharacter lam at t^-1."""
+    return sl.h_cochar(lam, RationalFunction.t_power(sl.field, -1))
+
+
+def bruhat_point_finite(sl: LoopSL, word: Sequence[int], labels: Sequence) -> GroupMatrix:
+    """x_{i_1}(c_1) n_{i_1}^{-1} ... over constant scalars, finite letters only."""
+    if len(labels) != len(word):
+        raise ValueError("need exactly one label per letter")
+    m = sl.identity()
+    for j, c in zip(word, labels):
+        if not 1 <= j <= sl.datum.size:
+            raise ValueError("finite Bruhat points use letters 1..n only")
+        m = m @ sl.x_simple(j, c) @ sl.n_simple_inv(j)
+    return m
+
+
+def is_upper_triangular(m: GroupMatrix) -> bool:
+    return all(m.entries[r][c].is_zero() for r in range(m.n) for c in range(m.n) if r > c)
+
+
+def coset_equal_borel(m1: GroupMatrix, m2: GroupMatrix) -> bool:
+    """Whether m1 and m2 lie in the same coset of the upper triangular Borel."""
+    return is_upper_triangular(m2.inverse() @ m1)
+
+
+# -- count polynomials ----------------------------------------------------------
+
+
+def q_power(n: int) -> CountPolynomial:
+    return CountPolynomial((0,) * n + (1,))
+
+
+def times_q(f: CountPolynomial) -> CountPolynomial:
+    """q f, by the coefficient shift the counting DP uses."""
+    return CountPolynomial(_times_q(f.coeffs))
+
+
+def times_q_minus_one(f: CountPolynomial) -> CountPolynomial:
+    """(q - 1) f, by the coefficient operation the counting DP uses."""
+    return CountPolynomial(_times_q_minus_one(f.coeffs))

@@ -30,6 +30,7 @@ from alcovewalks.loopgroup import LoopSL, brute_force_cells
 from alcovewalks.ratfunc import QQ, PrimeField, RationalFunction
 from alcovewalks.render import SceneSpec, render_arrangement
 
+from helpers import all_reduced_words, ball, bruhat_point_finite, coset_equal_borel, q_power
 from test_render import GOLDEN, element_classes
 
 
@@ -105,22 +106,22 @@ def test_criterion_4_sum_rule():
     with _Timer("criterion 4: counts sum to q^l for A1 and A2, length <= 6", 60.0):
         for label in ("A1", "A2"):
             group = AffineWeylGroup(from_label(label))
-            for elem, ell in group.ball(6).items():
-                for word in group.all_reduced_words(elem, cap=6):
+            for elem, ell in ball(group, 6).items():
+                for word in all_reduced_words(group, elem, cap=6):
                     total = CountPolynomial.zero()
                     for cell in cells_by_endpoint(group, word).values():
                         total = total + cell.count
-                    assert total == CountPolynomial.q_power(ell)
+                    assert total == q_power(ell)
 
 
 def test_criterion_5_finite_field_oracle():
     with _Timer("criterion 5: brute force tallies match counts for A1, p in {2,3}", 60.0):
         datum = from_label("A1")
         group = AffineWeylGroup(datum)
-        for elem, ell in group.ball(4).items():
+        for elem, ell in ball(group, 4).items():
             if ell == 0:
                 continue
-            for word in group.all_reduced_words(elem, cap=4):
+            for word in all_reduced_words(group, elem, cap=4):
                 cells = cells_by_endpoint(group, word)
                 for p in (2, 3):
                     tallies = brute_force_cells(datum, word, p)
@@ -133,8 +134,8 @@ def test_criterion_5_finite_field_oracle():
 def test_criterion_6_reduced_word_independence():
     with _Timer("criterion 6: identical cell maps for all reduced words, A2 length <= 5", 60.0):
         group = AffineWeylGroup(from_label("A2"))
-        for elem, ell in group.ball(5).items():
-            words = group.all_reduced_words(elem, cap=5)
+        for elem, ell in ball(group, 5).items():
+            words = all_reduced_words(group, elem, cap=5)
             reference = None
             for word in words:
                 cells = {
@@ -150,20 +151,20 @@ def test_criterion_4_sum_rule_by_dp():
     with _Timer("criterion 4 (DP): counts sum to q^l for A1, A2, B2, G2, length <= 8", 60.0):
         for label in ("A1", "A2", "B2", "G2"):
             group = AffineWeylGroup(from_label(label))
-            for elem, ell in group.ball(8).items():
-                for word in group.all_reduced_words(elem, cap=8):
+            for elem, ell in ball(group, 8).items():
+                for word in all_reduced_words(group, elem, cap=8):
                     total = CountPolynomial.zero()
                     for count in endpoint_counts(group, word).values():
                         total = total + count
-                    assert total == CountPolynomial.q_power(ell)
+                    assert total == q_power(ell)
 
 
 def test_criterion_6_reduced_word_independence_by_dp():
     with _Timer("criterion 6 (DP): identical counts for all reduced words, A2, B2, G2, length <= 7", 60.0):
         for label in ("A2", "B2", "G2"):
             group = AffineWeylGroup(from_label(label))
-            for elem, ell in group.ball(7).items():
-                words = group.all_reduced_words(elem, cap=7)
+            for elem, ell in ball(group, 7).items():
+                words = all_reduced_words(group, elem, cap=7)
                 reference = endpoint_counts(group, words[0])
                 for word in words[1:]:
                     assert endpoint_counts(group, word) == reference
@@ -195,16 +196,16 @@ def test_criterion_7_finite_bruhat_labeling():
         for w, (length, words) in elements.items():
             for word in words:
                 points = [
-                    sl.bruhat_point_finite(word, labels)
+                    bruhat_point_finite(sl, word, labels)
                     for labels in itertools.product(field.elements(), repeat=length)
                 ]
                 assert len(points) == 2 ** length
                 for a in range(len(points)):
                     for b in range(a + 1, len(points)):
-                        assert not sl.coset_equal_borel(points[a], points[b])
+                        assert not coset_equal_borel(points[a], points[b])
             total += 2 ** length
             one_point_per_coset.extend(
-                sl.bruhat_point_finite(words[0], labels)
+                bruhat_point_finite(sl, words[0], labels)
                 for labels in itertools.product(field.elements(), repeat=length)
             )
         assert total == 21
@@ -212,7 +213,7 @@ def test_criterion_7_finite_bruhat_labeling():
         # exhaust SL3(F_2)/B(F_2)
         for a in range(len(one_point_per_coset)):
             for b in range(a + 1, len(one_point_per_coset)):
-                assert not sl.coset_equal_borel(
+                assert not coset_equal_borel(
                     one_point_per_coset[a], one_point_per_coset[b]
                 )
 
