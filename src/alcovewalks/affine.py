@@ -63,15 +63,6 @@ class AffineRoot(Frozen):
         _set(self, "finite", finite)
         _set(self, "k", k)
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return self.k == other.k and self.finite == other.finite
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        # hash((finite, k)), with the field's hash((coords,)) inlined
-        return hash(((self.finite.coords,), self.k))
-
     def __neg__(self) -> "AffineRoot":
         return AffineRoot(-self.finite, -self.k)
 
@@ -173,6 +164,8 @@ class AffineWeylGroup:
             for s, alpha in zip(self._simple_reflections, self._simple_roots)
         )
         self._identity_state = self.state(self.identity())
+        # element_to_json's finite words by permutation, at most |W| of them
+        self._finite_words: dict[tuple[int, ...], Word] = {}
 
     # -- raw alcove states ---------------------------------------------------
 
@@ -363,10 +356,16 @@ def _solve2(
 
 
 def element_to_json(group: AffineWeylGroup, g: AffineWeylElement) -> dict:
-    return {
-        "translation": list(g.translation.coords),
-        "finite_word": list(g.finite.canonical_word()),
-    }
+    """g = t_lam w as its translation lam and the lexicographically
+    smallest reduced word of w.  All reduced words of an element use the
+    same letters, so those of the finite w have no letter 0 and the word is
+    the reduced word of t_0 w; it is kept per group by w's permutation."""
+    perm = g.finite.perm
+    word = group._finite_words.get(perm)
+    if word is None:
+        finite = AffineWeylElement(zero_coweight(group.rank), g.finite)
+        word = group._finite_words[perm] = group.reduced_word(finite)
+    return {"translation": list(g.translation.coords), "finite_word": list(word)}
 
 
 def element_from_json(group: AffineWeylGroup, data: dict) -> AffineWeylElement:

@@ -3,10 +3,10 @@
 All arithmetic is exact (integers and fractions.Fraction); every value is
 immutable and hashable, so elements can be shared freely and used as dict
 keys.  The value types of the package derive from `Frozen`: slotted
-classes whose __init__, __eq__ and __hash__ are written out per class, so
-that building, hashing and comparing them stay cheap.  Equality holds only
-between instances of the same class, and the hash is that of the tuple of
-the hashed fields.
+classes whose __init__ is written out per class, so that building them
+stays cheap.  Equality holds only between instances of the same class, and
+the hash is that of the tuple of the fields; `Frozen` gives both, and the
+few types compared on hot paths write out their own.
 
 A finite Weyl group element is the permutation it induces on the roots,
 listed in the fixed order of `CartanDatum.roots()`; its actions on roots
@@ -49,16 +49,29 @@ _set = object.__setattr__
 class Frozen:
     """Base of the immutable value types.
 
-    A subclass names its fields in __slots__ and __match_args__, sets each
-    once in its __init__ with `_set`, and writes its own __eq__ (true only
-    against the same class, else NotImplemented) and __hash__ (the hash of
-    the tuple of its hashed fields).  The base holds what no hot loop
-    calls: assigning or deleting a field raises AttributeError, the repr is
+    A subclass names its fields in __slots__ and __match_args__ and sets
+    each once in its __init__ with `_set`.  The base holds what no hot loop
+    calls: equality (true only against the same class, else NotImplemented)
+    compares the tuples of the fields, the hash is that of the tuple,
+    assigning or deleting a field raises AttributeError, the repr is
     Name(field=value, ...), and copy and pickle rebuild through __init__.
+    A type whose equality runs on a measured path writes out its own
+    __eq__ and __hash__ with the same meaning.
     """
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -71,7 +84,7 @@ class Frozen:
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+        return type(self), self._fields()
 
 
 class FiniteRoot(Frozen):
@@ -178,18 +191,6 @@ class CartanDatum(Frozen):
         _set(self, "size", size)
         _set(self, "entries", entries)
         _set(self, "type_label", type_label)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return (
-                self.size == other.size
-                and self.entries == other.entries
-                and self.type_label == other.type_label
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.size, self.entries, self.type_label))
 
     # -- basic queries ------------------------------------------------
 
@@ -389,32 +390,20 @@ def _solve_symmetrizer(entries: tuple[tuple[int, ...], ...]) -> tuple[Fraction, 
 
 
 def _is_positive_definite(g: list[list[Fraction]]) -> bool:
-    """Sylvester criterion on a symmetric rational matrix."""
-    n = len(g)
-    m = [row[:] for row in g]
-    for k in range(1, n + 1):
-        if _det(m, k) <= 0:
+    """Sylvester's criterion on a symmetric rational matrix, in one
+    elimination without row exchanges: while the pivots are positive, the
+    k-th pivot is D_k / D_(k-1) for the leading minors D_k, so every minor
+    is positive exactly when every pivot is."""
+    a = [row[:] for row in g]
+    for k, pivot_row in enumerate(a):
+        pivot = pivot_row[k]
+        if pivot <= 0:
             return False
+        for row in a[k + 1 :]:
+            f = row[k] / pivot
+            for c in range(k, len(a)):
+                row[c] -= f * pivot_row[c]
     return True
-
-
-def _det(m: list[list[Fraction]], k: int) -> Fraction:
-    """Determinant of the leading k x k block, by fraction Gaussian elimination."""
-    a = [row[:k] for row in m[:k]]
-    det = Fraction(1)
-    for col in range(k):
-        piv = next((r for r in range(col, k) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        for r in range(col + 1, k):
-            f = a[r][col] / a[col][col]
-            for c in range(col, k):
-                a[r][c] -= f * a[col][c]
-    return det
 
 
 def validate_cartan(matrix: Sequence[Sequence[int]]) -> CartanDatum:
@@ -700,31 +689,6 @@ class FiniteWeylElement(Frozen):
         tables = self.datum.root_tables
         negative = tables.negative
         return sum(1 for r, image in enumerate(self.perm) if negative[image] and not negative[r])
-
-    def canonical_word(self) -> tuple[int, ...]:
-        return _canonical_word(self)
-
-
-@functools.lru_cache(maxsize=None)
-def _canonical_word(w: FiniteWeylElement) -> tuple[int, ...]:
-    """Lexicographically smallest reduced word, by greedy left descent.
-
-    i is a left descent of w iff w^{-1} alpha_i is negative; removing it
-    replaces w^{-1} by w^{-1} s_i, so only the inverse is tracked.
-    """
-    datum = w.datum
-    tables = datum.root_tables
-    word: list[int] = []
-    winv = w.inverse()
-    while not winv.is_identity():
-        for i, r in enumerate(tables.simple, start=1):
-            if tables.negative[winv.perm[r]]:
-                break
-        else:  # pragma: no cover - impossible for genuine group elements
-            raise RuntimeError("no descent found for a non-identity element")
-        word.append(i)
-        winv = winv * datum.simple_reflection(i)
-    return tuple(word)
 
 
 def _mat_vec(a, v):

@@ -30,7 +30,7 @@ from .loopgroup import (
     check_brute_force,
     check_type_a,
 )
-from .render import SceneSpec, check_radius, render_arrangement
+from .render import SceneSpec, check_radius, check_rank, render_arrangement
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -198,6 +198,7 @@ def _cmd_render(args) -> int:
     word = parse_word(args.word) if args.word else None
     datum = _datum_for(args.type)
     group = AffineWeylGroup(datum)
+    check_rank(datum)
     overlays = ()
     if word is not None:
         if args.end:

@@ -68,19 +68,6 @@ class FoldedPath(Frozen):
         _set(self, "alcoves", alcoves)
         _set(self, "walls", walls)
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return (
-                self.type_word == other.type_word
-                and self.kinds == other.kinds
-                and self.alcoves == other.alcoves
-                and self.walls == other.walls
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.type_word, self.kinds, self.alcoves, self.walls))
-
     @property
     def endpoint(self) -> AffineWeylElement:
         return self.alcoves[-1]
@@ -121,14 +108,6 @@ class CountPolynomial(Frozen):
 
     def __init__(self, coeffs: tuple[int, ...]):
         _set(self, "coeffs", coeffs)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
 
     @staticmethod
     def make(coeffs: Iterable[int]) -> "CountPolynomial":
@@ -322,19 +301,6 @@ class Cell(Frozen):
         _set(self, "count", count)
         _set(self, "dimensions", dimensions)
         _set(self, "counts", counts)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return (
-                self.paths == other.paths
-                and self.count == other.count
-                and self.dimensions == other.dimensions
-                and self.counts == other.counts
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.paths, self.count, self.dimensions, self.counts))
 
 
 def cells_by_endpoint(

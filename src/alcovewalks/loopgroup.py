@@ -244,17 +244,17 @@ def is_monomial(m: GroupMatrix) -> bool:
 
 
 class ExecutorState(Frozen):
-    """Running factorization u . v_rep . b of a partially consumed word,
-    with v_rep^-1 carried along so that a step never inverts a matrix."""
+    """Running factorization u . v_rep . b of a partially consumed word.
+    v_rep is monomial, so a step reads v_rep^-1 off v_rep and never
+    inverts a matrix."""
 
-    __slots__ = __match_args__ = ("u", "u_factors", "v", "v_rep", "b", "kinds", "v_rep_inv")
+    __slots__ = __match_args__ = ("u", "u_factors", "v", "v_rep", "b", "kinds")
     u: GroupMatrix
     u_factors: tuple[tuple[AffineRoot, object], ...]
     v: AffineWeylElement
     v_rep: GroupMatrix
     b: GroupMatrix
     kinds: tuple[StepKind, ...]
-    v_rep_inv: GroupMatrix
 
     def __init__(
         self,
@@ -264,7 +264,6 @@ class ExecutorState(Frozen):
         v_rep: GroupMatrix,
         b: GroupMatrix,
         kinds: tuple[StepKind, ...],
-        v_rep_inv: GroupMatrix,
     ):
         _set(self, "u", u)
         _set(self, "u_factors", u_factors)
@@ -272,25 +271,6 @@ class ExecutorState(Frozen):
         _set(self, "v_rep", v_rep)
         _set(self, "b", b)
         _set(self, "kinds", kinds)
-        _set(self, "v_rep_inv", v_rep_inv)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return (
-                self.u == other.u
-                and self.u_factors == other.u_factors
-                and self.v == other.v
-                and self.v_rep == other.v_rep
-                and self.b == other.b
-                and self.kinds == other.kinds
-                and self.v_rep_inv == other.v_rep_inv
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(
-            (self.u, self.u_factors, self.v, self.v_rep, self.b, self.kinds, self.v_rep_inv)
-        )
 
 
 def check_type_a(datum: CartanDatum) -> None:
@@ -486,7 +466,7 @@ class LoopSL:
     def initial_state(self) -> ExecutorState:
         """The factorization of the empty word: u = v_rep = b = 1."""
         one = self._identity
-        return ExecutorState(one, (), self.group.identity(), one, one, (), one)
+        return ExecutorState(one, (), self.group.identity(), one, one, ())
 
     def step(self, state: ExecutorState, j: int, label) -> ExecutorState:
         """The factorization of the prefix one letter longer: `state`
@@ -502,16 +482,16 @@ class LoopSL:
             kind, wall, gamma = StepKind.ZERO_CROSSING, -beta, None
         u, coeff = state.u, self.field.of(0)
         if gamma is not None:
-            x, a, c = self.conjugate(state.v_rep, state.v_rep_inv, gamma, value)
-            coeff = self._extract_root_coeff(x, wall)
-            u = add_col(u, a, c, x.entries[a][c])  # u x
+            f, row, col = self.conjugate(state.v_rep, gamma, value)
+            coeff = self._extract_root_coeff(f, row, col, wall)
+            u = add_col(u, row, col, f)  # u (1 + f E_row,col)
         u_factors = state.u_factors + ((wall, coeff),)
         kinds = state.kinds + (kind,)
         if kind is StepKind.FOLD:
             # b = x_j(-ct) h_alpha(ct) b2
             b = scale_rows(b2, r, self._laurent(ct, 0), s, self._laurent(value, 0))
             b = add_row(b, r, s, self._laurent(self.field.of(-ct), alpha.k))
-            return ExecutorState(u, u_factors, state.v, state.v_rep, b, kinds, state.v_rep_inv)
+            return ExecutorState(u, u_factors, state.v, state.v_rep, b, kinds)
         return ExecutorState(
             u,
             u_factors,
@@ -519,25 +499,24 @@ class LoopSL:
             swap_cols(state.v_rep, n_inv, r, s),
             b2,
             kinds,
-            swap_rows(n, r, s, state.v_rep_inv),
         )
 
     def conjugate(
-        self, v_rep: GroupMatrix, v_rep_inv: GroupMatrix, gamma: AffineRoot, value
-    ) -> tuple[GroupMatrix, int, int]:
-        """v_rep x_gamma(value) v_rep^{-1} = 1 + value t^k e1 e2 E_ab and
-        its 0-based position a, b: for gamma at (r, c), e1 is the one nonzero
-        entry of column r of v_rep, in row a, and e2 that of row c of
-        v_rep^{-1}, in column b."""
+        self, v_rep: GroupMatrix, gamma: AffineRoot, value
+    ) -> tuple[RationalFunction, int, int]:
+        """The entry f and 0-based position (a, b) of v_rep x_gamma(value)
+        v_rep^{-1} = 1 + f E_ab.  v_rep is monomial, so v_rep^{-1} has
+        1 / v_rep[b][c] at (c, b): for gamma at (r, c), e1 is the one nonzero
+        entry of column r of v_rep, in row a, e2 that of column c, in row b,
+        and f = value t^k e1 / e2."""
         r, c = self.root_position(gamma.finite)
-        col = [i for i, row in enumerate(v_rep.entries) if row[r - 1].terms]
-        row = [i for i, e in enumerate(v_rep_inv.entries[c - 1]) if e.terms]
-        if len(col) != 1 or len(row) != 1:
-            raise NormalizationError("v_rep or its inverse is not monomial")
-        (a,), (b,) = col, row
+        rows = v_rep.entries
+        hits = [[i for i, row in enumerate(rows) if row[col].terms] for col in (r - 1, c - 1)]
+        if any(len(h) != 1 for h in hits):
+            raise NormalizationError("v_rep is not monomial")
+        (a,), (b,) = hits
         f = self._laurent(self.field.of(value), gamma.k)
-        f = f * v_rep.entries[a][r - 1] * v_rep_inv.entries[c - 1][b]
-        return self._identity_with({(a, b): self._identity.entries[a][b] + f}), a, b
+        return f * rows[a][r - 1] * rows[b][c - 1].inverse(), a, b
 
     def execute_folding(
         self, word: Sequence[int], labels: Sequence, validate: bool = False
@@ -561,14 +540,15 @@ class LoopSL:
                 self._check_state(consumed, prev, state)
         return state
 
-    def _extract_root_coeff(self, x: GroupMatrix, gamma: AffineRoot):
-        """Read c from x == x_gamma(c); the sign of c comes out of the matrix."""
+    def _extract_root_coeff(self, f: RationalFunction, a: int, b: int, gamma: AffineRoot):
+        """Read c from 1 + f E_ab == x_gamma(c): unless f is 0, f must be
+        c t^k at gamma's matrix position.  The sign of c comes out of f."""
+        if not f.terms:
+            return self.field.of(0)
         r, c = self.root_position(gamma.finite)
-        value = x.entries[r - 1][c - 1] * RationalFunction.t_power(self.field, -gamma.k)
-        coeff = value.constant_value()
-        if x != self.x_root(gamma, coeff):
+        if (a, b) != (r - 1, c - 1) or f.terms.keys() != {gamma.k}:
             raise NormalizationError("conjugated generator is not a root element")
-        return coeff
+        return f.terms[gamma.k]
 
     def _check_state(
         self, consumed: GroupMatrix, prev: ExecutorState, state: ExecutorState

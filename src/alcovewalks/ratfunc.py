@@ -230,14 +230,6 @@ class RationalFunction:
             raise ValueError("pole at t = 0")
         return self.coeff(0)
 
-    def is_constant(self) -> bool:
-        return not self.terms or self.terms.keys() == {0}
-
-    def constant_value(self):
-        if not self.is_constant():
-            raise ValueError("Laurent polynomial is not constant")
-        return self.coeff(0)
-
     def is_unit_monomial(self) -> bool:
         """Of the form c * t^k with c a nonzero scalar."""
         return len(self.terms) == 1

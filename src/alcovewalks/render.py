@@ -33,6 +33,11 @@ def check_radius(radius: int) -> None:
         raise ValueError(f"radius {radius} is outside 1..{MAX_RADIUS}")
 
 
+def check_rank(datum: CartanDatum) -> None:
+    if datum.size > 2:
+        raise ValueError("rendering supports rank <= 2 only")
+
+
 class SceneSpec(Frozen):
     __slots__ = __match_args__ = ("datum", "radius", "overlays")
     datum: CartanDatum
@@ -40,24 +45,11 @@ class SceneSpec(Frozen):
     overlays: tuple[Overlay, ...]
 
     def __init__(self, datum: CartanDatum, radius: int = 2, overlays: tuple[Overlay, ...] = ()):
-        if datum.size > 2:
-            raise ValueError("rendering supports rank <= 2 only")
+        check_rank(datum)
         check_radius(radius)
         _set(self, "datum", datum)
         _set(self, "radius", radius)
         _set(self, "overlays", overlays)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return (
-                self.datum == other.datum
-                and self.radius == other.radius
-                and self.overlays == other.overlays
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.datum, self.radius, self.overlays))
 
 
 def _fmt(x: float) -> str:

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from alcovewalks.affine import AffineWeylElement, AffineWeylGroup, element_to_json
 from alcovewalks.cartan import (
     MAX_RANK,
     CartanError,
@@ -40,6 +41,10 @@ def test_validate_rejects_affine_matrix():
         ([[2, 1], [1, 2]], "off-diagonal"),
         ([[2, 0], [-1, 2]], "asymmetric"),
         ([[2, -1], [-5, 2]], "not-finite-type"),
+        # affine A2: only the last leading minor (0) fails
+        ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], "not positive definite"),
+        # affine G2: symmetrizable but not symmetric, and singular
+        ([[2, -1, 0], [-1, 2, -3], [0, -1, 2]], "not positive definite"),
     ],
 )
 def test_validate_rejections(matrix, message):
@@ -191,7 +196,10 @@ def test_pairing_invariance():
 
 
 def _elements_with_words(datum):
-    """Every element of W with one reduced word, by breadth-first search."""
+    """Every element of W with its lexicographically smallest reduced word,
+    by breadth-first search: the frontier of each length comes in the
+    order of those words and each is extended by s_1, s_2, ... in turn, so
+    the first word that reaches an element is its smallest."""
     gens = [datum.simple_reflection(i) for i in range(1, datum.size + 1)]
     found = {datum.identity_weyl(): ()}
     frontier = [datum.identity_weyl()]
@@ -219,13 +227,27 @@ def test_inversion_length_equals_word_metric():
                 assert w.length() == word_metric
 
 
+def _finite_word(group, w, translation=None):
+    translation = translation or Coweight((0,) * group.rank)
+    return tuple(element_to_json(group, AffineWeylElement(translation, w))["finite_word"])
+
+
 def test_canonical_word_is_lex_smallest_reduced():
     d = from_label("A2")
+    group = AffineWeylGroup(d)
     w0 = d.weyl_from_word((1, 2, 1))
     assert w0 == d.weyl_from_word((2, 1, 2))
-    assert w0.canonical_word() == (1, 2, 1)
-    assert d.weyl_from_word((2, 1)).canonical_word() == (2, 1)
-    assert d.identity_weyl().canonical_word() == ()
+    assert _finite_word(group, w0) == (1, 2, 1)
+    assert _finite_word(group, d.weyl_from_word((2, 1))) == (2, 1)
+    assert _finite_word(group, d.identity_weyl()) == ()
+    # every element of each group, against the breadth-first reference
+    for label in ("A1", "A2", "A3", "B2", "B3", "C3", "G2"):
+        d = from_label(label)
+        group = AffineWeylGroup(d)
+        shift = simple_coroot(d.size, 1).scaled(-2)
+        for w, word in _elements_with_words(d).items():
+            assert _finite_word(group, w) == word
+            assert _finite_word(group, w, shift) == word
 
 
 def test_action_permutes_roots():
@@ -258,17 +280,17 @@ def test_commuting_generators_product_type():
 @pytest.mark.parametrize("label, order", [("A3", 24), ("B3", 48), ("G2", 12), ("D4", 192)])
 def test_weyl_inverse_and_pairing_on_whole_group(label, order):
     d = from_label(label)
-    elements = _all_elements(d)
-    assert len(elements) == order
+    words = _elements_with_words(d)
+    assert len(words) == order
     e = d.identity_weyl()
     basis_roots = [simple_root(d.size, i) for i in range(1, d.size + 1)]
     basis_cowts = [simple_coroot(d.size, i) for i in range(1, d.size + 1)]
-    for w in elements:
+    for w, word in words.items():
         winv = w.inverse()
         assert w * winv == e
         assert winv * w == e
         # independent reference: the reversed reduced word
-        assert winv == d.weyl_from_word(tuple(reversed(w.canonical_word())))
+        assert winv == d.weyl_from_word(tuple(reversed(word)))
         for lam in basis_cowts:
             for mu in basis_roots:
                 assert d.pairing(w.act_coweight(lam), w.act_root(mu)) == d.pairing(lam, mu)

@@ -472,6 +472,22 @@ def test_render_end_that_no_path_reaches_exits_1(tmp_path, capsys):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize(
+    "type_label, end",
+    [("A3", "1,2,3"), ("A3", "1,2,3,1"), ("E6", "1,2,3,1")],
+    ids=["A3-reachable", "A3-unreachable", "E6-unreachable"],
+)
+def test_render_checks_the_rank_before_it_enumerates(tmp_path, capsys, monkeypatch, type_label, end):
+    monkeypatch.setattr("alcovewalks.cli.enumerate_folded_paths", fail_if_called)
+    out_file = tmp_path / "x.svg"
+    code, out, err = run(
+        capsys, "render", "--type", type_label, "--radius", "2", "--word", "1,2,3",
+        "--end", end, "--out", str(out_file),
+    )
+    assert (code, out, err) == (2, "", "error: rendering supports rank <= 2 only\n")
+    assert not out_file.exists()
+
+
 def test_paths_end_that_no_path_reaches_prints_no_paths(capsys):
     code, out, _ = run(capsys, "paths", "--type", "A2", "--word", "2,1,0", "--end", "2,1,0,2")
     assert code == 0

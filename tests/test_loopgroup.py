@@ -436,7 +436,7 @@ def test_step_fold_matches_execute_folding(field):
             assert state.v_rep == want.v_rep
             assert state.b == want.b
             assert state.kinds == want.kinds
-            assert state.v_rep @ state.v_rep_inv == sl.identity()
+            assert state == want
 
 
 def test_brute_force_prime_field_executor():
@@ -623,7 +623,7 @@ def u_times_extra_x_b_compensating(sl, s):
     # u x and x^-1 moved into b: u . v_rep . b is unchanged, b stays Iwahori
     # (x's root sits high in t), so only u's recorded factorization is off
     gamma = lower_root(sl, 20)
-    b = s.v_rep_inv @ sl.x_root(gamma, -1) @ s.v_rep @ s.b
+    b = s.v_rep.inverse() @ sl.x_root(gamma, -1) @ s.v_rep @ s.b
     assert in_iwahori(b)
     return replace(s, u=s.u @ sl.x_root(gamma, 1), b=b)
 
@@ -706,17 +706,35 @@ def test_cached_n_must_be_a_signed_transposition(monkeypatch):
 
 
 def test_conjugate_needs_one_entry_in_the_column_and_row_it_reads():
+    # gamma at (r, c) reads columns r and c of v_rep: v_rep^-1 has
+    # 1 / v_rep[b][c] at (c, b), so row c of v_rep^-1 is column c of v_rep
     sl = sl3()
-    gamma = AffineRoot(FiniteRoot((1, 0)), 0)  # position (1, 2)
-    two_in_column = with_entry(sl.identity(), 1, 0, rf(1))
+    gamma = AffineRoot(FiniteRoot((1, 0)), 1)  # position (1, 2)
+    v_rep = sl.n_simple(2) @ sl.h_root(gamma, 3)
+    assert sl.conjugate(v_rep, gamma, 2) == (rf({1: Fraction(-18)}), 0, 2)
+    assert v_rep @ sl.x_root(gamma, 2) @ v_rep.inverse() == with_entry(
+        sl.identity(), 0, 2, rf({1: Fraction(-18)})
+    )
+    two_in_column_r = with_entry(sl.identity(), 1, 0, rf(1))
     with pytest.raises(NormalizationError, match="not monomial"):
-        sl.conjugate(two_in_column, sl.identity(), gamma, 1)
-    two_in_row = with_entry(sl.identity(), 1, 2, rf(1))
+        sl.conjugate(two_in_column_r, gamma, 1)
+    two_in_column_c = with_entry(sl.identity(), 2, 1, rf(1))
     with pytest.raises(NormalizationError, match="not monomial"):
-        sl.conjugate(sl.identity(), two_in_row, gamma, 1)
+        sl.conjugate(two_in_column_c, gamma, 1)
     empty_column = with_entry(sl.identity(), 0, 0, rf(0))
     with pytest.raises(NormalizationError, match="not monomial"):
-        sl.conjugate(empty_column, sl.identity(), gamma, 1)
+        sl.conjugate(empty_column, gamma, 1)
+
+
+def test_root_coefficient_is_read_at_the_wall_position():
+    # 1 + f E_ab is x_gamma(c) only for f = c t^k at gamma's position, or f = 0
+    sl = sl3()
+    gamma = AffineRoot(FiniteRoot((1, 0)), 1)  # position (1, 2), k = 1
+    assert sl._extract_root_coeff(rf({1: Fraction(-3)}), 0, 1, gamma) == Fraction(-3)
+    assert sl._extract_root_coeff(rf(0), 2, 0, gamma) == Fraction(0)
+    for f, a, b in [(rf({1: 1}), 1, 0), (rf({0: 1}), 0, 1), (rf({1: 1, 2: 1}), 0, 1)]:
+        with pytest.raises(NormalizationError, match="not a root element"):
+            sl._extract_root_coeff(f, a, b, gamma)
 
 
 def test_validated_step_costs_a_fixed_number_of_products(monkeypatch):
@@ -735,19 +753,28 @@ def test_validated_step_costs_a_fixed_number_of_products(monkeypatch):
         real_check(self, consumed, prev, state)
         marks.append(products[0])
 
+    real_identity_with, built = LoopSL._identity_with, [0]
+
+    def identity_with(self, changes):
+        built[0] += 1
+        return real_identity_with(self, changes)
+
     for j in range(sl.group.rank + 1):  # the n_j are cached on first use
         sl.n_simple(j), sl.n_simple_inv(j)
     monkeypatch.setattr(GroupMatrix, "__matmul__", matmul)
     monkeypatch.setattr(LoopSL, "_check_state", check)
+    monkeypatch.setattr(LoopSL, "_identity_with", identity_with)
     per_step = {}
     for length in (4, 12):
         costs = []
         for _ in range(3):
             word = reduced_word(sl.group, rng, length)
             labels = nonzero_labels(rng, length)
-            products[0] = 0
+            products[0] = built[0] = 0
             sl.execute_folding(word, labels)
-            assert products[0] == 0  # the step itself makes no matrix product
+            # the step itself makes no matrix product and builds no matrix
+            # but through row and column operations
+            assert products[0] == built[0] == 0
             marks[:] = []
             sl.execute_folding(word, labels, validate=True)
             costs += [b - a for a, b in zip([0] + marks, marks)]

@@ -171,12 +171,10 @@ def test_unit_monomial_and_constant():
     assert (RationalFunction.of(QQ, -5) * t).is_unit_monomial()
     assert not (one + t).is_unit_monomial()
     assert not RationalFunction.of(QQ, 0).is_unit_monomial()
-    assert RationalFunction.of(QQ, Fraction(5, 3)).constant_value() == Fraction(5, 3)
-    assert RationalFunction.of(QQ, 0).constant_value() == Fraction(0)
-    with pytest.raises(ValueError):
-        (one + t).constant_value()
-    with pytest.raises(ValueError):
-        t.constant_value()
+    assert RationalFunction.of(QQ, Fraction(5, 3)).terms == {0: Fraction(5, 3)}
+    assert RationalFunction.of(QQ, 0).terms == {}
+    assert (one + t).terms == {0: Fraction(1), 1: Fraction(1)}
+    assert t.terms == {1: Fraction(1)}
 
 
 def test_pow_negative():
