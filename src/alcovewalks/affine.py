@@ -157,6 +157,7 @@ class AffineWeylGroup:
         self._coroots = tables.coroots
         self._pairing = tables.pairing
         self._simple = tables.simple
+        self._opposite = tuple(tables.index[(-alpha).coords] for alpha in self._roots)
         # the step table: per letter j, the gather w -> w s_j on root
         # permutations, the position of alpha_j's finite part, and k_j
         self._steps = tuple(
@@ -204,12 +205,21 @@ class AffineWeylGroup:
         is negative, whatever the translation does to its delta part."""
         return self._negative[state[1][self._steps[j][1]]]
 
-    def wall(self, state: AlcoveState, j: int) -> AffineRoot:
-        """g alpha_j: t_lam w sends alpha + k delta to w alpha + (k - <lam, w alpha>) delta."""
+    def uminus_wall(self, state: AlcoveState, j: int) -> tuple[int, int]:
+        """The uminus-positive one of +-g alpha_j, as the position of its
+        finite part and its delta coefficient: two ints that determine the
+        root, for affine_root to build.  t_lam w sends alpha + k delta to
+        w alpha + (k - <lam, w alpha>) delta."""
         t, w = state
         _, pos, k = self._steps[j]
         r = w[pos]
-        return AffineRoot(self._roots[r], k - sum(map(mul, t, self._pairing[r])))
+        k -= sum(map(mul, t, self._pairing[r]))
+        return (r, k) if self._negative[r] else (self._opposite[r], -k)
+
+    def affine_root(self, wall: tuple[int, int]) -> AffineRoot:
+        """The root of a (position, delta coefficient) pair from uminus_wall."""
+        r, k = wall
+        return AffineRoot(self._roots[r], k)
 
     def _descends(self, state: AlcoveState, i: int) -> bool:
         """Whether g alpha_i fails iwahori positivity (i is a right descent
@@ -248,8 +258,15 @@ class AffineWeylGroup:
     def length(self, g: AffineWeylElement) -> int:
         return len(self.reduced_word(g))
 
+    def _tail_key(self, state: AlcoveState) -> tuple[int, ...]:
+        """The translation of the state followed by the positions its finite
+        part sends the simple roots to: 2n ints that determine the state,
+        since a Weyl element is determined by its images of the simple roots."""
+        t, w = state
+        return t + tuple([w[r] for r in self._simple])
+
     def reduced_word(
-        self, g: AffineWeylElement, tails: dict[AlcoveState, Word] | None = None
+        self, g: AffineWeylElement, tails: dict[tuple[int, ...], Word] | None = None
     ) -> Word:
         """Lexicographically smallest reduced word, by greedy left descent.
 
@@ -258,26 +275,29 @@ class AffineWeylGroup:
         g^{-1} s_i, so only the inverse is tracked, as a raw state.
 
         The word of s_i g is the rest of the word of g, so words computed
-        together share tails: `tails` maps the state of h^{-1} to the word
-        of h for every h already passed, and the descent stops at the
-        first one.
+        together share tails: `tails` maps the _tail_key of the state of
+        h^{-1} to the word of h for every h already passed, and the descent
+        stops at the first one.  Keys are 2n ints where a state holds a
+        whole root permutation, so the states passed are not kept.
         """
         if tails is None:
             tails = {}
         letters = range(self.rank + 1)
         word: list[int] = []
-        passed: list[AlcoveState] = []
+        passed: list[tuple[int, ...]] = []
         state = self.inverse_state(g)
-        while state not in tails and state != self._identity_state:
+        key = self._tail_key(state)
+        while key not in tails and state != self._identity_state:
             for i in letters:
                 if self._descends(state, i):
                     break
             else:  # pragma: no cover - impossible for genuine group elements
                 raise RuntimeError("no descent found for a non-identity element")
-            passed.append(state)
+            passed.append(key)
             word.append(i)
             state = self.step(state, i)
-        tail = tails.get(state, ())
+            key = self._tail_key(state)
+        tail = tails.get(key, ())
         for k, hinv in enumerate(passed):
             tails[hinv] = tuple(word[k:]) + tail
         return tuple(word) + tail
@@ -295,7 +315,7 @@ class AffineWeylGroup:
         """Each element's reduced word, in canonical order: shorter words
         first, then lexicographically.  One reduced_word call per element,
         so callers that print the words reuse them instead of recomputing."""
-        tails: dict[AlcoveState, Word] = {}
+        tails: dict[tuple[int, ...], Word] = {}
         words = [(g, self.reduced_word(g, tails)) for g in elements]
         words.sort(key=lambda item: (len(item[1]), item[1]))
         return dict(words)

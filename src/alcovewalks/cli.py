@@ -138,7 +138,7 @@ def _cmd_count(args) -> int:
     word = parse_word(args.word)
     group = _group_for(args.type)
     target = _endpoint_filter(group, args)
-    counts = endpoint_counts(group, word, args.allow_nonreduced)
+    counts = endpoint_counts(group, word, args.allow_nonreduced, target)
     if target is not None:
         if target not in counts:
             print("0")

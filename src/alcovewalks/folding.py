@@ -73,7 +73,7 @@ class FoldedPath(Frozen):
         return self.alcoves[-1]
 
     def count(self, kind: StepKind) -> int:
-        return sum(1 for k in self.kinds if k is kind)
+        return self.kinds.count(kind)
 
     @property
     def dimension(self) -> int:
@@ -202,14 +202,16 @@ def enumerate_folded_paths(
     Branch steps explore the fold child before the zero crossing, so the
     output order is deterministic.  Non-reduced words are rejected unless
     explicitly allowed.  The walk runs on raw alcove states; paths merge
-    at alcoves, so each distinct alcove's element is built once per call.
-    With `end` only children that can still reach it are pushed, so the
-    paths come in the order of the full enumeration.
+    at alcoves and cross the same walls, so each distinct alcove's element
+    and each distinct wall is one object per call.  With `end` only
+    children that can still reach it are pushed, so the paths come in the
+    order of the full enumeration.
     """
     word = _check_word(group, word, allow_nonreduced)
     reach = None if end is None else _reaching_states(group, word, end)
     out = []
     elements: dict[AlcoveState, AffineWeylElement] = {}
+    distinct_walls: dict[tuple[int, int], AffineRoot] = {}
 
     def element(state: AlcoveState) -> AffineWeylElement:
         g = elements.get(state)
@@ -226,13 +228,15 @@ def enumerate_folded_paths(
             out.append(FoldedPath(word, kinds, alcoves, walls))
             continue
         j = word[step]
-        beta = group.wall(v, j)
         nv = group.step(v, j)
+        key = group.uminus_wall(v, j)
+        wall = distinct_walls.get(key)
+        if wall is None:
+            wall = distinct_walls[key] = group.affine_root(key)
         if group.sends_to_uminus(v, j):
-            children = ((nv, StepKind.POSITIVE_CROSSING, beta),)
+            children = ((nv, StepKind.POSITIVE_CROSSING, wall),)
         else:
             # pushed in reverse so the fold child is explored first
-            wall = -beta
             children = ((nv, StepKind.ZERO_CROSSING, wall), (v, StepKind.FOLD, wall))
         ahead = None if reach is None else reach[step + 1]
         for child, kind, wall in children:
@@ -247,8 +251,10 @@ def endpoint_counts(
     group: AffineWeylGroup,
     word: Sequence[int],
     allow_nonreduced: bool = False,
+    end: AffineWeylElement | None = None,
 ) -> dict[AffineWeylElement, CountPolynomial]:
-    """Cell count polynomials by endpoint, without building any path.
+    """Cell count polynomials by endpoint, without building any path; with
+    `end` only its count, if any path reaches it.
 
     Whether a step branches depends only on the current alcove and the
     letter, so the paths are summed per alcove as the word is read: a
@@ -259,11 +265,15 @@ def endpoint_counts(
     order together with the reduced words it sorted by.  The frontier maps
     raw alcove states to bare coefficient tuples, one dict lookup and one
     store per move; elements and CountPolynomials are built only for the
-    final endpoints.
+    final endpoints.  With `end` the frontier keeps only the states that
+    can still reach it, as enumerate_folded_paths does.
     """
     word = _check_word(group, word, allow_nonreduced)
-    frontier = {group.state(group.identity()): (1,)}
-    for j in word:
+    reach = None if end is None else _reaching_states(group, word, end)
+    start = group.state(group.identity())
+    frontier = {start: (1,)} if reach is None or start in reach[0] else {}
+    for step, j in enumerate(word):
+        ahead = None if reach is None else reach[step + 1]
         nxt: dict[AlcoveState, tuple[int, ...]] = {}
         get = nxt.get
         for v, count in frontier.items():
@@ -272,9 +282,10 @@ def endpoint_counts(
                 moves = ((vs, _times_q(count)),)
             else:
                 moves = ((v, _times_q_minus_one(count)), (vs, count))
-            for end, c in moves:
-                old = get(end)
-                nxt[end] = c if old is None else _plus(old, c)
+            for w, c in moves:
+                if ahead is None or w in ahead:
+                    old = get(w)
+                    nxt[w] = c if old is None else _plus(old, c)
         frontier = nxt
     # a count's leading coefficient is its number of top-dimensional paths,
     # so sums never cancel at the top and need no trimming
@@ -310,18 +321,26 @@ def cells_by_endpoint(
     end: AffineWeylElement | None = None,
 ) -> dict[AffineWeylElement, Cell]:
     """Group folded paths by endpoint, in canonical endpoint order; with
-    `end` only its cell, if any path reaches it."""
+    `end` only its cell, if any path reaches it.  Paths with the same
+    numbers of positive crossings and folds share one count polynomial."""
     grouped: dict[AffineWeylElement, list[FoldedPath]] = {}
     for path in enumerate_folded_paths(group, word, allow_nonreduced, end):
         grouped.setdefault(path.endpoint, []).append(path)
+    polynomials: dict[tuple[int, int], CountPolynomial] = {}
     out: dict[AffineWeylElement, Cell] = {}
     for end in group.canonical_words(grouped):
         paths = tuple(grouped[end])
-        counts = tuple(map(count_polynomial, paths))
+        shapes = [(p.count(StepKind.POSITIVE_CROSSING), p.count(StepKind.FOLD)) for p in paths]
+        counts = []
+        for path, shape in zip(paths, shapes):
+            poly = polynomials.get(shape)
+            if poly is None:
+                poly = polynomials[shape] = count_polynomial(path)
+            counts.append(poly)
         total = CountPolynomial.zero()
         for c in counts:
             total = total + c
-        out[end] = Cell(paths, total, tuple(p.dimension for p in paths), counts)
+        out[end] = Cell(paths, total, tuple(map(sum, shapes)), tuple(counts))
     return out
 
 

@@ -5,13 +5,33 @@ operations, so a test that calls them still exercises the package."""
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
 from typing import Sequence
 
-from alcovewalks.affine import AffineRoot, AffineWeylElement, AffineWeylGroup, Word, WordError
-from alcovewalks.cartan import Coweight
+from alcovewalks.affine import (
+    AffineRoot,
+    AffineWeylElement,
+    AffineWeylGroup,
+    Word,
+    WordError,
+    parse_word,
+)
+from alcovewalks.cartan import Coweight, from_label
 from alcovewalks.folding import CountPolynomial, _times_q, _times_q_minus_one
 from alcovewalks.loopgroup import GroupMatrix, LoopSL
 from alcovewalks.ratfunc import RationalFunction
+
+# -- the benchmark's inputs ---------------------------------------------------
+
+BENCH_CASES = json.loads((Path(__file__).parents[1] / "perfbench" / "cases.json").read_text())
+
+
+def bench_word(command: str, name: str) -> tuple[AffineWeylGroup, Word]:
+    """The group and the first pool word of the named benchmark case."""
+    case = next(c for c in BENCH_CASES[command] if c["name"] == name)
+    return AffineWeylGroup(from_label(case["type"])), parse_word(case["pool"][0]["word"])
+
 
 # -- affine Weyl groups -------------------------------------------------------
 

@@ -17,7 +17,9 @@ from alcovewalks.affine import (
 )
 from alcovewalks.cartan import Coweight, FiniteRoot, from_label
 
-from helpers import all_reduced_words, ball, inversion_sequence
+from alcovewalks.folding import endpoint_counts
+
+from helpers import all_reduced_words, ball, bench_word, inversion_sequence
 
 
 def a1():
@@ -43,7 +45,8 @@ def test_right_multiplication_by_simple_reflection_is_the_general_product(label)
             # the raw-state step table agrees with the element arithmetic
             beta = v.act(group.simple_affine_root(j))
             assert group.element(group.step(state, j)) == general
-            assert group.wall(state, j) == beta
+            wall = group.affine_root(group.uminus_wall(state, j))
+            assert wall == (beta if is_uminus_positive(beta) else -beta)
             assert group.sends_to_uminus(state, j) == is_uminus_positive(beta)
             assert (j in group.right_descents(v)) == (not is_iwahori_positive(beta))
 
@@ -312,3 +315,18 @@ def test_inverse_state_is_state_of_inverse(label):
     group = AffineWeylGroup(from_label(label))
     for g in ball(group, 4):
         assert group.inverse_state(g) == group.state(g.inverse())
+
+
+@pytest.mark.parametrize("label, radius", [("A2", 6), ("B2", 6), ("G2", 6), ("A3", 4), ("B3", 4)])
+def test_shared_tails_give_each_element_its_own_word(label, radius):
+    # canonical_words keys the shared tails by a compact key; a collision
+    # would give one element the word of another
+    group = AffineWeylGroup(from_label(label))
+    elements = ball(group, radius)
+    assert group.canonical_words(elements) == {g: group.reduced_word(g) for g in elements}
+
+
+def test_shared_tails_over_the_e6_bench_endpoints():
+    group, word = bench_word("count", "E6")
+    ends = endpoint_counts(group, word)
+    assert group.canonical_words(ends) == {g: group.reduced_word(g) for g in ends}

@@ -22,6 +22,8 @@ from alcovewalks.cli import EXIT_CLOSED_STDOUT, main
 from alcovewalks.folding import cells_by_endpoint, count_polynomial
 from alcovewalks.render import MAX_RADIUS
 
+from helpers import BENCH_CASES
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -42,6 +44,15 @@ def test_count_with_endpoint(capsys):
     )
     assert code == 0
     assert out.strip() == "q^3-2q^2+q"
+
+
+def test_readme_count_end_example_prints_its_line():
+    env = dict(os.environ, PYTHONPATH=str(Path(alcovewalks.__file__).parents[1]))
+    argv = ["count", "--type", "A2", "--word", "2,1,0,2,0,1,0,2,0", "--end", "2,1,0,2,1,2,0"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "alcovewalks.cli", *argv], capture_output=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"q^3-2q^2+q\n", b"")
 
 
 def test_count_table_with_q(capsys):
@@ -397,7 +408,6 @@ def test_malformed_json_exits_2(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-BENCH_CASES = json.loads((Path(__file__).parents[1] / "perfbench" / "cases.json").read_text())
 # every pool word of every count and paths case; the first keeps the case's name
 GOLDEN_JOBS = [
     (command, case, k)

@@ -17,7 +17,7 @@ from alcovewalks.folding import (
     paths_to_json,
 )
 
-from helpers import all_reduced_words, ball, q_power, times_q, times_q_minus_one
+from helpers import all_reduced_words, ball, bench_word, q_power, times_q, times_q_minus_one
 
 
 def a1():
@@ -301,6 +301,26 @@ def test_enumeration_to_an_end_is_the_filtered_enumeration(label):
             assert list(cell) == ([end] if want else [])
             if want:
                 assert cell[end].paths == want
+
+
+def test_equal_walls_and_counts_are_one_object_per_call():
+    group, word = bench_word("paths", "A2")
+    walls = [w for p in enumerate_folded_paths(group, word) for w in p.walls]
+    assert len({id(w) for w in walls}) == len(set(walls))
+    counts = [c for cell in cells_by_endpoint(group, word).values() for c in cell.counts]
+    assert len({id(c) for c in counts}) == len(set(counts))
+
+
+@pytest.mark.parametrize("name", ["A2", "A3"])
+def test_counts_to_an_end_are_the_filtered_counts(name):
+    group, word = bench_word("count", name)
+    counts = endpoint_counts(group, word)
+    for end, count in counts.items():
+        assert endpoint_counts(group, word, end=end) == {end: count}
+    # one letter longer than any endpoint of the word
+    top = group.from_word(word)
+    j = next(i for i in range(group.rank + 1) if i not in group.right_descents(top))
+    assert endpoint_counts(group, word, end=top * group.simple_reflection(j)) == {}
 
 
 def test_enumeration_to_an_end_of_a_nonreduced_word():
