@@ -193,6 +193,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    if args.end and not args.word:
+        raise ValueError("--end needs --word")
     check_radius(args.radius)
     _check_out(args.out)
     word = parse_word(args.word) if args.word else None
@@ -208,13 +210,10 @@ def _cmd_render(args) -> int:
                 print("no folded path has that endpoint", file=sys.stderr)
                 return 1
         else:
-            walk = [group.identity()]
-            for i in word:
-                walk.append(walk[-1] * group.simple_reflection(i))
-            overlays = (tuple(walk),)
-    spec = SceneSpec(datum=datum, radius=args.radius, overlays=overlays)
+            overlays = (word,)
+    svg = render_arrangement(SceneSpec(datum=datum, radius=args.radius, overlays=overlays))
     with open(args.out, "w") as fh:
-        fh.write(render_arrangement(spec))
+        fh.write(svg)
     return 0
 
 

@@ -138,9 +138,7 @@ def run_checks():
         "endpoint mismatch",
     )
 
-    matching = [
-        p for p in enumerate_folded_paths(group, WORD) if p.endpoint == target
-    ]
+    matching = enumerate_folded_paths(group, WORD, end=target)
     kinds_ok = (
         len(matching) == 1
         and "".join(k.value for k in matching[0].kinds) == KINDS

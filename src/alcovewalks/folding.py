@@ -46,38 +46,40 @@ class StepKind(enum.Enum):
 class FoldedPath(Frozen):
     """One labeled folded path of a fixed type.
 
-    alcoves has length len(type_word) + 1 and starts at the identity;
-    walls[k] is the uminus-positive wall recorded at step k.
+    walls[k] is the uminus-positive wall recorded at step k.  The alcoves
+    the path passes follow from its kinds: it starts at the identity, a
+    fold stays at v and every other step crosses to v s_j.
     """
 
-    __slots__ = __match_args__ = ("type_word", "kinds", "alcoves", "walls")
+    __slots__ = __match_args__ = ("type_word", "kinds", "walls", "endpoint")
     type_word: Word
     kinds: tuple[StepKind, ...]
-    alcoves: tuple[AffineWeylElement, ...]
     walls: tuple[AffineRoot, ...]
+    endpoint: AffineWeylElement
 
     def __init__(
         self,
         type_word: Word,
         kinds: tuple[StepKind, ...],
-        alcoves: tuple[AffineWeylElement, ...],
         walls: tuple[AffineRoot, ...],
+        endpoint: AffineWeylElement,
     ):
         _set(self, "type_word", type_word)
         _set(self, "kinds", kinds)
-        _set(self, "alcoves", alcoves)
         _set(self, "walls", walls)
-
-    @property
-    def endpoint(self) -> AffineWeylElement:
-        return self.alcoves[-1]
+        _set(self, "endpoint", endpoint)
 
     def count(self, kind: StepKind) -> int:
         return self.kinds.count(kind)
 
     @property
+    def shape(self) -> tuple[int, int]:
+        """(positive crossings, folds): all that the count and dimension read."""
+        return self.count(StepKind.POSITIVE_CROSSING), self.count(StepKind.FOLD)
+
+    @property
     def dimension(self) -> int:
-        return self.count(StepKind.POSITIVE_CROSSING) + self.count(StepKind.FOLD)
+        return sum(self.shape)
 
 
 # CountPolynomial arithmetic on bare coefficient tuples, ascending; the
@@ -159,7 +161,7 @@ class CountPolynomial(Frozen):
 def count_polynomial(path: FoldedPath) -> CountPolynomial:
     """q^a (q-1)^f for a positive crossings and f folds, by the binomial
     theorem: the coefficient of q^(a+k) is (-1)^(f-k) C(f, k)."""
-    a, f = path.count(StepKind.POSITIVE_CROSSING), path.count(StepKind.FOLD)
+    a, f = path.shape
     return CountPolynomial((0,) * a + tuple((-1) ** (f - k) * comb(f, k) for k in range(f + 1)))
 
 
@@ -202,30 +204,25 @@ def enumerate_folded_paths(
     Branch steps explore the fold child before the zero crossing, so the
     output order is deterministic.  Non-reduced words are rejected unless
     explicitly allowed.  The walk runs on raw alcove states; paths merge
-    at alcoves and cross the same walls, so each distinct alcove's element
-    and each distinct wall is one object per call.  With `end` only
-    children that can still reach it are pushed, so the paths come in the
-    order of the full enumeration.
+    at alcoves and cross the same walls, so each distinct endpoint and
+    each distinct wall is one object per call.  With `end` only children
+    that can still reach it are pushed, so the paths come in the order of
+    the full enumeration.
     """
     word = _check_word(group, word, allow_nonreduced)
     reach = None if end is None else _reaching_states(group, word, end)
     out = []
     elements: dict[AlcoveState, AffineWeylElement] = {}
     distinct_walls: dict[tuple[int, int], AffineRoot] = {}
-
-    def element(state: AlcoveState) -> AffineWeylElement:
-        g = elements.get(state)
-        if g is None:
-            g = elements[state] = group.element(state)
-        return g
-
     start = group.state(group.identity())
-    reachable = reach is None or start in reach[0]
-    stack = [(0, start, (), (), (element(start),))] if reachable else []
+    stack = [(0, start, (), ())] if reach is None or start in reach[0] else []
     while stack:
-        step, v, kinds, walls, alcoves = stack.pop()
+        step, v, kinds, walls = stack.pop()
         if step == len(word):
-            out.append(FoldedPath(word, kinds, alcoves, walls))
+            g = elements.get(v)
+            if g is None:
+                g = elements[v] = group.element(v)
+            out.append(FoldedPath(word, kinds, walls, g))
             continue
         j = word[step]
         nv = group.step(v, j)
@@ -241,9 +238,7 @@ def enumerate_folded_paths(
         ahead = None if reach is None else reach[step + 1]
         for child, kind, wall in children:
             if ahead is None or child in ahead:
-                stack.append(
-                    (step + 1, child, kinds + (kind,), walls + (wall,), alcoves + (element(child),))
-                )
+                stack.append((step + 1, child, kinds + (kind,), walls + (wall,)))
     return tuple(out)
 
 
@@ -295,23 +290,17 @@ def endpoint_counts(
 class Cell(Frozen):
     """All folded paths of one type sharing an endpoint."""
 
-    __slots__ = __match_args__ = ("paths", "count", "dimensions", "counts")
+    __slots__ = __match_args__ = ("paths", "count")
     paths: tuple[FoldedPath, ...]
     count: CountPolynomial
-    dimensions: tuple[int, ...]
-    counts: tuple[CountPolynomial, ...]  # each path's, in path order
 
-    def __init__(
-        self,
-        paths: tuple[FoldedPath, ...],
-        count: CountPolynomial,
-        dimensions: tuple[int, ...],
-        counts: tuple[CountPolynomial, ...],
-    ):
+    def __init__(self, paths: tuple[FoldedPath, ...], count: CountPolynomial):
         _set(self, "paths", paths)
         _set(self, "count", count)
-        _set(self, "dimensions", dimensions)
-        _set(self, "counts", counts)
+
+    @property
+    def dimensions(self) -> tuple[int, ...]:
+        return tuple(p.dimension for p in self.paths)
 
 
 def cells_by_endpoint(
@@ -321,26 +310,17 @@ def cells_by_endpoint(
     end: AffineWeylElement | None = None,
 ) -> dict[AffineWeylElement, Cell]:
     """Group folded paths by endpoint, in canonical endpoint order; with
-    `end` only its cell, if any path reaches it.  Paths with the same
-    numbers of positive crossings and folds share one count polynomial."""
+    `end` only its cell, if any path reaches it."""
     grouped: dict[AffineWeylElement, list[FoldedPath]] = {}
     for path in enumerate_folded_paths(group, word, allow_nonreduced, end):
         grouped.setdefault(path.endpoint, []).append(path)
-    polynomials: dict[tuple[int, int], CountPolynomial] = {}
     out: dict[AffineWeylElement, Cell] = {}
     for end in group.canonical_words(grouped):
         paths = tuple(grouped[end])
-        shapes = [(p.count(StepKind.POSITIVE_CROSSING), p.count(StepKind.FOLD)) for p in paths]
-        counts = []
-        for path, shape in zip(paths, shapes):
-            poly = polynomials.get(shape)
-            if poly is None:
-                poly = polynomials[shape] = count_polynomial(path)
-            counts.append(poly)
         total = CountPolynomial.zero()
-        for c in counts:
-            total = total + c
-        out[end] = Cell(paths, total, tuple(map(sum, shapes)), tuple(counts))
+        for p in paths:
+            total = total + count_polynomial(p)
+        out[end] = Cell(paths, total)
     return out
 
 
@@ -388,11 +368,12 @@ def paths_to_json(
     [{"count", "dim", "end", "kinds", "walls"}, ...], "type_word", and a
     "warning" when `nonreduced`}, with endpoints as element_to_json objects
     and walls as affine_root_to_json lists, but no document is built: each
-    endpoint is formatted once for its cell and its paths, and each wall
-    once per root.
+    endpoint is formatted once for its cell and its paths, each wall once
+    per root, and a path's count and dim once per shape.
     """
     ends = [_element_text(group, end) for end in cells]
     walls: dict[tuple[tuple[int, ...], int], str] = {}
+    shapes: dict[tuple[int, int], str] = {}
 
     def wall_text(beta: AffineRoot) -> str:
         key = (beta.finite.coords, beta.k)
@@ -402,12 +383,21 @@ def paths_to_json(
             text = walls[key] = _list((_list(map(str, coords), _PAD12), str(k)), _PAD10)
         return text
 
+    def shape_text(p: FoldedPath) -> str:
+        shape = p.shape
+        text = shapes.get(shape)
+        if text is None:
+            coeffs = count_polynomial(p).coeffs
+            text = shapes[shape] = (
+                f'"count": {_list(map(str, coeffs), _PAD8)},\n{_PAD6}"dim": {sum(shape)}'
+            )
+        return text
+
     def path_records():
         for end, cell in zip(ends, cells.values()):
-            for p, count, dim in zip(cell.paths, cell.counts, cell.dimensions):
+            for p in cell.paths:
                 yield (
-                    f'{_PAD4}{{\n{_PAD6}"count": {_list(map(str, count.coeffs), _PAD8)},\n'
-                    f'{_PAD6}"dim": {dim},\n{_PAD6}"end": {end},\n'
+                    f'{_PAD4}{{\n{_PAD6}{shape_text(p)},\n{_PAD6}"end": {end},\n'
                     f'{_PAD6}"kinds": {_list(map(_KIND_TEXT.__getitem__, p.kinds), _PAD8)},\n'
                     f'{_PAD6}"walls": {_list(map(wall_text, p.walls), _PAD8)}\n{_PAD4}}}'
                 )

@@ -3,7 +3,10 @@
 Output is static SVG 1.1 with a fixed element order and fixed number
 formatting, so a scene renders to byte-identical documents across runs.
 Walls carry class "wall", orientation marks "sign", the shaded
-fundamental alcove "alcove", and walk overlays "crossing"/"fold".
+fundamental alcove "alcove", and overlays "start", "crossing" and "fold".
+An overlay is a FoldedPath or a type word, which draws as its unfolded
+walk: every step crosses.  One drawer replays either from the identity
+on raw alcove states.
 """
 
 from __future__ import annotations
@@ -12,12 +15,11 @@ import math
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .affine import AffineWeylElement, AffineWeylGroup
+from .affine import AffineWeylGroup, AlcoveState, Word
 from .cartan import CartanDatum, Frozen, _set
 from .folding import FoldedPath, StepKind
 
-Walk = tuple[AffineWeylElement, ...]
-Overlay = Union[FoldedPath, Walk]
+Overlay = Union[FoldedPath, Word]
 
 SCALE = 60.0  # pixels per unit of drawing length
 MARGIN = 40.0  # pixels around the clipped arrangement
@@ -218,7 +220,7 @@ def render_arrangement(spec: SceneSpec) -> str:
             f'font-size="10" fill="#333333">H[{family}]</text>'
         )
 
-    centers: dict[AffineWeylElement, tuple[float, float]] = {}
+    centers: dict[AlcoveState, tuple[float, float]] = {}
     for overlay in spec.overlays:
         parts.extend(_overlay_elements(group, emb, px, overlay, centers))
 
@@ -226,53 +228,34 @@ def render_arrangement(spec: SceneSpec) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _barycenter(group: AffineWeylGroup, emb: _Embedding, v: AffineWeylElement, centers: dict):
+def _barycenter(group: AffineWeylGroup, emb: _Embedding, v: AlcoveState, centers: dict):
     """The drawing point of v's barycenter, computed once per alcove into centers."""
     point = centers.get(v)
     if point is None:
-        bary, _ = group.alcove_position(v)
+        bary, _ = group.alcove_position(group.element(v))
         point = centers[v] = emb.point(bary)
     return point
 
 
-def _overlay_elements(group, emb, px, overlay, centers):
+def _overlay_elements(group, emb, px, overlay: Overlay, centers):
+    """The start mark and one glyph per step: a fold hooks toward the wall
+    it does not cross, any other step is an arrow across it."""
     if isinstance(overlay, FoldedPath):
-        return _folded_path_elements(group, emb, px, overlay, centers)
-    return _walk_elements(group, emb, px, overlay, centers)
-
-
-def _walk_elements(group, emb, px, walk: Walk, centers):
-    parts = []
-    if not walk:
-        return parts
-    start = px(_barycenter(group, emb, walk[0], centers))
-    parts.append(
+        word, kinds = overlay.type_word, overlay.kinds
+    else:
+        word, kinds = overlay, (StepKind.ZERO_CROSSING,) * len(overlay)
+    v = group.state(group.identity())
+    start = px(_barycenter(group, emb, v, centers))
+    parts = [
         f'<circle class="start" cx="{_fmt(start[0])}" cy="{_fmt(start[1])}" r="3" fill="#1f3d7a"/>'
-    )
-    for a, b in zip(walk, walk[1:]):
-        pa = px(_barycenter(group, emb, a, centers))
-        pb = px(_barycenter(group, emb, b, centers))
-        parts.append(
-            f'<line class="crossing" x1="{_fmt(pa[0])}" y1="{_fmt(pa[1])}" '
-            f'x2="{_fmt(pb[0])}" y2="{_fmt(pb[1])}" stroke="#1f3d7a" stroke-width="1.5" '
-            'marker-end="url(#arrow)"/>'
-        )
-    return parts
-
-
-def _folded_path_elements(group, emb, px, path: FoldedPath, centers):
-    parts = []
-    start = px(_barycenter(group, emb, path.alcoves[0], centers))
-    parts.append(
-        f'<circle class="start" cx="{_fmt(start[0])}" cy="{_fmt(start[1])}" r="3" fill="#1f3d7a"/>'
-    )
-    for step, kind in enumerate(path.kinds):
-        v = path.alcoves[step]
-        j = path.type_word[step]
+    ]
+    for j, kind in zip(word, kinds):
+        group._check_letter(j)
+        vs = group.step(v, j)
         here = _barycenter(group, emb, v, centers)
+        other = _barycenter(group, emb, vs, centers)
         if kind is StepKind.FOLD:
             # hook toward the wall shared with v s_j and back
-            other = _barycenter(group, emb, v * group.simple_reflection(j), centers)
             wall = ((here[0] + other[0]) / 2, (here[1] + other[1]) / 2)
             dx, dy = wall[0] - here[0], wall[1] - here[1]
             side = (-dy * 0.25, dx * 0.25)
@@ -285,11 +268,11 @@ def _folded_path_elements(group, emb, px, path: FoldedPath, centers):
                 'fill="none" stroke="#a03030" stroke-width="1.5" marker-end="url(#arrow)"/>'
             )
         else:
-            nxt = _barycenter(group, emb, path.alcoves[step + 1], centers)
-            pa, pb = px(here), px(nxt)
+            pa, pb = px(here), px(other)
             parts.append(
                 f'<line class="crossing" x1="{_fmt(pa[0])}" y1="{_fmt(pa[1])}" '
                 f'x2="{_fmt(pb[0])}" y2="{_fmt(pb[1])}" stroke="#1f3d7a" stroke-width="1.5" '
                 'marker-end="url(#arrow)"/>'
             )
+            v = vs
     return parts

@@ -482,6 +482,61 @@ def test_render_end_that_no_path_reaches_exits_1(tmp_path, capsys):
     assert not out_file.exists()
 
 
+# sha256 of `render --radius 2 --word W [--end E]`: a word alone draws its
+# unfolded walk, with --end the folded paths that end there
+WORD_RENDERS = [
+    ("A2", "2,1,0,2,0,1,0,2,0", None, "608b825088bd549d576dfda4951795b5cc8ca124ad17292da53832b41986c223"),
+    ("A2", "1,1,2,0", None, "9023c7e1680f3c587317e9905fb7448e66b4d119e01317ae3ead12e6857d70b5"),
+    ("B2", "2,1,2,0,1", None, "2a6b7a481c92b4098bcdd070e06c4662cf65befe99fa7bc3a6104684cb8e745d"),
+    ("G2", "1,2,0,1,2", None, "ef29e0c4e04dd7167ec9308c5dd9d88052533e5625a254d14bae5d51e07404dc"),
+    ("A1", "1,0,1", None, "adecf33916b3f1c07004db3847ea87dfdde9b41d72d5e2b8ef9c0ff593e5f28d"),
+    ("A2", "2,1,0,2,0,1,0,2,0", "2,1,0,2,1,2,0", "cd54a3da3c71ddb60286e645b84e3bf61df9b79b9b891441d9809aedf1478e50"),
+]
+
+
+@pytest.mark.parametrize(
+    "type_label, word, end, digest",
+    WORD_RENDERS,
+    ids=["A2-walk", "A2-nonreduced-walk", "B2-walk", "G2-walk", "A1-walk", "A2-end"],
+)
+def test_render_word_matches_recorded_digest(tmp_path, capsys, type_label, word, end, digest):
+    out_file = tmp_path / "walk.svg"
+    end_flags = ["--end", end] if end else []
+    code, out, err = run(
+        capsys, "render", "--type", type_label, "--radius", "2", "--word", word, *end_flags,
+        "--out", str(out_file),
+    )
+    assert (code, out, err) == (0, "", "")
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("letter", ["3", "-1"])
+def test_render_word_with_a_bad_letter_exits_2(tmp_path, capsys, letter):
+    out_file = tmp_path / "walk.svg"
+    code, out, err = run(capsys, "render", "--type", "A2", "--word", letter, "--out", str(out_file))
+    assert (code, out, err) == (2, "", f"error: letter {letter} out of range 0..2\n")
+    assert not out_file.exists()
+
+
+def test_render_end_without_word_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("alcovewalks.cli._datum_for", fail_if_called)
+    out_file = tmp_path / "end.svg"
+    code, out, err = run(capsys, "render", "--type", "A2", "--end", "2,1", "--out", str(out_file))
+    assert (code, out, err) == (2, "", "error: --end needs --word\n")
+    assert not out_file.exists()
+
+
+def test_render_end_without_word_exits_2_from_the_command_line(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(alcovewalks.__file__).parents[1]))
+    out_file = tmp_path / "end.svg"
+    argv = ["render", "--type", "A2", "--end", "2,1", "--out", str(out_file)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "alcovewalks.cli", *argv], capture_output=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"error: --end needs --word\n")
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize(
     "type_label, end",
     [("A3", "1,2,3"), ("A3", "1,2,3,1"), ("E6", "1,2,3,1")],

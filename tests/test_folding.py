@@ -88,17 +88,16 @@ def test_single_branch_step_fold_first():
 
 
 def test_alcove_sequences_follow_kinds():
+    # a path starts at the identity, stays put at a fold and crosses to
+    # v s_j at every other step, so its kinds determine its endpoint
     g = a2()
-    for p in enumerate_folded_paths(g, (0, 1, 2)):
-        assert p.alcoves[0].is_identity()
-        v = g.identity()
-        for step, kind in enumerate(p.kinds):
-            if kind is StepKind.FOLD:
-                assert p.alcoves[step + 1] == v
-            else:
-                v = v * g.simple_reflection(p.type_word[step])
-                assert p.alcoves[step + 1] == v
-        assert p.endpoint == v
+    for word in [(0, 1, 2), LONG_WALK_WORD]:
+        for p in enumerate_folded_paths(g, word):
+            v = g.identity()
+            for j, kind in zip(p.type_word, p.kinds):
+                if kind is not StepKind.FOLD:
+                    v = v * g.simple_reflection(j)
+            assert p.endpoint == v
 
 
 def test_walls_always_uminus_positive():
@@ -305,10 +304,11 @@ def test_enumeration_to_an_end_is_the_filtered_enumeration(label):
 
 def test_equal_walls_and_counts_are_one_object_per_call():
     group, word = bench_word("paths", "A2")
-    walls = [w for p in enumerate_folded_paths(group, word) for w in p.walls]
+    paths = enumerate_folded_paths(group, word)
+    walls = [w for p in paths for w in p.walls]
     assert len({id(w) for w in walls}) == len(set(walls))
-    counts = [c for cell in cells_by_endpoint(group, word).values() for c in cell.counts]
-    assert len({id(c) for c in counts}) == len(set(counts))
+    ends = [p.endpoint for p in paths]
+    assert len({id(g) for g in ends}) == len(set(ends))
 
 
 @pytest.mark.parametrize("name", ["A2", "A3"])

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from alcovewalks.affine import AffineWeylGroup
+from alcovewalks.affine import AffineWeylGroup, WordError
 from alcovewalks.cartan import from_label
 from alcovewalks.folding import enumerate_folded_paths
 from alcovewalks.render import MAX_RADIUS, SceneSpec, render_arrangement
@@ -65,16 +65,17 @@ def test_folded_path_overlay_glyphs():
 
 
 def test_plain_walk_overlay():
-    group = AffineWeylGroup(from_label("A2"))
-    walk = [group.identity()]
-    for j in (2, 1, 0):
-        walk.append(walk[-1] * group.simple_reflection(j))
-    svg = render_arrangement(
-        SceneSpec(datum=from_label("A2"), radius=2, overlays=(tuple(walk),))
-    )
+    svg = render_arrangement(SceneSpec(datum=from_label("A2"), radius=2, overlays=((2, 1, 0),)))
     counts = element_classes(svg)
     assert counts["crossing"] == 3
     assert counts["fold"] == 0
+
+
+@pytest.mark.parametrize("letter", [3, -1])
+def test_word_overlay_with_a_bad_letter_raises(letter):
+    spec = SceneSpec(datum=from_label("A2"), radius=2, overlays=((2, letter, 0),))
+    with pytest.raises(WordError, match=f"letter {letter} out of range 0..2"):
+        render_arrangement(spec)
 
 
 def test_output_is_deterministic():
