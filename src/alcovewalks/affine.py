@@ -269,6 +269,9 @@ class AffineWeylGroup:
         self, g: AffineWeylElement, tails: dict[tuple[int, ...], Word] | None = None
     ) -> Word:
         """Lexicographically smallest reduced word, by greedy left descent.
+        Such canonical words are prefix-closed: a prefix u of the word uv of
+        g is the word of its own element, or a smaller reduced word u' of it
+        would make u'v a smaller reduced word of g.
 
         The descent test is: i is a left descent iff g^{-1} alpha_i fails
         iwahori positivity.  Removing the descent replaces g^{-1} by

@@ -8,8 +8,8 @@ Subcommands:
   render  SVG of the wall arrangement with optional walk overlays
 
 Exit codes: 0 success, 1 verification failure, 2 bad flags or a failed
-write, 3 internal error (the matrix executor broke an invariant), and 141
-when the reader closes stdout, as for a process that SIGPIPE ends.
+write, 3 internal error (the matrix executor broke an invariant), 130 on
+Ctrl-C and 141 when the reader closes stdout, as SIGINT and SIGPIPE do.
 """
 
 from __future__ import annotations
@@ -90,8 +90,11 @@ def _group_for(label: str) -> AffineWeylGroup:
     return AffineWeylGroup(_datum_for(label))
 
 
-def _parse_endpoint(group, text: str):
-    """An endpoint is a word ("2,1,0") or {translation, finite_word} JSON."""
+def _parse_endpoint(group, text: str | None):
+    """An endpoint is a word ("2,1,0") or {translation, finite_word} JSON;
+    without --end there is none."""
+    if text is None:
+        return None
     if text.lstrip().startswith("{"):
         try:
             doc = json.loads(text)
@@ -113,17 +116,11 @@ def _word_text(word) -> str:
     return ",".join(map(str, word)) or "-"
 
 
-def _endpoint_filter(group, args):
-    if getattr(args, "end", None) is None:
-        return None
-    return _parse_endpoint(group, args.end)
-
-
 def _cmd_paths(args) -> int:
     _check_out(args.out)
     word = parse_word(args.word)
     group = _group_for(args.type)
-    target = _endpoint_filter(group, args)
+    target = _parse_endpoint(group, args.end)
     cells = cells_by_endpoint(group, word, args.allow_nonreduced, target)
     nonreduced = args.allow_nonreduced and not group.is_reduced(word)
     if args.out:
@@ -137,7 +134,7 @@ def _cmd_paths(args) -> int:
 def _cmd_count(args) -> int:
     word = parse_word(args.word)
     group = _group_for(args.type)
-    target = _endpoint_filter(group, args)
+    target = _parse_endpoint(group, args.end)
     counts = endpoint_counts(group, word, args.allow_nonreduced, target)
     if target is not None:
         if target not in counts:
@@ -193,24 +190,21 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    if args.end and not args.word:
+    if args.end is not None and args.word is None:
         raise ValueError("--end needs --word")
     check_radius(args.radius)
     _check_out(args.out)
-    word = parse_word(args.word) if args.word else None
+    word = None if args.word is None else parse_word(args.word)
     datum = _datum_for(args.type)
     group = AffineWeylGroup(datum)
     check_rank(datum)
-    overlays = ()
-    if word is not None:
-        if args.end:
-            target = _parse_endpoint(group, args.end)
-            overlays = enumerate_folded_paths(group, word, end=target)
-            if not overlays:
-                print("no folded path has that endpoint", file=sys.stderr)
-                return 1
-        else:
-            overlays = (word,)
+    overlays = () if word is None else (word,)
+    target = _parse_endpoint(group, args.end)
+    if target is not None:
+        overlays = enumerate_folded_paths(group, word, end=target)
+        if not overlays:
+            print("no folded path has that endpoint", file=sys.stderr)
+            return 1
     svg = render_arrangement(SceneSpec(datum=datum, radius=args.radius, overlays=overlays))
     with open(args.out, "w") as fh:
         fh.write(svg)
@@ -226,8 +220,8 @@ _COMMANDS = {
 }
 
 
-# the exit status of a process that SIGPIPE ends: 128 + 13
-EXIT_CLOSED_STDOUT = 141
+# the exit statuses of a process that SIGPIPE (128 + 13) or SIGINT (128 + 2) ends
+EXIT_CLOSED_STDOUT, EXIT_INTERRUPTED = 141, 130
 
 
 def _discard_stdout() -> None:
@@ -264,6 +258,8 @@ def main(argv=None) -> int:
     except (NormalizationError, InvariantError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -12,9 +12,9 @@ Each path contributes q^{#positive} (q-1)^{#fold} points; summing over
 paths grouped by endpoint yields the cell counts.  paths_to_json streams
 the paths and cells as the JSON document of the `paths` command.
 
-The counting DP and the enumerator walk raw alcove states (see affine):
-AffineWeylGroup.step is the one place where s_j acts on them, and
-AffineWeylGroup.sends_to_uminus the one forced/branch test.
+_moves is this step rule, written once on raw alcove states (see affine)
+next to AffineWeylGroup.step, the one place where s_j acts on them, and
+AffineWeylGroup.sends_to_uminus, the one forced test.
 """
 
 from __future__ import annotations
@@ -43,6 +43,9 @@ class StepKind(enum.Enum):
     ZERO_CROSSING = "Z"
 
 
+_POSITIVE, _FOLD, _ZERO = StepKind  # for the hot loops: Enum attribute lookups are slow
+
+
 class FoldedPath(Frozen):
     """One labeled folded path of a fixed type.
 
@@ -69,13 +72,10 @@ class FoldedPath(Frozen):
         _set(self, "walls", walls)
         _set(self, "endpoint", endpoint)
 
-    def count(self, kind: StepKind) -> int:
-        return self.kinds.count(kind)
-
     @property
     def shape(self) -> tuple[int, int]:
         """(positive crossings, folds): all that the count and dimension read."""
-        return self.count(StepKind.POSITIVE_CROSSING), self.count(StepKind.FOLD)
+        return self.kinds.count(_POSITIVE), self.kinds.count(_FOLD)
 
     @property
     def dimension(self) -> int:
@@ -122,10 +122,6 @@ class CountPolynomial(Frozen):
     def zero() -> "CountPolynomial":
         return CountPolynomial(())
 
-    @staticmethod
-    def one() -> "CountPolynomial":
-        return CountPolynomial((1,))
-
     def __add__(self, other: "CountPolynomial") -> "CountPolynomial":
         return CountPolynomial.make(_plus(self.coeffs, other.coeffs))
 
@@ -165,31 +161,38 @@ def count_polynomial(path: FoldedPath) -> CountPolynomial:
     return CountPolynomial((0,) * a + tuple((-1) ** (f - k) * comb(f, k) for k in range(f + 1)))
 
 
-def _check_word(group: AffineWeylGroup, word: Sequence[int], allow_nonreduced: bool) -> Word:
-    """Letters must lie in 0..n; non-reduced words are rejected unless allowed."""
+def _moves(group: AffineWeylGroup, v: AlcoveState, j: int) -> tuple[tuple[AlcoveState, StepKind], ...]:
+    """The step rule at v with letter j as (alcove, kind) moves, the fold first."""
+    vs = group.step(v, j)
+    if group.sends_to_uminus(v, j):
+        return ((vs, _POSITIVE),)
+    return ((v, _FOLD), (vs, _ZERO))
+
+
+def _walk_setup(
+    group: AffineWeylGroup, word: Sequence[int], allow_nonreduced: bool, end: AffineWeylElement | None
+) -> tuple[Word, tuple[AlcoveState, ...], Sequence[set[AlcoveState] | None]]:
+    """The checked word, the start states and the pruning sets `ahead`.
+
+    Without `end` nothing is pruned.  With it, ahead[k] holds the states
+    from which word[k+1:] can still end there, read backwards from {end}:
+    y is kept if y s_j is kept, or if y is kept and branches.
+    """
     word = tuple(word)
     for i in word:
         group._check_letter(i)
     if not allow_nonreduced and not group.is_reduced(word):
         raise WordError(f"word {word} is not reduced (pass allow_nonreduced to override)")
-    return word
-
-
-def _reaching_states(
-    group: AffineWeylGroup, word: Word, end: AffineWeylElement
-) -> list[set[AlcoveState]]:
-    """reach[k]: the states from which the steps word[k:] can end at `end`.
-
-    Read backwards from reach[L] = {end}: a step at (y, j) may cross to
-    y s_j, and may also stay at y when it branches, so reach[k] is
-    reach[k+1] s_j together with the branch states of reach[k+1].
-    """
+    start = group.state(group.identity())
+    if end is None:
+        return word, (start,), (None,) * len(word)
     reach = [{group.state(end)}]
     for j in reversed(word):
         after = reach[-1]
         crossing = {group.step(z, j) for z in after}
         reach.append(crossing | {y for y in after if not group.sends_to_uminus(y, j)})
-    return reach[::-1]
+    reach.reverse()
+    return word, (start,) if start in reach[0] else (), reach[1:]
 
 
 def enumerate_folded_paths(
@@ -209,13 +212,11 @@ def enumerate_folded_paths(
     that can still reach it are pushed, so the paths come in the order of
     the full enumeration.
     """
-    word = _check_word(group, word, allow_nonreduced)
-    reach = None if end is None else _reaching_states(group, word, end)
+    word, starts, aheads = _walk_setup(group, word, allow_nonreduced, end)
     out = []
     elements: dict[AlcoveState, AffineWeylElement] = {}
     distinct_walls: dict[tuple[int, int], AffineRoot] = {}
-    start = group.state(group.identity())
-    stack = [(0, start, (), ())] if reach is None or start in reach[0] else []
+    stack = [(0, v, (), ()) for v in starts]
     while stack:
         step, v, kinds, walls = stack.pop()
         if step == len(word):
@@ -225,21 +226,39 @@ def enumerate_folded_paths(
             out.append(FoldedPath(word, kinds, walls, g))
             continue
         j = word[step]
-        nv = group.step(v, j)
         key = group.uminus_wall(v, j)
         wall = distinct_walls.get(key)
         if wall is None:
             wall = distinct_walls[key] = group.affine_root(key)
-        if group.sends_to_uminus(v, j):
-            children = ((nv, StepKind.POSITIVE_CROSSING, wall),)
-        else:
-            # pushed in reverse so the fold child is explored first
-            children = ((nv, StepKind.ZERO_CROSSING, wall), (v, StepKind.FOLD, wall))
-        ahead = None if reach is None else reach[step + 1]
-        for child, kind, wall in children:
+        ahead = aheads[step]
+        # pushed in reverse so the fold child is explored first
+        for child, kind in reversed(_moves(group, v, j)):
             if ahead is None or child in ahead:
                 stack.append((step + 1, child, kinds + (kind,), walls + (wall,)))
     return tuple(out)
+
+
+Frontier = dict[AlcoveState, tuple[int, ...]]  # the counting DP's per-alcove counts
+
+
+def count_step(group: AffineWeylGroup, frontier: Frontier, j: int, ahead=None) -> Frontier:
+    """The right action of T_j on per-alcove counts, keeping with `ahead`
+    only the moves into it.  Each move of _moves carries its count times q
+    when it crosses positively, q-1 when it folds and 1 when it crosses at zero."""
+    nxt: Frontier = {}
+    get = nxt.get
+    for v, count in frontier.items():
+        for w, kind in _moves(group, v, j):
+            if ahead is None or w in ahead:
+                if kind is _POSITIVE:
+                    c = _times_q(count)
+                elif kind is _FOLD:
+                    c = _times_q_minus_one(count)
+                else:
+                    c = count
+                old = get(w)
+                nxt[w] = c if old is None else _plus(old, c)
+    return nxt
 
 
 def endpoint_counts(
@@ -252,36 +271,18 @@ def endpoint_counts(
     `end` only its count, if any path reaches it.
 
     Whether a step branches depends only on the current alcove and the
-    letter, so the paths are summed per alcove as the word is read: a
-    forced step sends v to v s_j with factor q, a branch step keeps v with
-    factor q-1 and sends v s_j with factor 1.  The counts equal those of
-    cells_by_endpoint; the keys come in the order the frontier reached
-    them, and AffineWeylGroup.canonical_words puts them in canonical
-    order together with the reduced words it sorted by.  The frontier maps
-    raw alcove states to bare coefficient tuples, one dict lookup and one
-    store per move; elements and CountPolynomials are built only for the
-    final endpoints.  With `end` the frontier keeps only the states that
-    can still reach it, as enumerate_folded_paths does.
+    letter, so the paths are summed per alcove as the word is read, one
+    count_step per letter.  The counts equal those of cells_by_endpoint;
+    the keys come in the order the frontier reached them, and
+    AffineWeylGroup.canonical_words puts them in canonical order together
+    with the reduced words it sorted by.  Elements and CountPolynomials are
+    built only for the final endpoints.  With `end` the frontier keeps only
+    the states that can still reach it, as enumerate_folded_paths does.
     """
-    word = _check_word(group, word, allow_nonreduced)
-    reach = None if end is None else _reaching_states(group, word, end)
-    start = group.state(group.identity())
-    frontier = {start: (1,)} if reach is None or start in reach[0] else {}
-    for step, j in enumerate(word):
-        ahead = None if reach is None else reach[step + 1]
-        nxt: dict[AlcoveState, tuple[int, ...]] = {}
-        get = nxt.get
-        for v, count in frontier.items():
-            vs = group.step(v, j)
-            if group.sends_to_uminus(v, j):
-                moves = ((vs, _times_q(count)),)
-            else:
-                moves = ((v, _times_q_minus_one(count)), (vs, count))
-            for w, c in moves:
-                if ahead is None or w in ahead:
-                    old = get(w)
-                    nxt[w] = c if old is None else _plus(old, c)
-        frontier = nxt
+    word, starts, aheads = _walk_setup(group, word, allow_nonreduced, end)
+    frontier = dict.fromkeys(starts, (1,))
+    for j, ahead in zip(word, aheads):
+        frontier = count_step(group, frontier, j, ahead)
     # a count's leading coefficient is its number of top-dimensional paths,
     # so sums never cancel at the top and need no trimming
     return {group.element(v): CountPolynomial(count) for v, count in frontier.items()}

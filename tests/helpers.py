@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from alcovewalks.affine import (
     AffineRoot,
@@ -18,7 +18,7 @@ from alcovewalks.affine import (
     parse_word,
 )
 from alcovewalks.cartan import Coweight, from_label
-from alcovewalks.folding import CountPolynomial, _times_q, _times_q_minus_one
+from alcovewalks.folding import CountPolynomial, Frontier, _times_q, _times_q_minus_one, count_step
 from alcovewalks.loopgroup import GroupMatrix, LoopSL
 from alcovewalks.ratfunc import RationalFunction
 
@@ -73,6 +73,28 @@ def all_reduced_words(
         return memo[h]
 
     return words(g)
+
+
+def reduced_word_sweep(
+    group: AffineWeylGroup, max_length: int
+) -> Iterator[tuple[AffineWeylElement, int, Frontier]]:
+    """Every reduced word of at most max_length letters, depth first over
+    their trie, as (element, length, counting DP frontier).
+
+    A node's children are the letters outside its element's right
+    descents, and a child's frontier is its parent's after one count_step,
+    so every word costs one step whatever its length.
+    """
+    stack = [(group.identity(), 0, {group.state(group.identity()): (1,)})]
+    while stack:
+        g, ell, frontier = stack.pop()
+        yield g, ell, frontier
+        if ell < max_length:
+            descents = group.right_descents(g)
+            for j in range(group.rank + 1):
+                if j not in descents:
+                    child = g * group.simple_reflection(j)
+                    stack.append((child, ell + 1, count_step(group, frontier, j)))
 
 
 def inversion_sequence(group: AffineWeylGroup, word: Sequence[int]) -> tuple[AffineRoot, ...]:

@@ -23,14 +23,20 @@ from alcovewalks.folding import (
     CountPolynomial,
     cells_by_endpoint,
     count_polynomial,
-    endpoint_counts,
     enumerate_folded_paths,
 )
 from alcovewalks.loopgroup import LoopSL, brute_force_cells
 from alcovewalks.ratfunc import QQ, PrimeField, RationalFunction
 from alcovewalks.render import SceneSpec, render_arrangement
 
-from helpers import all_reduced_words, ball, bruhat_point_finite, coset_equal_borel, q_power
+from helpers import (
+    all_reduced_words,
+    ball,
+    bruhat_point_finite,
+    coset_equal_borel,
+    q_power,
+    reduced_word_sweep,
+)
 from test_render import GOLDEN, element_classes
 
 
@@ -147,27 +153,26 @@ def test_criterion_6_reduced_word_independence():
                     assert cells == reference
 
 
+# (type, longest word) of the DP sweeps over every reduced word
+DP_SWEEPS = (("A1", 12), ("A2", 12), ("B2", 12), ("G2", 12), ("A3", 7), ("B3", 6), ("C3", 6))
+
+
 def test_criterion_4_sum_rule_by_dp():
-    with _Timer("criterion 4 (DP): counts sum to q^l for A1, A2, B2, G2, length <= 8", 60.0):
-        for label in ("A1", "A2", "B2", "G2"):
+    with _Timer("criterion 4 (DP): counts sum to q^l at every reduced word of the sweeps", 60.0):
+        for label, max_length in DP_SWEEPS:
             group = AffineWeylGroup(from_label(label))
-            for elem, ell in ball(group, 8).items():
-                for word in all_reduced_words(group, elem, cap=8):
-                    total = CountPolynomial.zero()
-                    for count in endpoint_counts(group, word).values():
-                        total = total + count
-                    assert total == q_power(ell)
+            for _, ell, frontier in reduced_word_sweep(group, max_length):
+                total = map(sum, itertools.zip_longest(*frontier.values(), fillvalue=0))
+                assert CountPolynomial.make(total) == q_power(ell)
 
 
 def test_criterion_6_reduced_word_independence_by_dp():
-    with _Timer("criterion 6 (DP): identical counts for all reduced words, A2, B2, G2, length <= 7", 60.0):
-        for label in ("A2", "B2", "G2"):
+    with _Timer("criterion 6 (DP): one frontier for all reduced words of an element", 60.0):
+        for label, max_length in DP_SWEEPS:
             group = AffineWeylGroup(from_label(label))
-            for elem, ell in ball(group, 7).items():
-                words = all_reduced_words(group, elem, cap=7)
-                reference = endpoint_counts(group, words[0])
-                for word in words[1:]:
-                    assert endpoint_counts(group, word) == reference
+            first = {}
+            for g, _, frontier in reduced_word_sweep(group, max_length):
+                assert first.setdefault(g, frontier) == frontier
 
 
 def _finite_reduced_words(datum):

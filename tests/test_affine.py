@@ -166,6 +166,15 @@ def test_length_equals_inversion_count_small_ball():
             assert len(_bounded_inversions(group, g)) == ell
 
 
+@pytest.mark.parametrize("label, radius", [("A2", 6), ("B2", 6), ("G2", 6), ("A3", 4)])
+def test_canonical_words_are_prefix_closed(label, radius):
+    group = AffineWeylGroup(from_label(label))
+    for g in ball(group, radius):
+        word = group.reduced_word(g)
+        for k in range(len(word) + 1):
+            assert group.reduced_word(group.from_word(word[:k])) == word[:k]
+
+
 def test_inversion_sequence_examples():
     g = a2()
     a1r, a2r = FiniteRoot((1, 0)), FiniteRoot((0, 1))

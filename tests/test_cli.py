@@ -389,6 +389,14 @@ def test_invariant_error_exits_3(capsys, monkeypatch):
     assert err == "error: InvariantError: determinant drifted from 1\n"
 
 
+def test_ctrl_c_exits_130_quietly(capsys, monkeypatch):
+    def interrupt(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(alcovewalks.cli._COMMANDS, "count", interrupt)
+    assert run(capsys, "count", "--type", "A1", "--word", "1") == (130, "", "")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -535,6 +543,33 @@ def test_render_end_without_word_exits_2_from_the_command_line(tmp_path):
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"error: --end needs --word\n")
     assert not out_file.exists()
+
+
+def test_render_end_without_word_is_checked_for_presence(tmp_path, capsys):
+    out_file = tmp_path / "end.svg"
+    code, out, err = run(capsys, "render", "--type", "A2", "--end", "", "--out", str(out_file))
+    assert (code, out, err) == (2, "", "error: --end needs --word\n")
+    assert not out_file.exists()
+
+
+def _render_marks(capsys, tmp_path, *flags):
+    """The start marks, crossings and folds that render draws with these flags."""
+    out_file = tmp_path / "walk.svg"
+    code, out, err = run(capsys, "render", "--type", "A2", "--radius", "1", *flags, "--out", str(out_file))
+    assert (code, out, err) == (0, "", "")
+    svg = out_file.read_text()
+    return tuple(svg.count(f'class="{mark}"') for mark in ("start", "crossing", "fold"))
+
+
+def test_render_empty_word_draws_the_empty_walk(tmp_path, capsys):
+    assert _render_marks(capsys, tmp_path) == (0, 0, 0)
+    assert _render_marks(capsys, tmp_path, "--word", "") == (1, 0, 0)
+
+
+def test_render_empty_end_overlays_the_paths_ending_at_the_identity(tmp_path, capsys):
+    assert _render_marks(capsys, tmp_path, "--word", "2,1") == (1, 2, 0)
+    # the one path of (2, 1) that ends at the identity folds twice
+    assert _render_marks(capsys, tmp_path, "--word", "2,1", "--end", "") == (1, 0, 2)
 
 
 @pytest.mark.parametrize(

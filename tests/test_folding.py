@@ -130,7 +130,7 @@ def test_count_polynomial_basics():
 
 def test_count_polynomial_algebra():
     q = q_power(1)
-    one = CountPolynomial.one()
+    one = CountPolynomial((1,))
     qm1 = q + CountPolynomial.make([-1])
     assert poly_mul(qm1, qm1).coeffs == (1, -2, 1)
     assert str(CountPolynomial.zero()) == "0"
@@ -153,7 +153,7 @@ def test_count_polynomial_closed_form_matches_repeated_product():
 def test_shift_updates_match_multiplication():
     q, q_minus_one = CountPolynomial((0, 1)), CountPolynomial((-1, 1))
     rng = random.Random(5)
-    samples = [CountPolynomial.zero(), CountPolynomial.one()]
+    samples = [CountPolynomial.zero(), CountPolynomial((1,))]
     for _ in range(50):
         samples.append(CountPolynomial.make(rng.randint(-9, 9) for _ in range(rng.randint(1, 8))))
     for f in samples:
@@ -186,13 +186,13 @@ def test_endpoint_length_parity_and_fold_free_path():
     for word in [(0,), (0, 1), (2, 1, 0, 2), LONG_WALK_WORD[:6]]:
         w = g.from_word(word)
         paths = enumerate_folded_paths(g, word)
-        fold_free = [p for p in paths if p.count(StepKind.FOLD) == 0]
+        fold_free = [p for p in paths if p.kinds.count(StepKind.FOLD) == 0]
         assert len(fold_free) == 1
         assert fold_free[0].endpoint == w
-        assert all(p.endpoint != w for p in paths if p.count(StepKind.FOLD) > 0)
+        assert all(p.endpoint != w for p in paths if p.kinds.count(StepKind.FOLD) > 0)
         for p in paths:
             ell_end = g.length(p.endpoint)
-            folds = p.count(StepKind.FOLD)
+            folds = p.kinds.count(StepKind.FOLD)
             assert ell_end <= len(word) - folds
             assert (ell_end - (len(word) - folds)) % 2 == 0
 
