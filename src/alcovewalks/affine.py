@@ -1,4 +1,4 @@
-"""Affine roots, the affine Weyl group, words, and alcove geometry.
+"""Affine roots, the affine Weyl group, and its words.
 
 The group is the semidirect product of coroot-lattice translations with
 the finite Weyl group; elements are stored as (translation, finite part)
@@ -19,7 +19,6 @@ test and the descent test read the same table.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import itemgetter, mul, sub
 from typing import Iterable, Sequence
 
@@ -118,20 +117,13 @@ class AffineWeylElement(Frozen):
         mu, pairing = self.finite.act_root_paired(beta.finite, self.translation)
         return AffineRoot(mu, beta.k - pairing)
 
-    def act_point(self, x: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        """Level-one action on coweight-space points: linear part then translation."""
-        n = len(x)
-        m = self.finite.coweight_action
-        wx = tuple(sum(m[r][c] * x[c] for c in range(n)) for r in range(n))
-        return tuple(a + t for a, t in zip(wx, self.translation.coords))
-
 
 class AffineWeylGroup:
     """Context object for one irreducible finite-type datum.
 
-    Provides the simple affine reflections s_0..s_n, word/length
-    machinery driven by the iwahori-positivity descent test, and exact
-    alcove geometry for rank <= 2.
+    Provides the simple affine reflections s_0..s_n and word/length
+    machinery driven by the iwahori-positivity descent test.  The alcove
+    geometry that pictures the group in rank <= 2 lives in `render`.
     """
 
     def __init__(self, datum: CartanDatum):
@@ -322,56 +314,6 @@ class AffineWeylGroup:
         words = [(g, self.reduced_word(g, tails)) for g in elements]
         words.sort(key=lambda item: (len(item[1]), item[1]))
         return dict(words)
-
-    # -- alcove geometry (rank <= 2) ----------------------------------------
-
-    def fundamental_alcove_vertices(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Vertices of the closed fundamental alcove, in coroot coordinates."""
-        n = self.rank
-        if n > 2:
-            raise ValueError("alcove geometry is implemented for rank <= 2 only")
-        if n == 1:
-            # 0 < <x, alpha_1> < 1
-            a11 = self.datum.a(1, 1)
-            return ((Fraction(0),), (Fraction(1, a11),))
-        rows = [
-            tuple(self.datum.a(i, j) for j in (1, 2)) for i in (1, 2)
-        ]
-        phi = self.highest_root
-        phi_row = tuple(
-            sum(phi.coords[i] * self.datum.a(i + 1, j) for i in range(2)) for j in (1, 2)
-        )
-        origin = (Fraction(0), Fraction(0))
-        v1 = _solve2(rows[0], Fraction(0), phi_row, Fraction(1))
-        v2 = _solve2(rows[1], Fraction(0), phi_row, Fraction(1))
-        return (origin, v1, v2)
-
-    def alcove_position(
-        self, g: AffineWeylElement
-    ) -> tuple[tuple[Fraction, ...], tuple[tuple[Fraction, ...], ...]]:
-        """Barycenter and vertices of the alcove g A_0, in coroot coordinates."""
-        verts = tuple(g.act_point(v) for v in self.fundamental_alcove_vertices())
-        m = len(verts)
-        bary = tuple(sum(v[c] for v in verts) / m for c in range(self.rank))
-        return bary, verts
-
-    def root_functional(self, alpha: FiniteRoot) -> tuple[int, ...]:
-        """Coefficients of x -> alpha(x) on coroot coordinates."""
-        return tuple(
-            sum(alpha.coords[i] * self.datum.a(i + 1, j + 1) for i in range(self.rank))
-            for j in range(self.rank)
-        )
-
-
-def _solve2(
-    row_a: tuple[int, int], rhs_a: Fraction, row_b: tuple[int, int], rhs_b: Fraction
-) -> tuple[Fraction, Fraction]:
-    det = Fraction(row_a[0] * row_b[1] - row_a[1] * row_b[0])
-    if det == 0:
-        raise ValueError("degenerate wall intersection")
-    x = (rhs_a * row_b[1] - row_a[1] * rhs_b) / det
-    y = (row_a[0] * rhs_b - rhs_a * row_b[0]) / det
-    return (x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -194,10 +194,6 @@ class CartanDatum(Frozen):
 
     # -- basic queries ------------------------------------------------
 
-    def a(self, i: int, j: int) -> int:
-        """Matrix entry for 1-based simple indices."""
-        return self.entries[i - 1][j - 1]
-
     def pairing(self, lam: Coweight, mu: FiniteRoot) -> int:
         """Evaluate the root mu on the coroot lam: mu(h_lam)."""
         if len(lam.coords) != self.size or len(mu.coords) != self.size:

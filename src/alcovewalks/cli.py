@@ -123,7 +123,7 @@ def _cmd_paths(args) -> int:
     target = _parse_endpoint(group, args.end)
     cells = cells_by_endpoint(group, word, args.allow_nonreduced, target)
     nonreduced = args.allow_nonreduced and not group.is_reduced(word)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w") as fh:
             paths_to_json(group, word, cells, fh.write, nonreduced)
     else:

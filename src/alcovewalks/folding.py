@@ -42,6 +42,8 @@ class StepKind(enum.Enum):
     FOLD = "F"
     ZERO_CROSSING = "Z"
 
+    __hash__ = object.__hash__  # members compare by identity; Enum's hash runs Python code
+
 
 _POSITIVE, _FOLD, _ZERO = StepKind  # for the hot loops: Enum attribute lookups are slow
 

@@ -7,16 +7,20 @@ fundamental alcove "alcove", and overlays "start", "crossing" and "fold".
 An overlay is a FoldedPath or a type word, which draws as its unfolded
 walk: every step crosses.  One drawer replays either from the identity
 on raw alcove states.
+
+The exact rank <= 2 alcove geometry lives here too, in coroot coordinates:
+the fundamental alcove's vertices and each alcove's barycenter.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Sequence, Union
 
 from .affine import AffineWeylGroup, AlcoveState, Word
-from .cartan import CartanDatum, Frozen, _set
+from .cartan import CartanDatum, Frozen, RootTables, _set
 from .folding import FoldedPath, StepKind
 
 Overlay = Union[FoldedPath, Word]
@@ -124,14 +128,36 @@ def _clip_line(g: tuple[float, float], k: float, half: float):
     return uniq[0], uniq[-1]
 
 
+def _alcove_vertices(datum: CartanDatum) -> tuple[tuple[Fraction, ...], ...]:
+    """The fundamental alcove's vertices: the origin, then theta = 1 in rank 1,
+    and in rank 2 per i the solution of alpha_i = 0, theta = 1 by Cramer's rule."""
+    tables = datum.root_tables
+    theta = tables.pairing[tables.index[datum.highest_root().coords]]
+    if datum.size == 1:
+        return ((Fraction(0),), (Fraction(1, theta[0]),))
+    vertices = [(Fraction(0), Fraction(0))]
+    for a1, a2 in (tables.pairing[r] for r in tables.simple):
+        det = a1 * theta[1] - a2 * theta[0]
+        vertices.append((Fraction(-a2, det), Fraction(a1, det)))
+    return tuple(vertices)
+
+
+def _barycenter(tables: RootTables, b0: tuple[Fraction, ...], state: AlcoveState) -> tuple[Fraction, ...]:
+    """The barycenter of t_lam w A_0 from its raw state (lam, w): w b0 + lam,
+    for b0 A_0's barycenter and column i of w the coroot w h_i."""
+    t, w = state
+    columns = [tables.coroots[w[r]] for r in tables.simple]
+    return tuple(lam + sum(map(mul, row, b0)) for lam, row in zip(t, zip(*columns)))
+
+
 def render_arrangement(spec: SceneSpec) -> str:
     group = AffineWeylGroup(spec.datum)
     emb = _Embedding(spec.datum)
     rank = spec.datum.size
-    pos_roots = sorted(spec.datum.positive_roots(), key=lambda r: (r.height, r.coords))
-    functionals = {alpha: emb.functional(group.root_functional(alpha)) for alpha in pos_roots}
-    norms = [math.hypot(*functionals[a]) for a in pos_roots]
-    half = (spec.radius + 0.7) / min(norms)
+    tables = spec.datum.root_tables
+    pos_roots = spec.datum.positive_roots()  # by height, then coordinates
+    functionals = [emb.functional(tables.pairing[tables.index[a.coords]]) for a in pos_roots]
+    half = (spec.radius + 0.7) / min(math.hypot(*g) for g in functionals)
     if rank == 1:
         half_y = 0.6
     else:
@@ -158,7 +184,7 @@ def render_arrangement(spec: SceneSpec) -> str:
     ]
 
     # shaded fundamental alcove
-    verts = group.fundamental_alcove_vertices()
+    verts = _alcove_vertices(spec.datum)
     if rank == 1:
         (a,), (b,) = verts
         pa, pb = emb.point((a,))[0], emb.point((b,))[0]
@@ -176,8 +202,7 @@ def render_arrangement(spec: SceneSpec) -> str:
         parts.append(f'<polygon class="alcove" points="{pts}" fill="#f2c879" stroke="none"/>')
 
     # the walls H with <x, alpha> = k for positive alpha and |k| <= radius
-    for root_index, alpha in enumerate(pos_roots):
-        g = functionals[alpha]
+    for root_index, (alpha, g) in enumerate(zip(pos_roots, functionals)):
         gnorm = math.hypot(*g)
         ghat = (g[0] / gnorm, g[1] / gnorm)
         for k in range(-spec.radius, spec.radius + 1):
@@ -220,24 +245,24 @@ def render_arrangement(spec: SceneSpec) -> str:
             f'font-size="10" fill="#333333">H[{family}]</text>'
         )
 
+    b0 = tuple(sum(c) / len(verts) for c in zip(*verts))
     centers: dict[AlcoveState, tuple[float, float]] = {}
+
+    def center(v: AlcoveState) -> tuple[float, float]:
+        """The drawing point of v's barycenter, computed once per alcove."""
+        point = centers.get(v)
+        if point is None:
+            point = centers[v] = emb.point(_barycenter(tables, b0, v))
+        return point
+
     for overlay in spec.overlays:
-        parts.extend(_overlay_elements(group, emb, px, overlay, centers))
+        parts.extend(_overlay_elements(group, center, px, overlay))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def _barycenter(group: AffineWeylGroup, emb: _Embedding, v: AlcoveState, centers: dict):
-    """The drawing point of v's barycenter, computed once per alcove into centers."""
-    point = centers.get(v)
-    if point is None:
-        bary, _ = group.alcove_position(group.element(v))
-        point = centers[v] = emb.point(bary)
-    return point
-
-
-def _overlay_elements(group, emb, px, overlay: Overlay, centers):
+def _overlay_elements(group, center, px, overlay: Overlay):
     """The start mark and one glyph per step: a fold hooks toward the wall
     it does not cross, any other step is an arrow across it."""
     if isinstance(overlay, FoldedPath):
@@ -245,15 +270,15 @@ def _overlay_elements(group, emb, px, overlay: Overlay, centers):
     else:
         word, kinds = overlay, (StepKind.ZERO_CROSSING,) * len(overlay)
     v = group.state(group.identity())
-    start = px(_barycenter(group, emb, v, centers))
+    start = px(center(v))
     parts = [
         f'<circle class="start" cx="{_fmt(start[0])}" cy="{_fmt(start[1])}" r="3" fill="#1f3d7a"/>'
     ]
     for j, kind in zip(word, kinds):
         group._check_letter(j)
         vs = group.step(v, j)
-        here = _barycenter(group, emb, v, centers)
-        other = _barycenter(group, emb, vs, centers)
+        here = center(v)
+        other = center(vs)
         if kind is StepKind.FOLD:
             # hook toward the wall shared with v s_j and back
             wall = ((here[0] + other[0]) / 2, (here[1] + other[1]) / 2)

@@ -1,7 +1,6 @@
 import itertools
 
 import pytest
-from fractions import Fraction
 
 from alcovewalks.affine import (
     MAX_WORD_LENGTH,
@@ -246,44 +245,6 @@ def test_a1_infinite_braid():
     for _ in range(1, 8):
         acc = acc * prod
         assert not acc.is_identity()
-
-
-def test_fundamental_alcove_a2():
-    g = a2()
-    verts = g.fundamental_alcove_vertices()
-    assert verts == (
-        (Fraction(0), Fraction(0)),
-        (Fraction(1, 3), Fraction(2, 3)),
-        (Fraction(2, 3), Fraction(1, 3)),
-    )
-    bary, pos_verts = g.alcove_position(g.identity())
-    assert pos_verts == verts
-    assert bary == (Fraction(1, 3), Fraction(1, 3))
-
-
-def test_alcove_mirror():
-    g = a2()
-    s1 = g.simple_reflection(1)
-    _, verts = g.alcove_position(s1)
-    base = g.fundamental_alcove_vertices()
-    # the wall of alpha_1 is fixed pointwise: origin and the alpha_1 = 0 vertex
-    assert verts[0] == base[0]
-    assert verts[1] == base[1]
-    assert verts[2] != base[2]
-
-
-def test_alcove_translate():
-    g = a1()
-    t1 = g.from_word((0, 1))  # t_{alpha_1 vee}
-    _, moved = g.alcove_position(t1)
-    base = g.fundamental_alcove_vertices()
-    assert moved == tuple((v[0] + 1,) for v in base)
-
-
-def test_alcove_rank_guard():
-    g = AffineWeylGroup(from_label("A3"))
-    with pytest.raises(ValueError):
-        g.fundamental_alcove_vertices()
 
 
 def test_element_json_round_trip():

@@ -190,6 +190,17 @@ def test_paths_out_flag(tmp_path, capsys):
     assert out_file.read_bytes() == stdout.encode()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["paths", "--type", "A1", "--word", "1"], ["render", "--type", "A1"]],
+    ids=["paths", "render"],
+)
+def test_empty_out_exits_2(capsys, argv):
+    # an empty --out is a file name that cannot be opened, not "no --out"
+    code, out, err = run(capsys, *argv, "--out", "")
+    assert (code, out, err) == (2, "", "error: [Errno 2] No such file or directory: ''\n")
+
+
 def test_bad_word_letter_exits_2(capsys):
     code, _, err = run(capsys, "count", "--type", "A1", "--word", "3")
     assert code == 2
@@ -499,17 +510,24 @@ WORD_RENDERS = [
     ("G2", "1,2,0,1,2", None, "ef29e0c4e04dd7167ec9308c5dd9d88052533e5625a254d14bae5d51e07404dc"),
     ("A1", "1,0,1", None, "adecf33916b3f1c07004db3847ea87dfdde9b41d72d5e2b8ef9c0ff593e5f28d"),
     ("A2", "2,1,0,2,0,1,0,2,0", "2,1,0,2,1,2,0", "cd54a3da3c71ddb60286e645b84e3bf61df9b79b9b891441d9809aedf1478e50"),
+    ("C2", "2,1,2,0,1", None, "e1f168067227211cc371e07b55ec781d7820424ace14b5ccbc5bf85e14faae94"),
+    ("C2", "2,1,2,0,1", "0,1", "86a6bcdfce46b5c75971140e636a82a84058df827fe764bc249d24027b98adeb"),
+    ("G2", "1,2,0,1,2", "0,2", "ec81ccf63cb4b8a0c810c423b9363933395753c9dc92317a1af69b0f396f72ef"),
+    ("A1", "1,0,1", "", "99949d29bb560d6e0f4ef7738de3255bb6c2d641e0b23ecb9d041ef5810b18f7"),
 ]
 
 
 @pytest.mark.parametrize(
     "type_label, word, end, digest",
     WORD_RENDERS,
-    ids=["A2-walk", "A2-nonreduced-walk", "B2-walk", "G2-walk", "A1-walk", "A2-end"],
+    ids=[
+        "A2-walk", "A2-nonreduced-walk", "B2-walk", "G2-walk", "A1-walk", "A2-end",
+        "C2-walk", "C2-end", "G2-end", "A1-end-identity",
+    ],
 )
 def test_render_word_matches_recorded_digest(tmp_path, capsys, type_label, word, end, digest):
     out_file = tmp_path / "walk.svg"
-    end_flags = ["--end", end] if end else []
+    end_flags = [] if end is None else ["--end", end]
     code, out, err = run(
         capsys, "render", "--type", type_label, "--radius", "2", "--word", word, *end_flags,
         "--out", str(out_file),

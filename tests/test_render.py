@@ -1,5 +1,6 @@
 import xml.etree.ElementTree as ET
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,13 @@ import pytest
 from alcovewalks.affine import AffineWeylGroup, WordError
 from alcovewalks.cartan import from_label
 from alcovewalks.folding import enumerate_folded_paths
-from alcovewalks.render import MAX_RADIUS, SceneSpec, render_arrangement
+from alcovewalks.render import (
+    MAX_RADIUS,
+    SceneSpec,
+    _alcove_vertices,
+    _barycenter,
+    render_arrangement,
+)
 
 GOLDEN = Path(__file__).parent / "golden" / "a2_radius2.svg"
 
@@ -15,6 +22,13 @@ GOLDEN = Path(__file__).parent / "golden" / "a2_radius2.svg"
 def element_classes(svg: str) -> Counter:
     root = ET.fromstring(svg)
     return Counter(el.get("class") for el in root.iter() if el.get("class"))
+
+
+def barycenter_of(group):
+    """The exact barycenter of g A_0 for an element g of the group."""
+    vertices = _alcove_vertices(group.datum)
+    b0 = tuple(sum(c) / len(vertices) for c in zip(*vertices))
+    return lambda g: _barycenter(group.datum.root_tables, b0, group.state(g))
 
 
 def example8_path():
@@ -92,16 +106,61 @@ def test_wall_adjacency_matches_simple_reflection():
     # alcoves on the two sides of a rendered wall differ by one simple
     # reflection: the barycenter midpoint lies exactly on the wall
     group = AffineWeylGroup(from_label("A2"))
+    tables = group.datum.root_tables
+    barycenter = barycenter_of(group)
     for word in [(), (0,), (0, 1), (2, 1, 0)]:
         v = group.from_word(word)
         for j in range(3):
             beta = v.act(group.simple_affine_root(j))
-            mid_a, _ = group.alcove_position(v)
-            mid_b, _ = group.alcove_position(v * group.simple_reflection(j))
+            mid_a = barycenter(v)
+            mid_b = barycenter(v * group.simple_reflection(j))
             mid = tuple((a + b) / 2 for a, b in zip(mid_a, mid_b))
-            functional = group.root_functional(beta.finite)
+            functional = tables.pairing[tables.index[beta.finite.coords]]
             value = sum(f * x for f, x in zip(functional, mid))
             assert value == -beta.k
+
+
+def test_fundamental_alcove_a2():
+    group = AffineWeylGroup(from_label("A2"))
+    assert _alcove_vertices(group.datum) == (
+        (Fraction(0), Fraction(0)),
+        (Fraction(1, 3), Fraction(2, 3)),
+        (Fraction(2, 3), Fraction(1, 3)),
+    )
+    assert barycenter_of(group)(group.identity()) == (Fraction(1, 3), Fraction(1, 3))
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "C2", "G2"])
+def test_alcove_vertices_lie_on_their_walls(label):
+    # vertex 0 is the origin, and every other vertex has theta = 1; in rank 2
+    # vertex i also has alpha_i = 0
+    datum = from_label(label)
+    tables = datum.root_tables
+    theta = tables.pairing[tables.index[datum.highest_root().coords]]
+    origin, *others = _alcove_vertices(datum)
+    assert origin == (0,) * datum.size
+    for r, vertex in zip(tables.simple, others):
+        assert sum(f * x for f, x in zip(theta, vertex)) == 1
+        if datum.size == 2:
+            assert sum(f * x for f, x in zip(tables.pairing[r], vertex)) == 0
+
+
+def test_alcove_mirror():
+    # s_1 A_0 is A_0 reflected in the wall alpha_1 = 0, which s_1 fixes
+    # pointwise: its barycenter is b - alpha_1(b) h_1 for A_0's barycenter b
+    group = AffineWeylGroup(from_label("A2"))
+    barycenter = barycenter_of(group)
+    base = barycenter(group.identity())
+    mirrored = barycenter(group.simple_reflection(1))
+    alpha_1 = 2 * base[0] - base[1]  # A2's alpha_1 on coroot coordinates; h_1 = (1, 0)
+    assert mirrored == (base[0] - alpha_1, base[1]) == (0, Fraction(1, 3))
+
+
+def test_alcove_translate():
+    group = AffineWeylGroup(from_label("A1"))
+    barycenter = barycenter_of(group)
+    t1 = group.from_word((0, 1))  # t_{alpha_1 vee}
+    assert barycenter(t1) == tuple(c + 1 for c in barycenter(group.identity()))
 
 
 def test_rank_guard():
