@@ -8,6 +8,9 @@ stays cheap.  Equality holds only between instances of the same class, and
 the hash is that of the tuple of the fields; `Frozen` gives both, and the
 few types compared on hot paths write out their own.
 
+`validate_cartan` names each connected component by its rank, lacing and
+determinant, from one exact elimination that also decides finite type.
+
 A finite Weyl group element is the permutation it induces on the roots,
 listed in the fixed order of `CartanDatum.roots()`; its actions on roots
 and coweights are read from the tables of `CartanDatum.root_tables`.
@@ -385,23 +388,6 @@ def _solve_symmetrizer(entries: tuple[tuple[int, ...], ...]) -> tuple[Fraction, 
     return tuple(eps)  # type: ignore[arg-type]
 
 
-def _is_positive_definite(g: list[list[Fraction]]) -> bool:
-    """Sylvester's criterion on a symmetric rational matrix, in one
-    elimination without row exchanges: while the pivots are positive, the
-    k-th pivot is D_k / D_(k-1) for the leading minors D_k, so every minor
-    is positive exactly when every pivot is."""
-    a = [row[:] for row in g]
-    for k, pivot_row in enumerate(a):
-        pivot = pivot_row[k]
-        if pivot <= 0:
-            return False
-        for row in a[k + 1 :]:
-            f = row[k] / pivot
-            for c in range(k, len(a)):
-                row[c] -= f * pivot_row[c]
-    return True
-
-
 def validate_cartan(matrix: Sequence[Sequence[int]]) -> CartanDatum:
     """Check the Cartan axioms and finite type; classify on success."""
     if not isinstance(matrix, (list, tuple)) or not all(
@@ -423,95 +409,53 @@ def validate_cartan(matrix: Sequence[Sequence[int]]) -> CartanDatum:
                 raise CartanError(f"not-Cartan: off-diagonal entry a[{i+1}][{j+1}] > 0")
             if (entries[i][j] == 0) != (entries[j][i] == 0):
                 raise CartanError(f"not-Cartan: zero pattern asymmetric at ({i+1},{j+1})")
-    eps = _solve_symmetrizer(entries)
-    if eps is None:
+    if _solve_symmetrizer(entries) is None:
         raise CartanError("not-finite-type: matrix is not symmetrizable")
-    gram = [[eps[i] * entries[i][j] for j in range(n)] for i in range(n)]
-    if not _is_positive_definite(gram):
-        raise CartanError("not-finite-type: symmetrized matrix is not positive definite")
-    label = "x".join(_classify_component(entries, comp) for comp in _components(entries))
+    label = "x".join(
+        _classify_component([[entries[u - 1][v - 1] for v in comp] for u in comp])
+        for comp in _components(entries)
+    )
     return CartanDatum(n, entries, label)
 
 
-def _classify_component(entries: tuple[tuple[int, ...], ...], comp: tuple[int, ...]) -> str:
-    idx = [i - 1 for i in comp]
-    n = len(idx)
-    if n == 1:
-        return "A1"
-    edges = [
-        (u, v, entries[u][v] * entries[v][u])
-        for a, u in enumerate(idx)
-        for v in idx[a + 1 :]
-        if entries[u][v] != 0
-    ]
-    deg = {u: sum(1 for e in edges if u in (e[0], e[1])) for u in idx}
-    multiple = [e for e in edges if e[2] > 1]
-    if any(e[2] == 3 for e in edges):
+def _classify_component(block: list[list[int]]) -> str:
+    """Name a connected symmetrizable block by its rank n, its lacing (the
+    largest a_ij a_ji) and its determinant; raise unless it is of finite type.
+
+    The block is D S with D diagonal and positive and S symmetric, so its
+    leading minors have the signs of S's, all positive exactly when S is
+    positive definite (Sylvester).  Fraction-free elimination without row
+    exchanges (Bareiss) makes each pivot a leading minor, the last being
+    the determinant.  Among the connected finite types (Kac,
+    Infinite-dimensional Lie algebras, 4.8, Table Fin) det A_n = n + 1,
+    det B_n = det C_n = 2, det D_n = 4 for n >= 4, det E_n = 9 - n and
+    det F4 = det G2 = 1.  a_uv = -2 makes alpha_v the short root of the
+    double edge, and B_n has it at a leaf of the chain (in rank 2, where
+    both nodes are leaves, B2 has it second).
+    """
+    n = len(block)
+    a, det = [row[:] for row in block], 1
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot <= 0:
+            raise CartanError("not-finite-type: symmetrized matrix is not positive definite")
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) // det
+        det = pivot
+    lacing = max((block[i][j] * block[j][i] for i in range(n) for j in range(i)), default=1)
+    if lacing == 3:
         return "G2"
-    if multiple:
-        (u, v, _) = multiple[0]
-        chain = _path_order(idx, edges)
-        if chain is None:
-            raise CartanError("not-finite-type: unrecognized multiply-laced diagram")
-        if {chain[0], chain[1]} != {u, v} and {chain[-2], chain[-1]} != {u, v}:
+    if lacing == 2:
+        if det == 1:
             return "F4"
-        # orient so the double edge sits at the far end
-        if {chain[-2], chain[-1]} != {u, v}:
-            chain = chain[::-1]
-        # a[inner][end] == -2 exactly when the end root is the short one
-        return ("B" if entries[chain[-2]][chain[-1]] == -2 else "C") + str(n)
-    # simply laced
-    branch = [u for u in idx if deg[u] >= 3]
-    if not branch:
+        u, v = next((i, j) for i in range(n) for j in range(n) if block[i][j] == -2)
+        # at a leaf, alpha_v's row holds its 2 and one neighbour's entry
+        short_leaf = sum(map(bool, block[v])) == 2 and (n > 2 or v > u)
+        return ("B" if short_leaf else "C") + str(n)
+    if det == n + 1:
         return f"A{n}"
-    arms = sorted(_arm_lengths(idx, edges, branch[0]))
-    if arms[:2] == [1, 1]:
-        return f"D{n}"
-    if arms == [1, 2, 2]:
-        return "E6"
-    if arms == [1, 2, 3]:
-        return "E7"
-    if arms == [1, 2, 4]:
-        return "E8"
-    raise CartanError("not-finite-type: unrecognized simply-laced diagram")
-
-
-def _path_order(idx: list[int], edges: list[tuple[int, int, int]]) -> list[int] | None:
-    """Order the vertices of a path graph end to end, or None if not a path."""
-    nbr: dict[int, list[int]] = {u: [] for u in idx}
-    for u, v, _ in edges:
-        nbr[u].append(v)
-        nbr[v].append(u)
-    ends = [u for u in idx if len(nbr[u]) == 1]
-    if len(ends) != 2 or any(len(nbr[u]) > 2 for u in idx):
-        return None
-    order = [min(ends)]
-    while len(order) < len(idx):
-        nxt = [v for v in nbr[order[-1]] if v not in order]
-        if not nxt:
-            return None
-        order.append(nxt[0])
-    return order
-
-
-def _arm_lengths(idx: list[int], edges: list[tuple[int, int, int]], center: int) -> list[int]:
-    nbr: dict[int, list[int]] = {u: [] for u in idx}
-    for u, v, _ in edges:
-        nbr[u].append(v)
-        nbr[v].append(u)
-    arms = []
-    for start in nbr[center]:
-        length, prev, cur = 1, center, start
-        while True:
-            ahead = [v for v in nbr[cur] if v != prev]
-            if not ahead:
-                break
-            if len(ahead) > 1:
-                raise CartanError("not-finite-type: diagram has nested branching")
-            prev, cur = cur, ahead[0]
-            length += 1
-        arms.append(length)
-    return arms
+    return f"D{n}" if det == 4 else f"E{n}"
 
 
 _LABEL_BUILDERS = {

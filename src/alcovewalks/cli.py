@@ -15,6 +15,7 @@ Ctrl-C and 141 when the reader closes stdout, as SIGINT and SIGPIPE do.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -105,7 +106,10 @@ def _parse_endpoint(group, text: str | None):
 
 
 def _check_out(path) -> None:
-    """Raise ValueError unless --out's directory exists, before any work."""
+    """Raise unless --out names a file in a directory that exists, before any
+    work.  An empty name fails as open("") would."""
+    if path == "":
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if path is not None:
         directory = os.path.dirname(path) or "."
         if not os.path.isdir(directory):

@@ -1,6 +1,7 @@
 """Exact matrix realization of the loop group SL_n(F[t, t^-1]).
 
-Only type A data get a matrix layer: the finite root e_a - e_b maps to
+Only type A data numbered along the chain, whose Cartan matrix is the
+A_n matrix itself, get a matrix layer: the finite root e_a - e_b maps to
 the matrix position (a, b), the affine generator attached to
 alpha + j delta is x_alpha(c t^j), and translations are cocharacters
 evaluated at t^{-1}.
@@ -46,7 +47,7 @@ from .affine import (
     AffineWeylGroup,
     is_uminus_positive,
 )
-from .cartan import CartanDatum, Coweight, FiniteRoot, Frozen, _set
+from .cartan import CartanDatum, Coweight, FiniteRoot, Frozen, _set, from_label
 from .folding import StepKind
 from .ratfunc import Field, PrimeField, RationalFunction
 
@@ -274,9 +275,10 @@ class ExecutorState(Frozen):
 
 
 def check_type_a(datum: CartanDatum) -> None:
-    """Raise ValueError unless the datum has a matrix layer (irreducible type A)."""
-    if not (datum.is_irreducible() and datum.type_label.startswith("A")):
-        raise ValueError("the matrix layer supports irreducible type A data only")
+    """Raise ValueError unless the datum has a matrix layer: the A_n matrix
+    numbered along its chain, which puts alpha_i at (i, i + 1)."""
+    if datum.entries != from_label(f"A{datum.size}").entries:
+        raise ValueError("the matrix layer supports type A data numbered along the chain only")
 
 
 class LoopSL:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -52,13 +53,57 @@ def test_validate_rejections(matrix, message):
         validate_cartan(matrix)
 
 
-@pytest.mark.parametrize(
-    "label",
-    ["A1", "A2", "A5", "B2", "B3", "C3", "D4", "D5", "E6", "E7", "E8", "F4", "G2", "A1xA2"],
-)
+# every label from_label accepts up to MAX_RANK
+IRREDUCIBLE_LABELS = [
+    *(f"A{n}" for n in range(1, MAX_RANK + 1)),
+    *(f"{family}{n}" for family in "BC" for n in range(2, MAX_RANK + 1)),
+    *(f"D{n}" for n in range(4, MAX_RANK + 1)),
+    "E6", "E7", "E8", "F4", "G2",
+]
+
+
+@pytest.mark.parametrize("label", [*IRREDUCIBLE_LABELS, "A1xA2"])
 def test_label_round_trip(label):
     datum = from_label(label)
     assert validate_cartan(datum.entries).type_label == label
+
+
+def _permuted(entries, perm):
+    return [[entries[i][j] for j in perm] for i in perm]
+
+
+def test_labels_survive_index_permutations():
+    # rank 2 names B2 and C2 by their numbering: test_rank_2_orientation
+    rng = random.Random(18)
+    for label in IRREDUCIBLE_LABELS:
+        entries = from_label(label).entries
+        if len(entries) < 3:
+            continue
+        for _ in range(5):
+            perm = rng.sample(range(len(entries)), len(entries))
+            assert validate_cartan(_permuted(entries, perm)).type_label == label
+
+
+def test_shuffled_product_names_each_component():
+    entries = from_label("B3xA2").entries
+    # B3's chain 1-2-3 lands on the nodes 4-5-2 and A2's nodes on 1 and 3,
+    # so the short root of the double edge sits at node 2
+    datum = validate_cartan(_permuted(entries, (3, 2, 4, 0, 1)))
+    assert datum.components() == ((1, 3), (2, 4, 5))
+    assert datum.type_label == "A2xB3"
+
+
+@pytest.mark.parametrize(
+    "matrix, label",
+    [
+        ([[2, -2], [-1, 2]], "B2"),
+        ([[2, -1], [-2, 2]], "C2"),
+        ([[2, -1], [-3, 2]], "G2"),
+        ([[2, -3], [-1, 2]], "G2"),
+    ],
+)
+def test_rank_2_orientation(matrix, label):
+    assert validate_cartan(matrix).type_label == label
 
 
 def test_bad_labels():

@@ -195,8 +195,14 @@ def test_paths_out_flag(tmp_path, capsys):
     [["paths", "--type", "A1", "--word", "1"], ["render", "--type", "A1"]],
     ids=["paths", "render"],
 )
-def test_empty_out_exits_2(capsys, argv):
-    # an empty --out is a file name that cannot be opened, not "no --out"
+def test_empty_out_exits_2(capsys, monkeypatch, argv):
+    # an empty --out is a file name that cannot be opened, not "no --out",
+    # and is refused before any work
+    def fail(*args, **kwargs):
+        raise AssertionError("worked before checking --out")
+
+    monkeypatch.setattr("alcovewalks.cli.cells_by_endpoint", fail)
+    monkeypatch.setattr("alcovewalks.cli.render_arrangement", fail)
     code, out, err = run(capsys, *argv, "--out", "")
     assert (code, out, err) == (2, "", "error: [Errno 2] No such file or directory: ''\n")
 
@@ -247,14 +253,33 @@ def test_type_accepts_json_matrix(capsys):
     assert out.strip() == "1"
 
 
-def test_oracle_rejects_non_type_a_before_counting(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "type_text, word",
+    [
+        ("B2", "1,2"),
+        # type A numbered off the chain: the paths 1-3-2 and 1-2-4-3
+        ("[[2,0,-1],[0,2,-1],[-1,-1,2]]", "1,2"),
+        ("[[2,-1,0,0],[-1,2,0,-1],[0,0,2,-1],[0,-1,-1,2]]", "1,2,3,4"),
+    ],
+    ids=["B2", "A3-permuted", "A4-permuted"],
+)
+def test_oracle_rejects_non_type_a_before_counting(capsys, monkeypatch, type_text, word):
     def fail(*args, **kwargs):
         raise AssertionError("counted before checking the type")
 
     monkeypatch.setattr("alcovewalks.cli.endpoint_counts", fail)
-    code, _, err = run(capsys, "oracle", "--type", "B2", "--word", "1,2", "--p", "2")
-    assert code == 2
+    code, out, err = run(capsys, "oracle", "--type", type_text, "--word", word, "--p", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert "type A" in err
+
+
+def test_oracle_accepts_the_a3_chain_matrix(capsys):
+    flags = ("--word", "1,2,3,0", "--p", "2")
+    code, out, _ = run(capsys, "oracle", "--type", "[[2,-1,0],[-1,2,-1],[0,-1,2]]", *flags)
+    assert code == 0
+    assert out.endswith("oracle agrees with the enumerator\n")
+    assert out == run(capsys, "oracle", "--type", "A3", *flags)[1]
 
 
 A2_COUNT_WORD = "1,2,0,1,0,2,0,1,0,2,0,1,0,2,0,1,0,2,0,1,0,2,0,1,0,2,0,1,0,2,1,0"

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from alcovewalks.affine import AffineRoot, AffineWeylGroup, is_iwahori_positive
-from alcovewalks.cartan import Coweight, FiniteRoot, from_label
+from alcovewalks.cartan import Coweight, FiniteRoot, from_label, validate_cartan
 from alcovewalks.folding import StepKind, cells_by_endpoint
 from alcovewalks.loopgroup import (
     BRUTE_FORCE_GUARD,
@@ -51,11 +51,20 @@ def mat(rows):
     return GroupMatrix(tuple(tuple(rf(e) for e in row) for row in rows))
 
 
+# A3 as the path 1-3-2 and A4 as the path 1-2-4-3: type A, but not numbered
+# along the chain, so alpha_i does not sit at the matrix position (i, i + 1)
+PERMUTED_A3 = [[2, 0, -1], [0, 2, -1], [-1, -1, 2]]
+PERMUTED_A4 = [[2, -1, 0, 0], [-1, 2, 0, -1], [0, 0, 2, -1], [0, -1, -1, 2]]
+
+
 def test_matrix_layer_requires_type_a():
     with pytest.raises(ValueError):
         LoopSL(from_label("B2"), QQ)
     with pytest.raises(ValueError):
         LoopSL(from_label("A1xA1"), QQ)
+    for matrix in (PERMUTED_A3, PERMUTED_A4):
+        with pytest.raises(ValueError, match="numbered along the chain"):
+            LoopSL(validate_cartan(matrix), QQ)
 
 
 def test_x_root_positions():
