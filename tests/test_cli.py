@@ -253,17 +253,7 @@ def test_type_accepts_json_matrix(capsys):
     assert out.strip() == "1"
 
 
-@pytest.mark.parametrize(
-    "type_text, word",
-    [
-        ("B2", "1,2"),
-        # type A numbered off the chain: the paths 1-3-2 and 1-2-4-3
-        ("[[2,0,-1],[0,2,-1],[-1,-1,2]]", "1,2"),
-        ("[[2,-1,0,0],[-1,2,0,-1],[0,0,2,-1],[0,-1,-1,2]]", "1,2,3,4"),
-    ],
-    ids=["B2", "A3-permuted", "A4-permuted"],
-)
-def test_oracle_rejects_non_type_a_before_counting(capsys, monkeypatch, type_text, word):
+def assert_oracle_refuses_type(capsys, monkeypatch, type_text, word):
     def fail(*args, **kwargs):
         raise AssertionError("counted before checking the type")
 
@@ -272,6 +262,25 @@ def test_oracle_rejects_non_type_a_before_counting(capsys, monkeypatch, type_tex
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "type A" in err
+
+
+def test_oracle_rejects_non_type_a_before_counting(capsys, monkeypatch):
+    assert_oracle_refuses_type(capsys, monkeypatch, "B2", "1,2")
+
+
+@pytest.mark.parametrize(
+    "type_text, word",
+    [
+        # type A numbered off the chain: the paths 1-3-2 and 1-2-4-3
+        ("[[2,0,-1],[0,2,-1],[-1,-1,2]]", "1,2"),
+        ("[[2,-1,0,0],[-1,2,0,-1],[0,0,2,-1],[0,-1,-1,2]]", "1,2,3,4"),
+    ],
+    ids=["A3-permuted", "A4-permuted"],
+)
+def test_oracle_rejects_type_a_off_the_chain_before_counting(
+    capsys, monkeypatch, type_text, word
+):
+    assert_oracle_refuses_type(capsys, monkeypatch, type_text, word)
 
 
 def test_oracle_accepts_the_a3_chain_matrix(capsys):
