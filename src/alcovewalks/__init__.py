@@ -3,7 +3,7 @@
 Layers, bottom up:
 
   cartan     finite-type Cartan data, roots, the finite Weyl group
-  affine     affine roots, the affine Weyl group, words, alcoves
+  affine     affine roots, the affine Weyl group, words
   folding    folded path enumeration and q-point count polynomials
   ratfunc    exact scalars and Laurent polynomials in F[t, t^-1]
   loopgroup  SL_n matrices over Laurent polynomials; the folding executor

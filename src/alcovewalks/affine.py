@@ -29,6 +29,7 @@ from .cartan import (
     FiniteWeylElement,
     Frozen,
     _set,
+    coweight_image,
     simple_root,
     zero_coweight,
 )
@@ -49,6 +50,17 @@ AlcoveState = tuple[tuple[int, ...], tuple[int, ...]]
 
 class WordError(ValueError):
     """A word uses letters outside 0..n or violates a reducedness guard."""
+
+
+# The two internal errors every command maps to exit 3.  They live here,
+# in a module every command loads; `loopgroup` raises them too.
+class NormalizationError(RuntimeError):
+    """The Iwahori coset normalization found no (or no unique) solution."""
+
+
+class InvariantError(RuntimeError):
+    """A computation broke one of its invariants: a validated executor run,
+    or a reduced-word descent that found no descent."""
 
 
 class AffineRoot(Frozen):
@@ -168,12 +180,10 @@ class AffineWeylGroup:
 
     def inverse_state(self, g: AffineWeylElement) -> AlcoveState:
         """The state of g^{-1} = t_{-w^{-1} lam} w^{-1} for g = t_lam w,
-        without building g^{-1} or the coweight action of w^{-1}: w^{-1} lam
-        sums lam_i times the coroot at w^{-1}'s image of alpha_i's position."""
+        without building g^{-1}."""
         winv = g.finite.inverse().perm
-        lam = g.translation.coords
-        columns = [self._coroots[winv[r]] for r in self._simple]
-        return tuple(-sum(map(mul, row, lam)) for row in zip(*columns)), winv
+        lam = coweight_image(self.datum.root_tables, winv, g.translation.coords)
+        return tuple([-c for c in lam]), winv
 
     def element(self, state: AlcoveState) -> AffineWeylElement:
         t, w = state
@@ -286,8 +296,8 @@ class AffineWeylGroup:
             for i in letters:
                 if self._descends(state, i):
                     break
-            else:  # pragma: no cover - impossible for genuine group elements
-                raise RuntimeError("no descent found for a non-identity element")
+            else:  # impossible for genuine group elements
+                raise InvariantError("no descent found for a non-identity element")
             passed.append(key)
             word.append(i)
             state = self.step(state, i)

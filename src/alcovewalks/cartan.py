@@ -150,12 +150,6 @@ class Coweight(Frozen):
             raise ValueError("coweight dimension mismatch")
         return Coweight(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
-    def __sub__(self, other: "Coweight") -> "Coweight":
-        return self + (-other)
-
-    def scaled(self, m: int) -> "Coweight":
-        return Coweight(tuple(m * c for c in self.coords))
-
     def is_zero(self) -> bool:
         return not any(self.coords)
 
@@ -294,22 +288,12 @@ class CartanDatum(Frozen):
         """Connected components of the Dynkin diagram, as sorted 1-based index tuples."""
         return _components(self.entries)
 
-    def highest_roots(self) -> tuple[FiniteRoot, ...]:
-        """The highest root of each irreducible component, in component order."""
-        out = []
-        for comp in self.components():
-            members = [r for r in self.roots() if set(r.support()) <= set(comp) and r.is_positive()]
-            out.append(max(members, key=lambda r: (r.height, r.coords)))
-        return tuple(out)
-
     def highest_root(self) -> FiniteRoot:
-        comps = self.components()
-        if len(comps) != 1:
-            raise CartanError(
-                "highest_root is defined per irreducible component; "
-                "use highest_roots() on reducible data"
-            )
-        return self.highest_roots()[0]
+        """The unique root of greatest height, last in the order of roots();
+        only irreducible data have one."""
+        if not self.is_irreducible():
+            raise CartanError("highest_root is defined for irreducible data only")
+        return self.roots()[-1]
 
     def is_irreducible(self) -> bool:
         return len(self.components()) == 1
@@ -612,14 +596,8 @@ class FiniteWeylElement(Frozen):
         tables, r = self._position(alpha)
         return tables.roots[r], sum(map(mul, lam.coords, tables.pairing[r]))
 
-    @property
-    def coweight_action(self) -> tuple[tuple[int, ...], ...]:
-        """Matrix on coroot coordinates: column i is w h_i = h_{w alpha_i}."""
-        tables = self.datum.root_tables
-        return tuple(zip(*(tables.coroots[self.perm[r]] for r in tables.simple)))
-
     def act_coweight(self, lam: Coweight) -> Coweight:
-        return Coweight(_mat_vec(self.coweight_action, lam.coords))
+        return Coweight(coweight_image(self.datum.root_tables, self.perm, lam.coords))
 
     def is_identity(self) -> bool:
         return self.perm == tuple(range(len(self.perm)))
@@ -629,6 +607,14 @@ class FiniteWeylElement(Frozen):
         tables = self.datum.root_tables
         negative = tables.negative
         return sum(1 for r, image in enumerate(self.perm) if negative[image] and not negative[r])
+
+
+def coweight_image(tables: RootTables, perm: tuple[int, ...], lam: Sequence) -> tuple:
+    """The coroot coordinates of w lam, for w the root permutation perm:
+    column i of w on coroot coordinates is w h_i, the coroot at perm's
+    image of alpha_i's position.  lam may hold ints or Fractions."""
+    columns = [tables.coroots[perm[r]] for r in tables.simple]
+    return tuple(sum(map(mul, row, lam)) for row in zip(*columns))
 
 
 def _mat_vec(a, v):

@@ -8,8 +8,9 @@ Subcommands:
   render  SVG of the wall arrangement with optional walk overlays
 
 Exit codes: 0 success, 1 verification failure, 2 bad flags or a failed
-write, 3 internal error (the matrix executor broke an invariant), 130 on
-Ctrl-C and 141 when the reader closes stdout, as SIGINT and SIGPIPE do.
+write, 3 internal error (the matrix executor or the reduced-word descent
+broke an invariant), 130 on Ctrl-C and 141 when the reader closes stdout,
+as SIGINT and SIGPIPE do.
 """
 
 from __future__ import annotations
@@ -21,17 +22,18 @@ import os
 import sys
 
 from . import example8
-from .affine import AffineWeylGroup, WordError, element_from_json, parse_word
-from .cartan import CartanError, from_label, validate_cartan
-from .folding import cells_by_endpoint, endpoint_counts, enumerate_folded_paths, paths_to_json
-from .loopgroup import (
+from .affine import (
+    AffineWeylGroup,
     InvariantError,
     NormalizationError,
-    brute_force_cells,
-    check_brute_force,
-    check_type_a,
+    WordError,
+    element_from_json,
+    parse_word,
 )
-from .render import SceneSpec, check_radius, check_rank, render_arrangement
+from .cartan import CartanError, from_label, validate_cartan
+from .folding import cells_by_endpoint, endpoint_counts, enumerate_folded_paths, paths_to_json
+from .loopgroup import brute_force_cells, check_brute_force, check_type_a
+from .render import check_radius, check_rank, render_arrangement
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,10 +109,12 @@ def _parse_endpoint(group, text: str | None):
 
 def _check_out(path) -> None:
     """Raise unless --out names a file in a directory that exists, before any
-    work.  An empty name fails as open("") would."""
+    work.  An empty name and a directory fail as open() on them would."""
     if path == "":
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if path is not None:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         directory = os.path.dirname(path) or "."
         if not os.path.isdir(directory):
             raise ValueError(f"--out directory {directory} does not exist")
@@ -200,8 +204,8 @@ def _cmd_render(args) -> int:
     _check_out(args.out)
     word = None if args.word is None else parse_word(args.word)
     datum = _datum_for(args.type)
-    group = AffineWeylGroup(datum)
     check_rank(datum)
+    group = AffineWeylGroup(datum)
     overlays = () if word is None else (word,)
     target = _parse_endpoint(group, args.end)
     if target is not None:
@@ -209,7 +213,7 @@ def _cmd_render(args) -> int:
         if not overlays:
             print("no folded path has that endpoint", file=sys.stderr)
             return 1
-    svg = render_arrangement(SceneSpec(datum=datum, radius=args.radius, overlays=overlays))
+    svg = render_arrangement(group, args.radius, overlays)
     with open(args.out, "w") as fh:
         fh.write(svg)
     return 0

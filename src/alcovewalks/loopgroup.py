@@ -45,19 +45,13 @@ from .affine import (
     AffineRoot,
     AffineWeylElement,
     AffineWeylGroup,
+    InvariantError,
+    NormalizationError,
     is_uminus_positive,
 )
 from .cartan import CartanDatum, Coweight, FiniteRoot, Frozen, _set, from_label
 from .folding import StepKind
 from .ratfunc import Field, PrimeField, RationalFunction
-
-
-class NormalizationError(RuntimeError):
-    """The Iwahori coset normalization found no (or no unique) solution."""
-
-
-class InvariantError(RuntimeError):
-    """A validated executor run broke one of its invariants."""
 
 
 class GroupMatrix(Frozen):
@@ -119,11 +113,6 @@ class GroupMatrix(Frozen):
                 m = _minor(rest, tuple(range(c)) + tuple(range(c + 1, n)), memo)
                 adj[c][r] = (-m if (r + c) % 2 else m) * det_inv
         return GroupMatrix(tuple(tuple(row) for row in adj))
-
-    def __str__(self) -> str:
-        cells = [[str(e) for e in row] for row in self.entries]
-        width = max(len(c) for row in cells for c in row)
-        return "\n".join("[" + "  ".join(c.rjust(width) for c in row) + "]" for row in cells)
 
 
 def _minor(rows, cols: tuple[int, ...], memo: dict) -> RationalFunction:

@@ -26,21 +26,16 @@ class RationalField:
     characteristic = 0
 
     def of(self, value) -> Fraction:
-        """Coerce an int, Fraction, or "a/b" string."""
+        """Coerce an int or Fraction."""
         if isinstance(value, Fraction):
             return value
         if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, str):
             return Fraction(value)
         raise TypeError(f"cannot coerce {value!r} into the rationals")
 
     def inv(self, c: Fraction) -> Fraction:
         """1 / c; raises ZeroDivisionError for c = 0."""
         return Fraction(1) / c
-
-    def elements(self):
-        raise ValueError("the rationals are not finite")
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -62,11 +57,9 @@ class PrimeField:
         self.characteristic = p
 
     def of(self, value) -> int:
-        """Coerce an int, Fraction or integer string to its residue."""
+        """Coerce an int or Fraction to its residue."""
         if isinstance(value, int):
             return value % self.p
-        if isinstance(value, str):
-            return int(value) % self.p
         if isinstance(value, Fraction):
             if value.denominator % self.p == 0:
                 raise ZeroDivisionError("denominator divisible by p")
@@ -215,20 +208,10 @@ class RationalFunction:
         """t-adic valuation; None for the zero function."""
         return min(self.terms) if self.terms else None
 
-    def is_integral(self) -> bool:
-        """No pole at t = 0."""
-        return not self.terms or min(self.terms) >= 0
-
     def coeff(self, i: int):
         """Coefficient of t^i, a scalar of the field."""
         c = self.terms.get(i)
         return self.field.of(0) if c is None else c
-
-    def ev0(self):
-        """Evaluate at t = 0; only defined for integral functions."""
-        if not self.is_integral():
-            raise ValueError("pole at t = 0")
-        return self.coeff(0)
 
     def is_unit_monomial(self) -> bool:
         """Of the form c * t^k with c a nonzero scalar."""

@@ -8,6 +8,10 @@ An overlay is a FoldedPath or a type word, which draws as its unfolded
 walk: every step crosses.  One drawer replays either from the identity
 on raw alcove states.
 
+`render_arrangement(group, radius=2, overlays=())` draws the walls of
+an AffineWeylGroup of rank <= 2 out to the given radius, with the
+overlays on top; it checks the rank and the radius first.
+
 The exact rank <= 2 alcove geometry lives here too, in coroot coordinates:
 the fundamental alcove's vertices and each alcove's barycenter.
 """
@@ -16,11 +20,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from operator import add
 from typing import Sequence, Union
 
 from .affine import AffineWeylGroup, AlcoveState, Word
-from .cartan import CartanDatum, Frozen, RootTables, _set
+from .cartan import CartanDatum, RootTables, coweight_image
 from .folding import FoldedPath, StepKind
 
 Overlay = Union[FoldedPath, Word]
@@ -42,20 +46,6 @@ def check_radius(radius: int) -> None:
 def check_rank(datum: CartanDatum) -> None:
     if datum.size > 2:
         raise ValueError("rendering supports rank <= 2 only")
-
-
-class SceneSpec(Frozen):
-    __slots__ = __match_args__ = ("datum", "radius", "overlays")
-    datum: CartanDatum
-    radius: int
-    overlays: tuple[Overlay, ...]
-
-    def __init__(self, datum: CartanDatum, radius: int = 2, overlays: tuple[Overlay, ...] = ()):
-        check_rank(datum)
-        check_radius(radius)
-        _set(self, "datum", datum)
-        _set(self, "radius", radius)
-        _set(self, "overlays", overlays)
 
 
 def _fmt(x: float) -> str:
@@ -143,21 +133,24 @@ def _alcove_vertices(datum: CartanDatum) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def _barycenter(tables: RootTables, b0: tuple[Fraction, ...], state: AlcoveState) -> tuple[Fraction, ...]:
-    """The barycenter of t_lam w A_0 from its raw state (lam, w): w b0 + lam,
-    for b0 A_0's barycenter and column i of w the coroot w h_i."""
+    """The barycenter of t_lam w A_0 from its raw state (lam, w): lam + w b0,
+    for b0 A_0's barycenter."""
     t, w = state
-    columns = [tables.coroots[w[r]] for r in tables.simple]
-    return tuple(lam + sum(map(mul, row, b0)) for lam, row in zip(t, zip(*columns)))
+    return tuple(map(add, t, coweight_image(tables, w, b0)))
 
 
-def render_arrangement(spec: SceneSpec) -> str:
-    group = AffineWeylGroup(spec.datum)
-    emb = _Embedding(spec.datum)
-    rank = spec.datum.size
-    tables = spec.datum.root_tables
-    pos_roots = spec.datum.positive_roots()  # by height, then coordinates
+def render_arrangement(
+    group: AffineWeylGroup, radius: int = 2, overlays: Sequence[Overlay] = ()
+) -> str:
+    datum = group.datum
+    check_rank(datum)
+    check_radius(radius)
+    emb = _Embedding(datum)
+    rank = datum.size
+    tables = datum.root_tables
+    pos_roots = datum.positive_roots()  # by height, then coordinates
     functionals = [emb.functional(tables.pairing[tables.index[a.coords]]) for a in pos_roots]
-    half = (spec.radius + 0.7) / min(math.hypot(*g) for g in functionals)
+    half = (radius + 0.7) / min(math.hypot(*g) for g in functionals)
     if rank == 1:
         half_y = 0.6
     else:
@@ -184,7 +177,7 @@ def render_arrangement(spec: SceneSpec) -> str:
     ]
 
     # shaded fundamental alcove
-    verts = _alcove_vertices(spec.datum)
+    verts = _alcove_vertices(datum)
     if rank == 1:
         (a,), (b,) = verts
         pa, pb = emb.point((a,))[0], emb.point((b,))[0]
@@ -205,7 +198,7 @@ def render_arrangement(spec: SceneSpec) -> str:
     for root_index, (alpha, g) in enumerate(zip(pos_roots, functionals)):
         gnorm = math.hypot(*g)
         ghat = (g[0] / gnorm, g[1] / gnorm)
-        for k in range(-spec.radius, spec.radius + 1):
+        for k in range(-radius, radius + 1):
             if rank == 1:
                 x = k / g[0]
                 p0, p1 = (x, -0.45), (x, 0.45)
@@ -255,7 +248,7 @@ def render_arrangement(spec: SceneSpec) -> str:
             point = centers[v] = emb.point(_barycenter(tables, b0, v))
         return point
 
-    for overlay in spec.overlays:
+    for overlay in overlays:
         parts.extend(_overlay_elements(group, center, px, overlay))
 
     parts.append("</svg>")

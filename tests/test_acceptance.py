@@ -27,7 +27,7 @@ from alcovewalks.folding import (
 )
 from alcovewalks.loopgroup import LoopSL, brute_force_cells
 from alcovewalks.ratfunc import QQ, PrimeField, RationalFunction
-from alcovewalks.render import SceneSpec, render_arrangement
+from alcovewalks.render import render_arrangement
 
 from helpers import (
     all_reduced_words,
@@ -260,7 +260,7 @@ def test_criterion_8_relation_spot_checks():
 
 def test_criterion_9_render_structure():
     with _Timer("criterion 9: 15 wall lines, one shaded alcove, golden bytes", 10.0):
-        svg = render_arrangement(SceneSpec(datum=from_label("A2"), radius=2))
+        svg = render_arrangement(AffineWeylGroup(from_label("A2")), radius=2)
         counts = element_classes(svg)
         assert counts["wall"] == 15
         assert counts["alcove"] == 1

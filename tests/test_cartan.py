@@ -188,10 +188,14 @@ def test_highest_root_reducible():
     d = from_label("A1xA2")
     with pytest.raises(CartanError):
         d.highest_root()
-    tops = d.highest_roots()
-    assert len(tops) == 2
-    assert tops[0] == FiniteRoot((1, 0, 0))
-    assert tops[1] == FiniteRoot((0, 1, 1))
+
+
+@pytest.mark.parametrize("label", IRREDUCIBLE_LABELS)
+def test_highest_root_is_the_only_root_of_greatest_height(label):
+    # roots()[-1] is the highest root only because no other root shares its height
+    datum = from_label(label)
+    top = datum.highest_root()
+    assert [r for r in datum.roots() if r.height >= top.height] == [top]
 
 
 def test_weyl_group_laws_a2():
@@ -289,7 +293,7 @@ def test_canonical_word_is_lex_smallest_reduced():
     for label in ("A1", "A2", "A3", "B2", "B3", "C3", "G2"):
         d = from_label(label)
         group = AffineWeylGroup(d)
-        shift = simple_coroot(d.size, 1).scaled(-2)
+        shift = Coweight((-2,) + (0,) * (d.size - 1))
         for w, word in _elements_with_words(d).items():
             assert _finite_word(group, w) == word
             assert _finite_word(group, w, shift) == word

@@ -207,6 +207,19 @@ def test_empty_out_exits_2(capsys, monkeypatch, argv):
     assert (code, out, err) == (2, "", "error: [Errno 2] No such file or directory: ''\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["paths", "--type", "A1", "--word", "1"], ["render", "--type", "A1"]],
+    ids=["paths", "render"],
+)
+def test_out_naming_a_directory_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # a directory fails as open() on it would, before any work
+    monkeypatch.setattr("alcovewalks.cli.cells_by_endpoint", fail_if_called)
+    monkeypatch.setattr("alcovewalks.cli.render_arrangement", fail_if_called)
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert (code, out, err) == (2, "", f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
+
+
 def test_bad_word_letter_exits_2(capsys):
     code, _, err = run(capsys, "count", "--type", "A1", "--word", "3")
     assert code == 2
@@ -434,6 +447,18 @@ def test_invariant_error_exits_3(capsys, monkeypatch):
     assert err == "error: InvariantError: determinant drifted from 1\n"
 
 
+def test_failed_descent_exits_3(capsys, monkeypatch):
+    from alcovewalks import affine, loopgroup
+
+    # the executor raises the very classes cli maps, without cli loading it
+    assert loopgroup.InvariantError is affine.InvariantError
+    assert loopgroup.NormalizationError is affine.NormalizationError
+    monkeypatch.setattr(affine.AffineWeylGroup, "_descends", lambda self, state, i: False)
+    code, out, err = run(capsys, "count", "--type", "A2", "--word", "2,1,0")
+    assert (code, out) == (3, "")
+    assert err == "error: InvariantError: no descent found for a non-identity element\n"
+
+
 def test_ctrl_c_exits_130_quietly(capsys, monkeypatch):
     def interrupt(args):
         raise KeyboardInterrupt
@@ -630,6 +655,8 @@ def test_render_empty_end_overlays_the_paths_ending_at_the_identity(tmp_path, ca
     ids=["A3-reachable", "A3-unreachable", "E6-unreachable"],
 )
 def test_render_checks_the_rank_before_it_enumerates(tmp_path, capsys, monkeypatch, type_label, end):
+    # before it builds the group, too: D16's alone takes about 0.1 s
+    monkeypatch.setattr("alcovewalks.cli.AffineWeylGroup", fail_if_called)
     monkeypatch.setattr("alcovewalks.cli.enumerate_folded_paths", fail_if_called)
     out_file = tmp_path / "x.svg"
     code, out, err = run(

@@ -17,15 +17,15 @@ def test_fp_field_coercion():
     # a scalar of F_p is the int residue 0..p-1 its Laurent polynomials store
     f5 = PrimeField(5)
     assert f5.of(-1) == 4 and f5.of(-10) == 0 and f5.of(12) == 2
-    assert f5.of("7") == 2 and f5.of("-3") == 2
     assert f5.of(Fraction(1, 2)) == 3  # 2^{-1} = 3 mod 5
     assert f5.of(Fraction(-7, 3)) == 1  # -7 * 3^{-1} = 3 * 2 mod 5
-    for value in (-1, "7", Fraction(1, 2), Fraction(10, 3)):
+    for value in (-1, 7, Fraction(1, 2), Fraction(10, 3)):
         assert type(f5.of(value)) is int
     with pytest.raises(ZeroDivisionError):
         f5.of(Fraction(1, 10))
-    with pytest.raises(TypeError):
-        f5.of(1.5)
+    for value in (1.5, "7"):
+        with pytest.raises(TypeError):
+            f5.of(value)
     assert f5.elements() == (0, 1, 2, 3, 4)
 
 
@@ -139,21 +139,6 @@ def test_valuation():
         if f.is_zero() or g.is_zero():
             continue
         assert (f * g).valuation() == f.valuation() + g.valuation()
-
-
-def test_integrality_and_ev0():
-    t = RationalFunction.t_power(QQ, 1)
-    one = RationalFunction.of(QQ, 1)
-    f = (one + t) * (one - t)
-    assert f.is_integral()
-    assert f.ev0() == Fraction(1)
-    assert (t * f).ev0() == Fraction(0)
-    g = one / t
-    assert not g.is_integral()
-    with pytest.raises(ValueError):
-        g.ev0()
-    f5 = PrimeField(5)
-    assert (RationalFunction.of(f5, 3) + RationalFunction.t_power(f5, 2)).ev0() == f5.of(3)
 
 
 def test_from_laurent_round_trip():

@@ -10,13 +10,16 @@ from alcovewalks.cartan import from_label
 from alcovewalks.folding import enumerate_folded_paths
 from alcovewalks.render import (
     MAX_RADIUS,
-    SceneSpec,
     _alcove_vertices,
     _barycenter,
     render_arrangement,
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "a2_radius2.svg"
+
+
+def group_of(label):
+    return AffineWeylGroup(from_label(label))
 
 
 def element_classes(svg: str) -> Counter:
@@ -40,7 +43,7 @@ def example8_path():
 
 
 def test_a2_radius2_element_counts():
-    svg = render_arrangement(SceneSpec(datum=from_label("A2"), radius=2))
+    svg = render_arrangement(group_of("A2"), radius=2)
     counts = element_classes(svg)
     assert counts["wall"] == 15  # 3 positive roots x 5 translates
     assert counts["alcove"] == 1
@@ -48,22 +51,23 @@ def test_a2_radius2_element_counts():
 
 
 def test_a1_radius1_wall_marks():
-    svg = render_arrangement(SceneSpec(datum=from_label("A1"), radius=1))
+    svg = render_arrangement(group_of("A1"), radius=1)
     counts = element_classes(svg)
     assert counts["wall"] == 3
     assert counts["alcove"] == 1
 
 
 def test_radius_bound():
-    assert SceneSpec(datum=from_label("G2"), radius=MAX_RADIUS).radius == MAX_RADIUS
+    group = group_of("G2")
+    assert element_classes(render_arrangement(group, radius=MAX_RADIUS))["wall"] > 0
     for radius in (0, MAX_RADIUS + 1):
         with pytest.raises(ValueError, match="outside"):
-            SceneSpec(datum=from_label("G2"), radius=radius)
+            render_arrangement(group, radius=radius)
 
 
 def test_counts_scale_with_radius():
     for radius in (1, 2, 3):
-        svg = render_arrangement(SceneSpec(datum=from_label("A2"), radius=radius))
+        svg = render_arrangement(group_of("A2"), radius=radius)
         counts = element_classes(svg)
         assert counts["wall"] == 3 * (2 * radius + 1)
         assert counts["sign"] == 2 * counts["wall"]
@@ -71,7 +75,7 @@ def test_counts_scale_with_radius():
 
 def test_folded_path_overlay_glyphs():
     path = example8_path()
-    svg = render_arrangement(SceneSpec(datum=from_label("A2"), radius=2, overlays=(path,)))
+    svg = render_arrangement(group_of("A2"), radius=2, overlays=(path,))
     counts = element_classes(svg)
     assert counts["fold"] == 2
     assert counts["crossing"] == 7
@@ -79,7 +83,7 @@ def test_folded_path_overlay_glyphs():
 
 
 def test_plain_walk_overlay():
-    svg = render_arrangement(SceneSpec(datum=from_label("A2"), radius=2, overlays=((2, 1, 0),)))
+    svg = render_arrangement(group_of("A2"), radius=2, overlays=((2, 1, 0),))
     counts = element_classes(svg)
     assert counts["crossing"] == 3
     assert counts["fold"] == 0
@@ -87,18 +91,17 @@ def test_plain_walk_overlay():
 
 @pytest.mark.parametrize("letter", [3, -1])
 def test_word_overlay_with_a_bad_letter_raises(letter):
-    spec = SceneSpec(datum=from_label("A2"), radius=2, overlays=((2, letter, 0),))
     with pytest.raises(WordError, match=f"letter {letter} out of range 0..2"):
-        render_arrangement(spec)
+        render_arrangement(group_of("A2"), radius=2, overlays=((2, letter, 0),))
 
 
 def test_output_is_deterministic():
-    spec = SceneSpec(datum=from_label("A2"), radius=2, overlays=(example8_path(),))
-    assert render_arrangement(spec) == render_arrangement(spec)
+    group, overlays = group_of("A2"), (example8_path(),)
+    assert render_arrangement(group, 2, overlays) == render_arrangement(group, 2, overlays)
 
 
 def test_golden_file_byte_equality():
-    svg = render_arrangement(SceneSpec(datum=from_label("A2"), radius=2))
+    svg = render_arrangement(group_of("A2"), radius=2)
     assert svg == GOLDEN.read_text()
 
 
@@ -164,7 +167,13 @@ def test_alcove_translate():
 
 
 def test_rank_guard():
-    with pytest.raises(ValueError):
-        SceneSpec(datum=from_label("A3"), radius=2)
-    with pytest.raises(ValueError):
-        SceneSpec(datum=from_label("A2"), radius=0)
+    with pytest.raises(ValueError, match="rank <= 2"):
+        render_arrangement(group_of("A3"), radius=2)
+    with pytest.raises(ValueError, match="radius 0"):
+        render_arrangement(group_of("A2"), radius=0)
+
+
+def test_render_arrangement_keeps_its_defaults():
+    # radius 2 and no overlays unless given
+    group = group_of("A2")
+    assert render_arrangement(group) == render_arrangement(group, 2, ()) == GOLDEN.read_text()

@@ -34,7 +34,6 @@ from alcovewalks import (
     cells_by_endpoint,
     from_label,
 )
-from alcovewalks.render import SceneSpec
 
 coords = st.lists(st.integers(-5, 5), min_size=1, max_size=4).map(tuple)
 
@@ -58,7 +57,6 @@ def samples():
         cell,
         sl.x_simple(1, 3),
         state,
-        SceneSpec(datum, 2, (cell.paths[0],)),
     ]
 
 
@@ -83,7 +81,7 @@ def as_dataclass(x):
 def test_every_value_type_is_sampled():
     assert VALUE_TYPES == {
         FiniteRoot, Coweight, CartanDatum, FiniteWeylElement, AffineRoot, AffineWeylElement,
-        FoldedPath, CountPolynomial, Cell, GroupMatrix, ExecutorState, SceneSpec,
+        FoldedPath, CountPolynomial, Cell, GroupMatrix, ExecutorState,
     }
 
 
@@ -122,11 +120,7 @@ def test_equality_is_by_fields_and_class(x):
 
 def changed(x, name):
     """x with the field `name` replaced by a value unequal to it."""
-    if type(x) is SceneSpec:  # validates its datum and radius
-        other = {"datum": from_label("A1"), "radius": 3, "overlays": ()}[name]
-    else:
-        other = object()
-    return type(x)(**{**fields_of(x), name: other})
+    return type(x)(**{**fields_of(x), name: object()})
 
 
 @pytest.mark.parametrize("x", samples(), ids=lambda x: type(x).__name__)
@@ -181,16 +175,6 @@ def test_root_tables_are_cached_outside_equality_and_hash():
     assert vars(datum)["root_tables"] is tables
     assert "root_tables" not in vars(fresh)
     assert datum == fresh and hash(datum) == before == hash(fresh)
-
-
-def test_scene_spec_keeps_its_defaults_and_validation():
-    spec = SceneSpec(from_label("A2"))
-    assert (spec.radius, spec.overlays) == (2, ())
-    assert spec == SceneSpec(datum=from_label("A2"), radius=2, overlays=())
-    with pytest.raises(ValueError, match="rank <= 2"):
-        SceneSpec(from_label("A3"))
-    with pytest.raises(ValueError, match="radius 0"):
-        SceneSpec(from_label("A2"), radius=0)
 
 
 @pytest.mark.parametrize("x", samples(), ids=lambda x: type(x).__name__)
