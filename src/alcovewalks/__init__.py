@@ -6,7 +6,9 @@ Layers, bottom up:
   affine     affine roots, the affine Weyl group, words
   folding    folded path enumeration and q-point count polynomials
   ratfunc    exact scalars and Laurent polynomials in F[t, t^-1]
-  loopgroup  SL_n matrices over Laurent polynomials; the folding executor
+  matrices   square matrices over F[t, t^-1]: products, determinant,
+             inverse, two-row and two-column products, membership tests
+  loopgroup  SL_n realization, executor, brute-force oracle
   render     deterministic SVG pictures of rank <= 2 arrangements
   cli        command line front end
 """

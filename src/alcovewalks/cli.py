@@ -11,17 +11,18 @@ Exit codes: 0 success, 1 verification failure, 2 bad flags or a failed
 write, 3 internal error (the matrix executor or the reduced-word descent
 broke an invariant), 130 on Ctrl-C and 141 when the reader closes stdout,
 as SIGINT and SIGPIPE do.
+
+`json` and `example8` are imported where they run, so a job that reads no
+JSON and runs no suite does not load them.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
-import json
 import os
 import sys
 
-from . import example8
 from .affine import (
     AffineWeylGroup,
     InvariantError,
@@ -81,6 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _datum_for(text: str):
     if text.lstrip().startswith("["):
+        import json
+
         try:
             matrix = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -99,6 +102,8 @@ def _parse_endpoint(group, text: str | None):
     if text is None:
         return None
     if text.lstrip().startswith("{"):
+        import json
+
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -162,6 +167,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import example8
+
     failures = 0
     for name, ok, detail in example8.run_checks():
         status = "ok" if ok else "FAIL"

@@ -1,10 +1,12 @@
-"""Exact matrix realization of the loop group SL_n(F[t, t^-1]).
+"""SL_n realization of the loop group SL_n(F[t, t^-1]), the folding
+executor and the F_p brute-force oracle.
 
 Only type A data numbered along the chain, whose Cartan matrix is the
 A_n matrix itself, get a matrix layer: the finite root e_a - e_b maps to
 the matrix position (a, b), the affine generator attached to
 alpha + j delta is x_alpha(c t^j), and translations are cocharacters
-evaluated at t^{-1}.
+evaluated at t^{-1}.  `matrices` holds the matrices and their row and
+column products.
 
 The folding executor consumes a word letter by letter, keeping the exact
 identity
@@ -16,15 +18,13 @@ Each step moves b past x_j(c) n_j^{-1} with the closed form
 b x_j(c) n_j^{-1} = x_j(ct) n_j^{-1} b2, ct = (a c + x) / d, where
 [[a, x], [0, d]] is the level-zero SL_2 block of b at alpha_j.
 Every factor a step multiplies by is a generator x_gamma(f), n_j^{+-1} or
-h_alpha(g), and a product by one changes at most two rows or two columns,
-so the step applies them as row and column operations and makes no n x n
-product; conjugating x_gamma(f) by the monomial v_rep moves its one entry.
-Structure-constant signs are never tabulated: they are read from the
-cached n_j, which are built as products x_b(1) x_{-b}(-1) x_b(1) and
-checked to be signed transpositions.  Validation checks each step against
-independent dense products.  Every entry is a Laurent polynomial, so
-products and determinants are division-free; inverses divide only by a
-unit determinant, and the executor never takes one.
+h_alpha(g), so the step applies them as row and column operations and
+makes no n x n product; conjugating x_gamma(f) by the monomial v_rep
+moves its one entry.  Structure-constant signs are never tabulated: they
+are read from the cached n_j, which are built as products
+x_b(1) x_{-b}(-1) x_b(1) and checked to be signed transpositions.
+Validation checks each step against independent dense products, and the
+executor never inverts a matrix.
 
 `LoopSL.step` is the one executor step: the factorization of a prefix,
 a letter and a label give the factorization one letter longer.
@@ -51,186 +51,18 @@ from .affine import (
 )
 from .cartan import CartanDatum, Coweight, FiniteRoot, Frozen, _set, from_label
 from .folding import StepKind
+from .matrices import (
+    GroupMatrix,
+    add_col,
+    add_row,
+    in_iwahori,
+    in_uminus,
+    is_monomial,
+    scale_rows,
+    swap_cols,
+    swap_rows,
+)
 from .ratfunc import Field, PrimeField, RationalFunction
-
-
-class GroupMatrix(Frozen):
-    """Square matrix of Laurent polynomials."""
-
-    __slots__ = __match_args__ = ("entries",)
-    entries: tuple[tuple[RationalFunction, ...], ...]
-
-    def __init__(self, entries: tuple[tuple[RationalFunction, ...], ...]):
-        _set(self, "entries", entries)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return self.entries == other.entries
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.entries,))
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    @property
-    def field(self) -> Field:
-        return self.entries[0][0].field
-
-    def __matmul__(self, other: "GroupMatrix") -> "GroupMatrix":
-        zero = RationalFunction(self.field, {})
-        cols = [
-            [(k, e) for k, e in enumerate(col) if e.terms] for col in zip(*other.entries)
-        ]
-        rows = []
-        for row in self.entries:
-            out = []
-            for col in cols:
-                acc = None
-                for k, e in col:
-                    a = row[k]
-                    if a.terms:
-                        acc = a * e if acc is None else acc + a * e
-                out.append(zero if acc is None else acc)
-            rows.append(tuple(out))
-        return GroupMatrix(tuple(rows))
-
-    def determinant(self) -> RationalFunction:
-        """Cofactor expansion; division-free, so it never needs a unit pivot."""
-        return _minor(self.entries, tuple(range(self.n)), {})
-
-    def inverse(self) -> "GroupMatrix":
-        """Adjugate times det^-1; raises ZeroDivisionError unless det is a unit."""
-        n = self.n
-        det_inv = self.determinant().inverse()
-        adj = [[None] * n for _ in range(n)]
-        for r in range(n):
-            rest = self.entries[:r] + self.entries[r + 1 :]
-            memo: dict = {}
-            for c in range(n):
-                m = _minor(rest, tuple(range(c)) + tuple(range(c + 1, n)), memo)
-                adj[c][r] = (-m if (r + c) % 2 else m) * det_inv
-        return GroupMatrix(tuple(tuple(row) for row in adj))
-
-
-def _minor(rows, cols: tuple[int, ...], memo: dict) -> RationalFunction:
-    """Determinant of the last len(cols) rows restricted to cols, expanded
-    along its first row; zero entries are skipped and sub-minors memoized."""
-    if cols in memo:
-        return memo[cols]
-    row = rows[len(rows) - len(cols)]
-    if len(cols) == 1:
-        return row[cols[0]]
-    acc = RationalFunction(row[0].field, {})
-    for i, c in enumerate(cols):
-        e = row[c]
-        if e.terms:
-            sub = _minor(rows, cols[:i] + cols[i + 1 :], memo)
-            if sub.terms:
-                acc = acc - e * sub if i % 2 else acc + e * sub
-    memo[cols] = acc
-    return acc
-
-
-# Products by a generator as row and column operations, on 0-based indices.
-# A row operation rebuilds only the rows it changes and shares the others.
-
-
-def add_col(m: GroupMatrix, src: int, dst: int, f: RationalFunction) -> GroupMatrix:
-    """m . (1 + f E_{src,dst}): f times column src added to column dst."""
-    if not f.terms:
-        return m
-    rows = []
-    for row in m.entries:
-        if row[src].terms:
-            row = row[:dst] + (row[dst] + row[src] * f,) + row[dst + 1 :]
-        rows.append(row)
-    return GroupMatrix(tuple(rows))
-
-
-def add_row(m: GroupMatrix, dst: int, src: int, f: RationalFunction) -> GroupMatrix:
-    """(1 + f E_{dst,src}) . m: f times row src added to row dst."""
-    if not f.terms:
-        return m
-    rows = list(m.entries)
-    rows[dst] = tuple(a + f * e if e.terms else a for a, e in zip(rows[dst], rows[src]))
-    return GroupMatrix(tuple(rows))
-
-
-def scale_rows(m: GroupMatrix, r: int, g, s: int, h) -> GroupMatrix:
-    """diag(g at r, h at s, 1 elsewhere) . m, for RationalFunctions g, h."""
-    rows = list(m.entries)
-    rows[r] = tuple(e * g for e in rows[r])
-    rows[s] = tuple(e * h for e in rows[s])
-    return GroupMatrix(tuple(rows))
-
-
-def swap_cols(m: GroupMatrix, nm: GroupMatrix, r: int, s: int) -> GroupMatrix:
-    """m . nm, for nm the identity outside rows and columns r, s and
-    [[0, nm_rs], [nm_sr, 0]] on them: columns r and s exchanged and scaled."""
-    nrs, nsr = nm.entries[r][s], nm.entries[s][r]
-    rows = []
-    for row in m.entries:
-        row = list(row)
-        row[r], row[s] = row[s] * nsr, row[r] * nrs
-        rows.append(tuple(row))
-    return GroupMatrix(tuple(rows))
-
-
-def swap_rows(nm: GroupMatrix, r: int, s: int, m: GroupMatrix) -> GroupMatrix:
-    """nm . m, for nm as in swap_cols: rows r and s exchanged and scaled."""
-    rows = list(m.entries)
-    rows[r] = tuple(e * nm.entries[r][s] for e in m.entries[s])
-    rows[s] = tuple(e * nm.entries[s][r] for e in m.entries[r])
-    return GroupMatrix(tuple(rows))
-
-
-def in_iwahori(m: GroupMatrix) -> bool:
-    """All entries t-integral, and the t=0 evaluation is upper triangular
-    with nonzero diagonal."""
-    for r, row in enumerate(m.entries):
-        for c, e in enumerate(row):
-            v = e.valuation()
-            if r == c:
-                if v != 0:
-                    return False
-            elif v is not None and v < (1 if r > c else 0):
-                return False
-    return True
-
-
-def in_uminus(m: GroupMatrix) -> bool:
-    """Lower triangular with unit diagonal; entries below may be any
-    Laurent polynomial."""
-    n = m.n
-    one = RationalFunction.of(m.field, 1)
-    for r in range(n):
-        for c in range(n):
-            e = m.entries[r][c]
-            if r == c and e != one:
-                return False
-            if r < c and not e.is_zero():
-                return False
-    return True
-
-
-def is_monomial(m: GroupMatrix) -> bool:
-    """One nonzero entry per row and column, each a unit scalar times t^k."""
-    n = m.n
-    row_hits = [0] * n
-    col_hits = [0] * n
-    for r in range(n):
-        for c in range(n):
-            e = m.entries[r][c]
-            if e.is_zero():
-                continue
-            if not e.is_unit_monomial():
-                return False
-            row_hits[r] += 1
-            col_hits[c] += 1
-    return all(h == 1 for h in row_hits) and all(h == 1 for h in col_hits)
 
 
 class ExecutorState(Frozen):
@@ -343,9 +175,6 @@ class LoopSL:
             raise ZeroDivisionError("n element needs an invertible parameter")
         return self.x_root(beta, g) @ self.x_root(-beta, -g.inverse()) @ self.x_root(beta, g)
 
-    def n_simple(self, j: int) -> GroupMatrix:
-        return self._letter(j)[3]
-
     def n_simple_inv(self, j: int) -> GroupMatrix:
         """n_j^{-1} = n_j(-1), since n_beta(g)^{-1} = n_beta(-g)."""
         return self._letter(j)[4]
@@ -369,23 +198,6 @@ class LoopSL:
                     raise InvariantError(f"n_{j}({g}) is not a signed transposition")
             letter = self._letters[j] = (alpha, r, s, *ns)
         return letter
-
-    def h_root(self, beta: AffineRoot, value) -> GroupMatrix:
-        """n_beta(g) n_beta(1)^{-1}, the cocharacter of beta evaluated at g:
-        g in row r and g^{-1} in row s of the root position (r, s), for any k."""
-        g = self._as_rf(value)
-        r, s = self.root_position(beta.finite)
-        return self._identity_with({(r - 1, r - 1): g, (s - 1, s - 1): g.inverse()})
-
-    def h_cochar(self, lam: Coweight, value) -> GroupMatrix:
-        """Diagonal matrix with entries g^{<lam, eps_a>} for the coordinate
-        weights eps_a of the vector representation."""
-        g = self._as_rf(value)
-        if g.is_zero():
-            raise ZeroDivisionError("cocharacter needs an invertible parameter")
-        coords = (0, *lam.coords, 0)
-        diagonal = {(a, a): g ** (coords[a + 1] - coords[a]) for a in range(self.n)}
-        return self._identity_with(diagonal)
 
     # -- reading a monomial matrix back into the affine Weyl group -------
 

@@ -1,7 +1,8 @@
 """Constructions that only the tests use: balls and all reduced words of
-affine Weyl groups, inversion sequences, finite Bruhat points of the loop
-group, and CountPolynomial shifts.  They are built from the package's own
-operations, so a test that calls them still exercises the package."""
+affine Weyl groups, inversion sequences, the loop group's n_j, h_beta and
+cocharacter matrices and finite Bruhat points, and CountPolynomial shifts.
+They are built from the package's own operations, so a test that calls
+them still exercises the package."""
 
 from __future__ import annotations
 
@@ -110,9 +111,33 @@ def inversion_sequence(group: AffineWeylGroup, word: Sequence[int]) -> tuple[Aff
 # -- loop group -----------------------------------------------------------------
 
 
+def n_simple(sl: LoopSL, j: int) -> GroupMatrix:
+    """n_j = n_{alpha_j}(1), as cached by the executor and checked there to be
+    a signed transposition."""
+    return sl._letter(j)[3]
+
+
+def h_root(sl: LoopSL, beta: AffineRoot, value) -> GroupMatrix:
+    """n_beta(g) n_beta(1)^{-1}, the cocharacter of beta evaluated at g:
+    g in row r and g^{-1} in row s of the root position (r, s), for any k."""
+    g = sl._as_rf(value)
+    r, s = sl.root_position(beta.finite)
+    return sl._identity_with({(r - 1, r - 1): g, (s - 1, s - 1): g.inverse()})
+
+
+def h_cochar(sl: LoopSL, lam: Coweight, value) -> GroupMatrix:
+    """Diagonal matrix with entries g^{<lam, eps_a>} for the coordinate
+    weights eps_a of the vector representation."""
+    g = sl._as_rf(value)
+    if g.is_zero():
+        raise ZeroDivisionError("cocharacter needs an invertible parameter")
+    coords = (0, *lam.coords, 0)
+    return sl._identity_with({(a, a): g ** (coords[a + 1] - coords[a]) for a in range(sl.n)})
+
+
 def t_translation(sl: LoopSL, lam: Coweight) -> GroupMatrix:
     """The translation t_lam: the cocharacter lam at t^-1."""
-    return sl.h_cochar(lam, RationalFunction.t_power(sl.field, -1))
+    return h_cochar(sl, lam, RationalFunction.t_power(sl.field, -1))
 
 
 def bruhat_point_finite(sl: LoopSL, word: Sequence[int], labels: Sequence) -> GroupMatrix:

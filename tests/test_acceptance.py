@@ -34,6 +34,7 @@ from helpers import (
     ball,
     bruhat_point_finite,
     coset_equal_borel,
+    h_root,
     q_power,
     reduced_word_sweep,
 )
@@ -254,7 +255,7 @@ def test_criterion_8_relation_spot_checks():
             alpha = group.simple_affine_root(j)
             for c in values:
                 lhs = sl.x_simple(j, c) @ sl.n_simple_inv(j)
-                rhs = sl.x_root(-alpha, 1 / c) @ sl.x_simple(j, -c) @ sl.h_root(alpha, c)
+                rhs = sl.x_root(-alpha, 1 / c) @ sl.x_simple(j, -c) @ h_root(sl, alpha, c)
                 assert lhs == rhs
 
 

@@ -6,7 +6,12 @@ the tracer and checks that every hooked symbol still exists."""
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import alcovewalks
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -47,3 +52,24 @@ def test_every_traced_symbol_exists():
         "alcovewalks.loopgroup.LoopSL._check_state",
         "alcovewalks.ratfunc.RationalFunction.__mul__",
     }
+
+
+def test_cli_import_leaves_json_and_example8_out_and_keeps_the_matrix_hooks():
+    """`import alcovewalks.cli` loads neither json nor example8: the commands
+    that use them import them.  The matrix layer lives in `matrices`, and
+    every name the tracer hooks under alcovewalks.loopgroup is still there."""
+    env = dict(os.environ, PYTHONPATH=str(Path(alcovewalks.__file__).parents[1]))
+    probe = (
+        "import sys; before = set(sys.modules); import alcovewalks.cli; "
+        "print(sorted({'json', 'alcovewalks.example8'} & (set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout == "[]\n"
+    from alcovewalks import loopgroup, matrices
+
+    assert loopgroup.GroupMatrix is matrices.GroupMatrix
+    hooked = [path for _, module, path in traced_symbols() if module == "alcovewalks.loopgroup"]
+    assert "GroupMatrix.__matmul__" in hooked
+    assert [path for path in hooked if resolve("alcovewalks.loopgroup", path) is None] == []

@@ -28,7 +28,10 @@ from helpers import (
     ball,
     bruhat_point_finite,
     coset_equal_borel,
+    h_cochar,
+    h_root,
     is_upper_triangular,
+    n_simple,
     t_translation,
 )
 
@@ -86,9 +89,9 @@ def test_x_root_rejects_non_type_a_vectors():
 
 def test_n_matrices():
     sl = sl3()
-    assert sl.n_simple(1) == mat([[0, 1, 0], [-1, 0, 0], [0, 0, 1]])
-    assert sl.n_simple(2) == mat([[1, 0, 0], [0, 0, 1], [0, -1, 0]])
-    assert sl.n_simple(0) == mat([[0, 0, {-1: -1}], [0, 1, 0], [{1: 1}, 0, 0]])
+    assert n_simple(sl, 1) == mat([[0, 1, 0], [-1, 0, 0], [0, 0, 1]])
+    assert n_simple(sl, 2) == mat([[1, 0, 0], [0, 0, 1], [0, -1, 0]])
+    assert n_simple(sl, 0) == mat([[0, 0, {-1: -1}], [0, 1, 0], [{1: 1}, 0, 0]])
     g = Fraction(5, 3)
     assert sl2().n_root(AffineRoot(FiniteRoot((1,)), 0), g) == GroupMatrix(
         (
@@ -101,16 +104,15 @@ def test_n_matrices():
 def test_h_cochar_diagonals():
     sl = sl3()
     c = Fraction(4)
-    assert sl.h_cochar(Coweight((1, 0)), c) == mat(
+    assert h_cochar(sl, Coweight((1, 0)), c) == mat(
         [[4, 0, 0], [0, Fraction(1, 4), 0], [0, 0, 1]]
     )
-    assert sl.h_cochar(Coweight((-1, -1)), c) == mat(
+    assert h_cochar(sl, Coweight((-1, -1)), c) == mat(
         [[Fraction(1, 4), 0, 0], [0, 1, 0], [0, 0, 4]]
     )
     # the same group element through n products, at the affine node
-    assert sl.h_root(AffineRoot(FiniteRoot((-1, -1)), 1), c) == sl.h_cochar(
-        Coweight((-1, -1)), c
-    )
+    affine_node = AffineRoot(FiniteRoot((-1, -1)), 1)
+    assert h_root(sl, affine_node, c) == h_cochar(sl, Coweight((-1, -1)), c)
 
 
 def test_t_translation():
@@ -184,7 +186,7 @@ def test_iwahori_normalize_defining_identity_and_uniqueness(label, field):
             b = b @ sl.x_root(beta, Fraction(rng.randint(-3, 3)))
         if rng.random() < 0.4:
             lam = Coweight(tuple(rng.randint(-1, 1) for _ in range(rank)))
-            b = b @ sl.h_cochar(lam, Fraction(rng.choice((1, -1, 2)), 1))
+            b = b @ h_cochar(sl, lam, Fraction(rng.choice((1, -1, 2)), 1))
         assert in_iwahori(b)
         j = rng.randrange(rank + 1)
         c = field.of(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))))
@@ -194,7 +196,7 @@ def test_iwahori_normalize_defining_identity_and_uniqueness(label, field):
         rhs = sl.x_simple(j, ct) @ sl.n_simple_inv(j) @ b2
         assert lhs == rhs
         # uniqueness: shifting the label throws the result out of the subgroup
-        shifted = sl.n_simple(j) @ (sl.x_simple(j, -(ct + 1)) @ lhs)
+        shifted = n_simple(sl, j) @ (sl.x_simple(j, -(ct + 1)) @ lhs)
         assert not in_iwahori(shifted)
 
 
@@ -206,9 +208,9 @@ def test_closed_forms_match_their_definitions(label):
     for finite in sl.datum.roots():
         for k in (-1, 0, 1, 2):
             beta = AffineRoot(finite, k)
-            assert sl.h_root(beta, g) == sl.n_root(beta, g) @ sl.n_root(beta, 1).inverse()
+            assert h_root(sl, beta, g) == sl.n_root(beta, g) @ sl.n_root(beta, 1).inverse()
     for j in range(sl.datum.size + 1):
-        assert sl.n_simple_inv(j) == sl.n_simple(j).inverse()
+        assert sl.n_simple_inv(j) == n_simple(sl, j).inverse()
 
 
 def test_iwahori_normalize_rejects_bad_input():
@@ -233,7 +235,7 @@ def test_execute_single_fold_sl2():
     assert state.u == mat([[1, 0], [Fraction(1, 4), 1]])
     assert state.v.is_identity()
     assert state.v_rep == sl.identity()
-    expected_b = sl.x_simple(1, Fraction(-4)) @ sl.h_cochar(Coweight((1,)), Fraction(4))
+    expected_b = sl.x_simple(1, Fraction(-4)) @ h_cochar(sl, Coweight((1,)), Fraction(4))
     assert state.b == expected_b
     assert state.b == mat([[4, -1], [0, Fraction(1, 4)]])
     assert state.u_factors == ((AffineRoot(FiniteRoot((-1,)), 0), Fraction(1, 4)),)
@@ -279,8 +281,8 @@ def test_monomial_to_weyl():
     sl = sl3()
     group = sl.group
     assert sl.monomial_to_weyl(sl.identity()).is_identity()
-    assert sl.monomial_to_weyl(sl.n_simple(1)) == group.simple_reflection(1)
-    assert sl.monomial_to_weyl(sl.n_simple(0)) == group.simple_reflection(0)
+    assert sl.monomial_to_weyl(n_simple(sl, 1)) == group.simple_reflection(1)
+    assert sl.monomial_to_weyl(n_simple(sl, 0)) == group.simple_reflection(0)
     v9 = mat([[0, 1, 0], [{2: -1}, 0, 0], [0, 0, {-2: 1}]])
     assert sl.monomial_to_weyl(v9) == group.from_word((2, 1, 0, 2, 1, 2, 0))
     with pytest.raises(ValueError):
@@ -332,7 +334,7 @@ def test_folding_law_matrix_identity():
             rhs = (
                 sl.x_root(-alpha, 1 / c)
                 @ sl.x_simple(j, -c)
-                @ sl.h_root(alpha, c)
+                @ h_root(sl, alpha, c)
             )
             assert lhs == rhs
 
@@ -511,7 +513,7 @@ def test_bruhat_zero_labels_give_pure_n_product():
     n_product = sl.n_simple_inv(1) @ sl.n_simple_inv(2) @ sl.n_simple_inv(1)
     assert point == n_product
     # and stays in the same Borel coset as the other n-lift of w0
-    other_lift = sl.n_simple(1) @ sl.n_simple(2) @ sl.n_simple(1)
+    other_lift = n_simple(sl, 1) @ n_simple(sl, 2) @ n_simple(sl, 1)
     assert coset_equal_borel(point, other_lift)
 
 
@@ -544,10 +546,10 @@ def test_generators_have_determinant_one():
     mats = [
         sl.x_simple(0, Fraction(3)),
         sl.x_root(AffineRoot(FiniteRoot((1, 1)), -2), Fraction(-1, 2)),
-        sl.n_simple(0),
-        sl.n_simple(1),
+        n_simple(sl, 0),
+        n_simple(sl, 1),
         sl.n_root(AffineRoot(FiniteRoot((1, 1)), 1), Fraction(2, 3)),
-        sl.h_cochar(Coweight((2, -1)), Fraction(5)),
+        h_cochar(sl, Coweight((2, -1)), Fraction(5)),
         t_translation(sl, Coweight((1, 1))),
     ]
     for m in mats:
@@ -709,7 +711,7 @@ def test_cached_n_must_be_a_signed_transposition(monkeypatch):
     sl = sl3()
     monkeypatch.setattr(LoopSL, "n_root", lambda self, beta, g: self.x_root(beta, g))
     with pytest.raises(InvariantError, match="signed transposition"):
-        sl.n_simple(1)
+        n_simple(sl, 1)
     with pytest.raises(InvariantError, match="signed transposition"):
         sl.n_simple_inv(0)
 
@@ -719,7 +721,7 @@ def test_conjugate_needs_one_entry_in_the_column_and_row_it_reads():
     # 1 / v_rep[b][c] at (c, b), so row c of v_rep^-1 is column c of v_rep
     sl = sl3()
     gamma = AffineRoot(FiniteRoot((1, 0)), 1)  # position (1, 2)
-    v_rep = sl.n_simple(2) @ sl.h_root(gamma, 3)
+    v_rep = n_simple(sl, 2) @ h_root(sl, gamma, 3)
     assert sl.conjugate(v_rep, gamma, 2) == (rf({1: Fraction(-18)}), 0, 2)
     assert v_rep @ sl.x_root(gamma, 2) @ v_rep.inverse() == with_entry(
         sl.identity(), 0, 2, rf({1: Fraction(-18)})
@@ -768,8 +770,8 @@ def test_validated_step_costs_a_fixed_number_of_products(monkeypatch):
         built[0] += 1
         return real_identity_with(self, changes)
 
-    for j in range(sl.group.rank + 1):  # the n_j are cached on first use
-        sl.n_simple(j), sl.n_simple_inv(j)
+    for j in range(sl.group.rank + 1):  # n_j and n_j^-1 are cached on first use
+        sl.n_simple_inv(j)
     monkeypatch.setattr(GroupMatrix, "__matmul__", matmul)
     monkeypatch.setattr(LoopSL, "_check_state", check)
     monkeypatch.setattr(LoopSL, "_identity_with", identity_with)

@@ -29,6 +29,8 @@ from alcovewalks.loopgroup import (
 )
 from alcovewalks.ratfunc import QQ, PrimeField, RationalFunction
 
+from helpers import h_root, n_simple
+
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
@@ -158,10 +160,10 @@ def test_row_and_column_operations_equal_dense_products(case):
         assert add_col(m, r, c, entry) == m @ sl.x_root(gamma, f)
         assert add_row(m, r, c, entry) == sl.x_root(gamma, f) @ m
         if f.is_unit_monomial():
-            assert scale_rows(m, r, f, c, f.inverse()) == sl.h_root(gamma, f) @ m
+            assert scale_rows(m, r, f, c, f.inverse()) == h_root(sl, gamma, f) @ m
     for j in range(sl.group.rank + 1):
         r, s = zero_based(sl, sl.group.simple_affine_root(j))
-        for nm in (sl.n_simple(j), sl.n_simple_inv(j)):
+        for nm in (n_simple(sl, j), sl.n_simple_inv(j)):
             assert swap_cols(m, nm, r, s) == m @ nm
             assert swap_rows(nm, r, s, m) == nm @ m
 
