@@ -204,6 +204,10 @@ class LoopSL:
     def monomial_to_weyl(self, m: GroupMatrix) -> AffineWeylElement:
         if not is_monomial(m):
             raise ValueError("matrix is not monomial")
+        return self._weyl_of_monomial(m)
+
+    def _weyl_of_monomial(self, m: GroupMatrix) -> AffineWeylElement:
+        """monomial_to_weyl for an m already known to be monomial."""
         n = self.n
         sigma = [0] * (n + 1)  # column -> row, 1-based
         exps = [0] * (n + 1)  # row -> t exponent
@@ -372,7 +376,7 @@ class LoopSL:
             raise InvariantError("b left the Iwahori subgroup")
         if not is_monomial(v_rep):
             raise InvariantError("v_rep is not monomial")
-        if self.monomial_to_weyl(v_rep) != v:
+        if self._weyl_of_monomial(v_rep) != v:
             raise InvariantError("v_rep does not lie over the tracked Weyl element")
         whole = u @ v_rep @ b
         if consumed != whole:
@@ -420,6 +424,9 @@ def brute_force_cells(
     its parent's after one executor step, so each label prefix is stepped
     once and the walk makes p + p^2 + ... + p^L steps, not L p^L.  Leaves
     come in `itertools.product` order and only one state per depth is held.
+    Each leaf's u must lie in U^-, or InvariantError is raised: a tally
+    agreeing with the counts does not show that the crossing rule kept u
+    lower unipotent.
     """
     word = tuple(word)
     field = check_brute_force(word, p)
@@ -429,6 +436,8 @@ def brute_force_cells(
 
     def walk(state: ExecutorState, depth: int) -> None:
         if depth == len(word):
+            if not in_uminus(state.u):
+                raise InvariantError("u left the lower unipotent subgroup")
             tallies[state.v] = tallies.get(state.v, 0) + 1
             return
         j = word[depth]

@@ -16,6 +16,8 @@ from __future__ import annotations
 from .cartan import Frozen, _set
 from .ratfunc import Field, RationalFunction
 
+_ONE = {0: 1}  # the terms of the constant 1, over QQ and over F_p
+
 
 class GroupMatrix(Frozen):
     """Square matrix of Laurent polynomials."""
@@ -45,17 +47,20 @@ class GroupMatrix(Frozen):
     def __matmul__(self, other: "GroupMatrix") -> "GroupMatrix":
         zero = RationalFunction(self.field, {})
         cols = [
-            [(k, e) for k, e in enumerate(col) if e.terms] for col in zip(*other.entries)
+            [(k, e, e.terms == _ONE) for k, e in enumerate(col) if e.terms]
+            for col in zip(*other.entries)
         ]
         rows = []
         for row in self.entries:
             out = []
             for col in cols:
                 acc = None
-                for k, e in col:
+                for k, e, e_one in col:
                     a = row[k]
                     if a.terms:
-                        acc = a * e if acc is None else acc + a * e
+                        # a factor 1 gives the other operand, whose terms are never mutated
+                        f = a if e_one else e if a.terms == _ONE else a * e
+                        acc = f if acc is None else acc + f
                 out.append(zero if acc is None else acc)
             rows.append(tuple(out))
         return GroupMatrix(tuple(rows))
@@ -125,8 +130,8 @@ def add_row(m: GroupMatrix, dst: int, src: int, f: RationalFunction) -> GroupMat
 def scale_rows(m: GroupMatrix, r: int, g, s: int, h) -> GroupMatrix:
     """diag(g at r, h at s, 1 elsewhere) . m, for RationalFunctions g, h."""
     rows = list(m.entries)
-    rows[r] = tuple(e * g for e in rows[r])
-    rows[s] = tuple(e * h for e in rows[s])
+    rows[r] = tuple(e * g if e.terms else e for e in rows[r])
+    rows[s] = tuple(e * h if e.terms else e for e in rows[s])
     return GroupMatrix(tuple(rows))
 
 
@@ -137,16 +142,18 @@ def swap_cols(m: GroupMatrix, nm: GroupMatrix, r: int, s: int) -> GroupMatrix:
     rows = []
     for row in m.entries:
         row = list(row)
-        row[r], row[s] = row[s] * nsr, row[r] * nrs
+        er, es = row[r], row[s]
+        row[r], row[s] = es * nsr if es.terms else es, er * nrs if er.terms else er
         rows.append(tuple(row))
     return GroupMatrix(tuple(rows))
 
 
 def swap_rows(nm: GroupMatrix, r: int, s: int, m: GroupMatrix) -> GroupMatrix:
     """nm . m, for nm as in swap_cols: rows r and s exchanged and scaled."""
+    nrs, nsr = nm.entries[r][s], nm.entries[s][r]
     rows = list(m.entries)
-    rows[r] = tuple(e * nm.entries[r][s] for e in m.entries[s])
-    rows[s] = tuple(e * nm.entries[s][r] for e in m.entries[r])
+    rows[r] = tuple(e * nrs if e.terms else e for e in m.entries[s])
+    rows[s] = tuple(e * nsr if e.terms else e for e in m.entries[r])
     return GroupMatrix(tuple(rows))
 
 
@@ -155,11 +162,11 @@ def in_iwahori(m: GroupMatrix) -> bool:
     with nonzero diagonal."""
     for r, row in enumerate(m.entries):
         for c, e in enumerate(row):
-            v = e.valuation()
+            t = e.terms
             if r == c:
-                if v != 0:
+                if not t or min(t) != 0:
                     return False
-            elif v is not None and v < (1 if r > c else 0):
+            elif t and min(t) < (1 if r > c else 0):
                 return False
     return True
 
@@ -167,30 +174,22 @@ def in_iwahori(m: GroupMatrix) -> bool:
 def in_uminus(m: GroupMatrix) -> bool:
     """Lower triangular with unit diagonal; entries below may be any
     Laurent polynomial."""
-    n = m.n
-    one = RationalFunction.of(m.field, 1)
-    for r in range(n):
-        for c in range(n):
-            e = m.entries[r][c]
-            if r == c and e != one:
-                return False
-            if r < c and not e.is_zero():
+    for r, row in enumerate(m.entries):
+        for c, e in enumerate(row):
+            if c == r:
+                if e.terms != _ONE:
+                    return False
+            elif c > r and e.terms:
                 return False
     return True
 
 
 def is_monomial(m: GroupMatrix) -> bool:
     """One nonzero entry per row and column, each a unit scalar times t^k."""
-    n = m.n
-    row_hits = [0] * n
-    col_hits = [0] * n
-    for r in range(n):
-        for c in range(n):
-            e = m.entries[r][c]
-            if e.is_zero():
-                continue
-            if not e.is_unit_monomial():
-                return False
-            row_hits[r] += 1
-            col_hits[c] += 1
-    return all(h == 1 for h in row_hits) and all(h == 1 for h in col_hits)
+    cols = set()
+    for row in m.entries:
+        hits = [c for c, e in enumerate(row) if e.terms]
+        if len(hits) != 1 or len(row[hits[0]].terms) != 1:
+            return False
+        cols.update(hits)
+    return len(cols) == m.n

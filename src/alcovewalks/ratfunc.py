@@ -1,14 +1,17 @@
 """Exact scalar fields and Laurent polynomials in one variable t.
 
-Two scalar fields are supported: the rationals (fractions.Fraction) and
-prime fields F_p.  No floating point is used anywhere.
+Two scalar fields are supported: the rationals (ints and
+fractions.Fraction) and prime fields F_p.  No floating point is used
+anywhere.
 
 The matrix layer works in the loop group SL_n(F[t, t^-1]), so its
 entries are Laurent polynomials: finite sums c_k t^k with k of either
 sign.  A RationalFunction (the name is historical) is such an element,
 stored as a sparse {exponent: coefficient} map without zero
 coefficients.  A field's scalar is the coefficient its Laurent
-polynomials store: a Fraction over QQ and an int residue 0..p-1 over F_p.
+polynomials store.  Over QQ it is an int when the value is integral and
+a Fraction with denominator > 1 otherwise, so the +-1 entries of the
+generators multiply as plain ints; over F_p it is an int residue 0..p-1.
 Each field has one coercion into that canonical form, `of`, and one scalar
 inverse, `inv`.  Only the units c * t^k can be inverted; the inverse of
 anything else raises ZeroDivisionError.
@@ -20,22 +23,28 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 
+def _qq(c: int | Fraction) -> int | Fraction:
+    """The rational c in the form QQ.of gives."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
 class RationalField:
     """Marker object for exact rationals."""
 
     characteristic = 0
 
-    def of(self, value) -> Fraction:
-        """Coerce an int or Fraction."""
+    def of(self, value) -> int | Fraction:
+        """Coerce an int, bool or Fraction: an int when integral, else a
+        Fraction with denominator > 1."""
         if isinstance(value, Fraction):
-            return value
+            return _qq(value)
         if isinstance(value, int):
-            return Fraction(value)
+            return int(value)
         raise TypeError(f"cannot coerce {value!r} into the rationals")
 
-    def inv(self, c: Fraction) -> Fraction:
+    def inv(self, c: int | Fraction) -> int | Fraction:
         """1 / c; raises ZeroDivisionError for c = 0."""
-        return Fraction(1) / c
+        return _qq(Fraction(1, c))
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -103,13 +112,14 @@ class RationalFunction:
         self.terms = terms
 
     def _reduced(self, terms: dict) -> "RationalFunction":
-        """Drop zero coefficients (after reduction mod p over F_p)."""
+        """Drop zero coefficients (after reduction mod p over F_p) and store
+        integral rationals as ints."""
         p = self.field.characteristic
         if p:
             return RationalFunction(
                 self.field, {k: r for k, c in terms.items() if (r := c % p)}
             )
-        return RationalFunction(self.field, {k: c for k, c in terms.items() if c})
+        return RationalFunction(self.field, {k: _qq(c) for k, c in terms.items() if c})
 
     @staticmethod
     def of(field: Field, value) -> "RationalFunction":
@@ -172,13 +182,16 @@ class RationalFunction:
                     # times 1: the other operand, whose terms are never mutated
                     return self if a is self.terms else other
                 return RationalFunction(self.field, {i + j: x for i, x in a.items()})
+            if len(a) == 1:
+                ((i, x),) = a.items()
+                return RationalFunction(self.field, {i + j: x * y % p if p else _qq(x * y)})
             if p:
                 if y == p - 1:
                     return RationalFunction(self.field, {i + j: p - x for i, x in a.items()})
                 return RationalFunction(self.field, {i + j: x * y % p for i, x in a.items()})
             if y == -1:
                 return RationalFunction(self.field, {i + j: -x for i, x in a.items()})
-            return RationalFunction(self.field, {i + j: x * y for i, x in a.items()})
+            return RationalFunction(self.field, {i + j: _qq(x * y) for i, x in a.items()})
         if not b:
             return RationalFunction(self.field, {})
         out: dict = {}

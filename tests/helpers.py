@@ -2,11 +2,13 @@
 affine Weyl groups, inversion sequences, the loop group's n_j, h_beta and
 cocharacter matrices and finite Bruhat points, and CountPolynomial shifts.
 They are built from the package's own operations, so a test that calls
-them still exercises the package."""
+them still exercises the package.  `is_canonical` states the form a
+stored coefficient must have."""
 
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -21,7 +23,7 @@ from alcovewalks.affine import (
 from alcovewalks.cartan import Coweight, from_label
 from alcovewalks.folding import CountPolynomial, Frontier, _times_q, _times_q_minus_one, count_step
 from alcovewalks.loopgroup import GroupMatrix, LoopSL
-from alcovewalks.ratfunc import RationalFunction
+from alcovewalks.ratfunc import QQ, RationalFunction
 
 # -- the benchmark's inputs ---------------------------------------------------
 
@@ -32,6 +34,18 @@ def bench_word(command: str, name: str) -> tuple[AffineWeylGroup, Word]:
     """The group and the first pool word of the named benchmark case."""
     case = next(c for c in BENCH_CASES[command] if c["name"] == name)
     return AffineWeylGroup(from_label(case["type"])), parse_word(case["pool"][0]["word"])
+
+
+# -- scalars ------------------------------------------------------------------
+
+
+def is_canonical(c, field) -> bool:
+    """Whether c has the form `field.of` gives: over QQ an int when c is
+    integral and a Fraction with denominator > 1 otherwise, over F_p an
+    int in 0..p-1."""
+    if field == QQ:
+        return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+    return type(c) is int and 0 <= c < field.p
 
 
 # -- affine Weyl groups -------------------------------------------------------

@@ -5,9 +5,11 @@ running factorization, the memberships and det = 1 after every step, and
 then compares the step kinds with the combinatorial folded paths and
 checks that every stored coefficient has the canonical form `field.of`
 gives.  The row and column operations the step uses in place of matrix
-products are compared with the dense products they replace.
+products are compared with the dense products they replace, and the dense
+product and the determinant with naive references.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -29,7 +31,7 @@ from alcovewalks.loopgroup import (
 )
 from alcovewalks.ratfunc import QQ, PrimeField, RationalFunction
 
-from helpers import h_root, n_simple
+from helpers import h_root, is_canonical, n_simple
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -89,14 +91,6 @@ def executor_runs(draw, types=TYPES):
     return label, field_name, word, tuple(labels)
 
 
-def is_canonical(c, field):
-    """Whether c has the form `field.of` gives: a Fraction over QQ, an int
-    in 0..p-1 over F_p."""
-    if field == QQ:
-        return type(c) is Fraction
-    return type(c) is int and 0 <= c < field.p
-
-
 def stored_coefficients(*matrices):
     return [c for m in matrices for row in m.entries for e in row for c in e.terms.values()]
 
@@ -148,6 +142,88 @@ def sparse_cases(draw):
 def zero_based(sl, root):
     r, c = sl.root_position(root.finite)
     return r - 1, c - 1
+
+
+def entry_terms(field):
+    """{exponent: coefficient} maps: zero, 1, -1, +-t^k, and sums of up to
+    three terms, with fractional coefficients over QQ."""
+    return st.one_of(
+        st.sampled_from(({}, {0: 1}, {0: -1})),
+        st.builds(lambda k, sign: {k: sign}, st.integers(-2, 2), st.sampled_from((1, -1))),
+        st.dictionaries(st.integers(-2, 2), scalars(field), max_size=3),
+    )
+
+
+@st.composite
+def matrix_pairs(draw):
+    """A field, QQ or F_5, and two n x n matrices of raw term maps, 2 <= n <= 4."""
+    field = draw(st.sampled_from((QQ, PrimeField(5))))
+    n = draw(st.integers(2, 4))
+    a = [[draw(entry_terms(field)) for _ in range(n)] for _ in range(n)]
+    b = [[draw(entry_terms(field)) for _ in range(n)] for _ in range(n)]
+    return field, a, b
+
+
+# Naive references on raw {exponent: coefficient} maps, with plain int and
+# Fraction arithmetic: they call no RationalFunction operation.
+
+
+def naive_add(f: dict, g: dict) -> dict:
+    out = dict(f)
+    for k, c in g.items():
+        out[k] = out.get(k, 0) + c
+    return out
+
+
+def naive_mul(f: dict, g: dict) -> dict:
+    out: dict = {}
+    for i, x in f.items():
+        for j, y in g.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return out
+
+
+def naive_reduce(f: dict, p: int) -> dict:
+    """Reduce mod p (p > 0) and drop zero coefficients."""
+    return {k: c for k, v in f.items() if (c := v % p if p else v)}
+
+
+def naive_matmul(a, b, p: int):
+    n = len(a)
+    out = [[{} for _ in range(n)] for _ in range(n)]
+    for r, c, k in itertools.product(range(n), repeat=3):
+        out[r][c] = naive_add(out[r][c], naive_mul(a[r][k], b[k][c]))
+    return [[naive_reduce(e, p) for e in row] for row in out]
+
+
+def leibniz_determinant(a, p: int) -> dict:
+    """sum over permutations s of sign(s) a[0][s(0)] ... a[n-1][s(n-1)]."""
+    n = len(a)
+    out: dict = {}
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        term = {0: (-1) ** inversions}
+        for r, c in enumerate(perm):
+            term = naive_mul(term, a[r][c])
+        out = naive_add(out, term)
+    return naive_reduce(out, p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrix_pairs())
+def test_matmul_and_determinant_match_naive_references(case):
+    field, a, b = case
+    p = field.characteristic
+    ma, mb = (
+        GroupMatrix(tuple(tuple(RationalFunction.from_laurent(field, e) for e in row) for row in m))
+        for m in (a, b)
+    )
+    product = ma @ mb
+    assert [[e.terms for e in row] for row in product.entries] == naive_matmul(a, b, p)
+    det = ma.determinant()
+    assert det.terms == leibniz_determinant(a, p)
+    stored = stored_coefficients(product) + list(det.terms.values())
+    assert all(c and is_canonical(c, field) for c in stored)
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,6 +5,8 @@ import pytest
 
 from alcovewalks.ratfunc import PrimeField, QQ, RationalFunction
 
+from helpers import is_canonical
+
 
 def test_prime_field_validation():
     for bad in (0, 1, 4, 6, 9):
@@ -61,11 +63,24 @@ def test_polynomial_trim_and_degree():
 
 
 def test_rational_function_normalization():
-    # the canonical form: no zero coefficients, Fractions over QQ, residues
-    # 0..p-1 over F_p, so equal elements compare and hash equal
-    f = RationalFunction.from_laurent(QQ, {-1: 0, 0: 1, 1: Fraction(4, 2), 3: 0})
-    assert f.terms == {0: Fraction(1), 1: Fraction(2)}
-    assert all(type(c) is Fraction for c in f.terms.values())
+    # the canonical form: no zero coefficients, over QQ an int when integral
+    # and a Fraction with denominator > 1 otherwise, residues 0..p-1 over
+    # F_p, so equal elements compare and hash equal
+    f = RationalFunction.from_laurent(
+        QQ, {-1: 0, 0: 1, 1: Fraction(4, 2), 2: Fraction(-3, 6), 3: 0}
+    )
+    assert f.terms == {0: 1, 1: 2, 2: Fraction(-1, 2)}
+    assert [type(f.terms[k]) for k in (0, 1, 2)] == [int, int, Fraction]
+    assert all(is_canonical(c, QQ) for c in f.terms.values())
+    for value, want in ((True, 1), (False, 0), (Fraction(4, 2), 2), (-3, -3)):
+        assert type(QQ.of(value)) is int and QQ.of(value) == want
+    assert type(QQ.inv(-1)) is int and QQ.inv(-1) == -1
+    assert type(QQ.inv(Fraction(1, 3))) is int and QQ.inv(Fraction(1, 3)) == 3
+    half = RationalFunction.of(QQ, Fraction(1, 2))
+    for product in (half * RationalFunction.of(QQ, 2), RationalFunction.of(QQ, 2) * half):
+        assert product.terms == {0: 1} and type(product.terms[0]) is int
+    assert type((half + half).terms[0]) is int
+    assert hash(RationalFunction.of(QQ, Fraction(6, 3))) == hash(RationalFunction.of(QQ, 2))
     assert RationalFunction.from_laurent(QQ, {2: 0}).is_zero()
     assert RationalFunction.from_laurent(QQ, {}) == RationalFunction.of(QQ, 0)
     f5 = PrimeField(5)
@@ -234,8 +249,5 @@ def test_products_by_plus_and_minus_t_powers(field):
                 want = convolve(field, f_terms, {k: sign})
                 for product in (f * unit, unit * f):
                     assert product.terms == want and product.field == field, (terms, k, sign)
-                    if field == QQ:
-                        assert all(type(c) is Fraction for c in product.terms.values())
-                    else:
-                        assert all(0 < c < field.p for c in product.terms.values())
+                    assert all(c and is_canonical(c, field) for c in product.terms.values())
         assert f.terms == {k: c for k, c in f_terms.items() if c}  # f was not mutated
