@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .affine import AffineWeylGroup
 from .cartan import from_label
 from .folding import count_polynomial, enumerate_folded_paths
 from .loopgroup import GroupMatrix, LoopSL, in_iwahori, in_uminus, is_monomial
@@ -94,9 +93,8 @@ def run_checks():
     def check(name, ok, detail=""):
         results.append((name, bool(ok), "" if ok else detail))
 
-    datum = from_label("A2")
-    group = AffineWeylGroup(datum)
-    sl = LoopSL(datum, QQ)
+    sl = LoopSL(from_label("A2"), QQ)
+    group = sl.group
     state = sl.execute_folding(WORD, LABELS, validate=True)
 
     check(

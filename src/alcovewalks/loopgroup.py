@@ -29,9 +29,13 @@ executor never inverts a matrix.
 `LoopSL.step` is the one executor step: the factorization of a prefix,
 a letter and a label give the factorization one letter longer.
 `execute_folding` folds it over a word.  Validation is inductive: each
-step is checked against the previous, already checked state, with one
-product of u, v_rep and b, so a validated step costs a fixed number of
-matrix products whatever the word's length.  The F_p brute force walks the
+step is checked against the previous, already checked state, and the run
+carries that state's v_rep . b in place of the product of the generators
+read so far.  prev.u . prev_vb is that product and u = prev.u x_gamma(c)
+is checked first, so the identity after the next generator g reduces to
+prev_vb g == x_gamma(c) v_rep b.  A validated step thus costs a fixed
+number of matrix products whatever the word's length, and only u's own
+factor check multiplies by u.  The F_p brute force walks the
 trie of label tuples depth first with the same step, so a label prefix
 shared by many tuples is stepped once: p + p^2 + ... + p^L steps for a
 word of L letters instead of L p^L.
@@ -338,13 +342,12 @@ class LoopSL:
         if len(labels) != len(word):
             raise ValueError("need exactly one label per letter")
         labels = [self.field.of(c) for c in labels]
-        state = self.initial_state()
-        consumed = self.identity()
+        state, vb = self.initial_state(), self._identity
         for j, label in zip(word, labels):
             prev, state = state, self.step(state, j, label)
             if validate:
-                consumed = consumed @ (self.x_simple(j, label) @ self.n_simple_inv(j))
-                self._check_state(consumed, prev, state)
+                generator = self.x_simple(j, label) @ self.n_simple_inv(j)
+                vb = self._check_state(generator, vb, prev, state)
         return state
 
     def _extract_root_coeff(self, f: RationalFunction, a: int, b: int, gamma: AffineRoot):
@@ -358,16 +361,29 @@ class LoopSL:
         return f.terms[gamma.k]
 
     def _check_state(
-        self, consumed: GroupMatrix, prev: ExecutorState, state: ExecutorState
-    ) -> None:
-        """Check `state`, one step past the already checked `prev`, against
-        the product `consumed` of the generators read so far.
+        self,
+        generator: GroupMatrix,
+        prev_vb: GroupMatrix,
+        prev: ExecutorState,
+        state: ExecutorState,
+    ) -> GroupMatrix:
+        """Check `state`, one step past the already checked `prev`, whose
+        v_rep . b is `prev_vb`, after the next generator x_j(c) n_j^{-1};
+        return state's v_rep . b.
 
         u's recorded factorization is checked by induction: prev's factors
         are kept, the new wall is uminus positive and prev.u x_gamma(c) == u
         for the new factor (gamma, c), so u is the product of all of them
-        (the initial state's u and factors are 1 and ()).  With one product
-        u . v_rep . b, a step costs a fixed number of matrix products.
+        (the initial state's u and factors are 1 and ()).  The running
+        identity is inductive too: prev.u . prev_vb is the product of the
+        earlier generators and prev.u is invertible, so u . v_rep . b is
+        the product up to `generator` exactly when
+        prev_vb . generator == x_gamma(c) . v_rep . b.  det(u . v_rep . b)
+        is then the product of the generators' determinants, each earlier
+        one checked to be 1, so det(generator) == 1 holds exactly when
+        det(u . v_rep . b) == 1, without forming u . v_rep . b.  With the
+        generator, a validated step makes five matrix products, and only
+        prev.u x_gamma(c) has u as a factor.
         """
         u, v, v_rep, b = state.u, state.v, state.v_rep, state.b
         if not in_uminus(u):
@@ -378,19 +394,21 @@ class LoopSL:
             raise InvariantError("v_rep is not monomial")
         if self._weyl_of_monomial(v_rep) != v:
             raise InvariantError("v_rep does not lie over the tracked Weyl element")
-        whole = u @ v_rep @ b
-        if consumed != whole:
-            raise InvariantError("running factorization identity failed")
         factors = state.u_factors
         if len(factors) != len(prev.u_factors) + 1 or factors[:-1] != prev.u_factors:
             raise InvariantError("u does not match its recorded factorization")
         gamma, coeff = factors[-1]
         if not is_uminus_positive(gamma):
             raise InvariantError("recorded wall is not uminus positive")
-        if prev.u @ self.x_root(gamma, coeff) != u:
+        x = self.x_root(gamma, coeff)
+        if prev.u @ x != u:
             raise InvariantError("u does not match its recorded factorization")
-        if whole.determinant() != self._one:
+        vb = v_rep @ b
+        if prev_vb @ generator != x @ vb:
+            raise InvariantError("running factorization identity failed")
+        if generator.determinant() != self._one:
             raise InvariantError("determinant drifted from 1")
+        return vb
 
 
 # Most executor steps a brute force makes: p + p^2 + ... + p^L for L

@@ -200,9 +200,6 @@ class RationalFunction:
                 out[i + j] = out.get(i + j, 0) + x * y
         return self._reduced(out)
 
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        return self * other.inverse()
-
     def inverse(self) -> "RationalFunction":
         """Inverse of a unit c * t^k; anything else raises ZeroDivisionError."""
         if len(self.terms) != 1:

@@ -630,6 +630,13 @@ def u_times_extra_x(sl, s):
     return replace(s, u=s.u @ sl.x_root(lower_root(sl, 0), 1))
 
 
+def u_and_factor_moved(sl, s):
+    # u x_wall(1) with the last coefficient raised by 1 agrees with its
+    # recorded factorization, since x_wall(c) x_wall(1) = x_wall(c + 1)
+    *rest, (wall, c) = s.u_factors
+    return replace(s, u=s.u @ sl.x_root(wall, 1), u_factors=(*rest, (wall, c + 1)))
+
+
 def u_times_extra_x_b_compensating(sl, s):
     # u x and x^-1 moved into b: u . v_rep . b is unchanged, b stays Iwahori
     # (x's root sits high in t), so only u's recorded factorization is off
@@ -661,7 +668,8 @@ CORRUPTIONS = [
     (bump_first_coeff, "recorded factorization"),
     (negate_last_wall, "not uminus positive"),
     (u_off_uminus, "lower unipotent"),
-    (u_times_extra_x, "running factorization identity"),
+    (u_times_extra_x, "recorded factorization"),
+    (u_and_factor_moved, "running factorization identity"),
     (u_times_extra_x_b_compensating, "recorded factorization"),
     (b_with_pole, "Iwahori"),
     (v_rep_not_monomial, "v_rep is not monomial"),
@@ -700,10 +708,17 @@ def test_determinant_check_raises(label):
     word = reduced_word(sl.group, rng, 5)
     labels = nonzero_labels(rng, 5)
     state = sl.execute_folding(word[:-1], labels[:-1], validate=True)
-    bad = b_scaled(sl, sl.step(state, word[-1], labels[-1]))
-    whole = bad.u @ bad.v_rep @ bad.b
+    prev_vb = state.v_rep @ state.b
+    j, c = word[-1], labels[-1]
+    good = sl.step(state, j, c)
+    generator = sl.x_simple(j, c) @ sl.n_simple_inv(j)
+    sl._check_state(generator, prev_vb, state, good)  # passes uncorrupted
+    # d = diag(2, 1, ...) on the right of both sides keeps the identity, and
+    # b d stays Iwahori, so only the generator's determinant is off
+    d = with_entry(sl.identity(), 0, 0, rf(2))
+    bad = replace(good, b=good.b @ d)
     with pytest.raises(InvariantError, match="determinant drifted from 1"):
-        sl._check_state(whole, state, bad)
+        sl._check_state(generator @ d, prev_vb, state, bad)
 
 
 def test_cached_n_must_be_a_signed_transposition(monkeypatch):
@@ -760,9 +775,10 @@ def test_validated_step_costs_a_fixed_number_of_products(monkeypatch):
 
     marks = []
 
-    def check(self, consumed, prev, state):
-        real_check(self, consumed, prev, state)
+    def check(self, generator, prev_vb, prev, state):
+        vb = real_check(self, generator, prev_vb, prev, state)
         marks.append(products[0])
+        return vb
 
     real_identity_with, built = LoopSL._identity_with, [0]
 
@@ -791,6 +807,7 @@ def test_validated_step_costs_a_fixed_number_of_products(monkeypatch):
             costs += [b - a for a, b in zip([0] + marks, marks)]
         assert len(costs) == 3 * length
         per_step[length] = costs
-    # every product of a validated step is in its check: two for the
-    # consumed generators, two for u . v_rep . b and one for prev.u x_gamma(c)
+    # every product of a validated step is for its check: the generator
+    # x_j(c) n_j^-1, prev.u x_gamma(c), prev_vb . generator, v_rep . b and
+    # x_gamma(c) . (v_rep . b)
     assert max(per_step[12]) <= max(per_step[4]) <= 5

@@ -1,8 +1,11 @@
 """Property tests of the matrix executor on random reduced type A words.
 
 Each example runs execute_folding(..., validate=True), which re-checks the
-running factorization, the memberships and det = 1 after every step, and
-then compares the step kinds with the combinatorial folded paths and
+memberships, u's recorded factors, the running factorization and det = 1
+after every step, each against the previous step's state.  The example
+then checks the identity itself: u . v_rep . b equals the left-to-right
+product of the generators x_j(c) n_j^{-1} of the word, of determinant 1.
+It compares the step kinds with the combinatorial folded paths and
 checks that every stored coefficient has the canonical form `field.of`
 gives.  The row and column operations the step uses in place of matrix
 products are compared with the dense products they replace, and the dense
@@ -100,7 +103,14 @@ def stored_coefficients(*matrices):
 def test_validated_executor_matches_exactly_one_folded_path(run):
     label, field_name, word, labels = run
     field = FIELDS[field_name]
-    state = LOOPS[(label, field_name)].execute_folding(word, labels, validate=True)
+    sl = LOOPS[(label, field_name)]
+    state = sl.execute_folding(word, labels, validate=True)
+    # the literal identity, which the validated run checks only inductively
+    product = sl.identity()
+    for j, c in zip(word, labels):
+        product = product @ sl.x_simple(j, c) @ sl.n_simple_inv(j)
+    assert product == state.u @ state.v_rep @ state.b
+    assert product.determinant() == RationalFunction.of(field, 1)
     assert all(is_canonical(c, field) for _, c in state.u_factors)
     stored = stored_coefficients(state.u, state.v_rep, state.b)
     assert all(c and is_canonical(c, field) for c in stored)

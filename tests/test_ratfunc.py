@@ -127,7 +127,7 @@ def test_field_laws_on_samples(field):
             unit = RationalFunction.of(field, c) * t ** k
             assert unit.inverse() * unit == one
             for f in samples[:4]:
-                assert (f * unit) / unit == f
+                assert (f * unit) * unit.inverse() == f
 
 
 def test_non_unit_inverse_raises():
@@ -138,14 +138,14 @@ def test_non_unit_inverse_raises():
             with pytest.raises(ZeroDivisionError):
                 f.inverse()
             with pytest.raises(ZeroDivisionError):
-                one / f
+                f ** -1
 
 
 def test_valuation():
     t = RationalFunction.t_power(QQ, 1)
     one = RationalFunction.of(QQ, 1)
     assert (t ** 3 * (one + t)).valuation() == 3
-    assert (one / t ** 2).valuation() == -2
+    assert (t ** 2).inverse().valuation() == -2
     assert (t ** -2 + t).valuation() == -2
     assert RationalFunction.of(QQ, 0).valuation() is None
     rng = random.Random(3)
