@@ -120,10 +120,6 @@ class FiniteRoot(Frozen):
     def is_negative(self) -> bool:
         return any(self.coords) and all(c <= 0 for c in self.coords)
 
-    def support(self) -> tuple[int, ...]:
-        """1-based indices of the nonzero coefficients."""
-        return tuple(i + 1 for i, c in enumerate(self.coords) if c != 0)
-
 
 class Coweight(Frozen):
     """Integer coefficient vector on the simple coroots."""

@@ -6,7 +6,10 @@ A_n matrix itself, get a matrix layer: the finite root e_a - e_b maps to
 the matrix position (a, b), the affine generator attached to
 alpha + j delta is x_alpha(c t^j), and translations are cocharacters
 evaluated at t^{-1}.  `matrices` holds the matrices and their row and
-column products.
+column products.  A monomial v_rep is read back into the affine Weyl
+group through one table from each root to its position and back: its
+column permutation gives the finite part, its t-exponents the
+translation, and no word is formed.
 
 The folding executor consumes a word letter by letter, keeping the exact
 identity
@@ -43,6 +46,7 @@ word of L letters instead of L p^L.
 
 from __future__ import annotations
 
+from itertools import accumulate, permutations
 from typing import Sequence
 
 from .affine import (
@@ -53,7 +57,7 @@ from .affine import (
     NormalizationError,
     is_uminus_positive,
 )
-from .cartan import CartanDatum, Coweight, FiniteRoot, Frozen, _set, from_label
+from .cartan import CartanDatum, Coweight, FiniteRoot, FiniteWeylElement, Frozen, _set, from_label
 from .folding import StepKind
 from .matrices import (
     GroupMatrix,
@@ -123,7 +127,16 @@ class LoopSL:
                 for r in range(self.n)
             )
         )
+        # e_a - e_b = alpha_a + ... + alpha_{b-1} sits at (a, b), 1-based;
+        # _root_at maps a position to the root's index in datum.roots()
+        index = datum.root_tables.index
         self._positions: dict[tuple[int, ...], tuple[int, int]] = {}
+        self._root_at: dict[tuple[int, int], int] = {}
+        for a, b in permutations(range(1, self.n + 1), 2):
+            lo, hi, sign = (a, b, 1) if a < b else (b, a, -1)
+            coords = tuple(sign if lo <= i < hi else 0 for i in range(1, self.n))
+            self._positions[coords] = a, b
+            self._root_at[a, b] = index[coords]
         self._letters: dict[int, tuple] = {}
 
     # -- elementary constructors ----------------------------------------
@@ -151,16 +164,7 @@ class LoopSL:
         """Matrix position (row, col) of the root +-(e_a - e_b), 1-based."""
         pos = self._positions.get(alpha.coords)
         if pos is None:
-            support = alpha.support()
-            values = {alpha.coords[i - 1] for i in support}
-            if (
-                not support
-                or values not in ({1}, {-1})
-                or support != tuple(range(support[0], support[-1] + 1))
-            ):
-                raise ValueError(f"{alpha} is not a type A root")
-            a, b = support[0], support[-1] + 1
-            pos = self._positions[alpha.coords] = (a, b) if values == {1} else (b, a)
+            raise ValueError(f"{alpha} is not a type A root")
         return pos
 
     def x_root(self, beta: AffineRoot, value) -> GroupMatrix:
@@ -211,34 +215,26 @@ class LoopSL:
         return self._weyl_of_monomial(m)
 
     def _weyl_of_monomial(self, m: GroupMatrix) -> AffineWeylElement:
-        """monomial_to_weyl for an m already known to be monomial."""
-        n = self.n
-        sigma = [0] * (n + 1)  # column -> row, 1-based
-        exps = [0] * (n + 1)  # row -> t exponent
-        for c in range(n):
-            r = next(r for r in range(n) if not m.entries[r][c].is_zero())
-            e = m.entries[r][c]
-            sigma[c + 1] = r + 1
-            exps[r + 1] = e.valuation()
-        # translation: diag(t^{e_a}) = cocharacter at t^{-1} of the coweight
-        # with partial sums -(e_1 + ... + e_a)
-        lam = []
-        acc = 0
-        for a in range(1, n):
-            acc += exps[a]
-            lam.append(-acc)
-        translation = Coweight(tuple(lam))
-        # finite part: sort the permutation with adjacent swaps
-        word: list[int] = []
-        perm = sigma[1:]
-        while True:
-            i = next((i for i in range(n - 1) if perm[i] > perm[i + 1]), None)
-            if i is None:
-                break
-            perm[i], perm[i + 1] = perm[i + 1], perm[i]
-            word.append(i + 1)
-        finite = self.datum.weyl_from_word(tuple(reversed(word)))
-        return AffineWeylElement(translation, finite)
+        """monomial_to_weyl for an m already known to be monomial.
+
+        m sends e_c to a multiple of e_sigma(c), so it conjugates the root
+        at (a, b) to the one at (sigma(a), sigma(b)): that is the finite
+        part, read through the position table.  The t-exponents of the
+        rows give the translation."""
+        root_at = self._root_at
+        sigma = [0] * (self.n + 1)  # column -> row, 1-based
+        exps = []  # row -> t exponent
+        for r, row in enumerate(m.entries, 1):
+            c, e = next((c, e) for c, e in enumerate(row, 1) if e.terms)
+            sigma[c] = r
+            exps.append(e.valuation())
+        perm = [0] * len(root_at)
+        for (a, b), r in root_at.items():
+            perm[r] = root_at[sigma[a], sigma[b]]
+        # diag(t^{e_a}) is the cocharacter at t^{-1} of the coweight with
+        # partial sums -(e_1 + ... + e_a)
+        translation = Coweight(tuple(-acc for acc in accumulate(exps[:-1])))
+        return AffineWeylElement(translation, FiniteWeylElement(self.datum, tuple(perm)))
 
     # -- Iwahori coset normalization -------------------------------------
 

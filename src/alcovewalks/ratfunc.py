@@ -143,7 +143,7 @@ class RationalFunction:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return self.terms == other.terms and self.field == other.field
+        return self.terms == other.terms and (self.field is other.field or self.field == other.field)
 
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))

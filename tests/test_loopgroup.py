@@ -85,6 +85,10 @@ def test_x_root_rejects_non_type_a_vectors():
     sl = sl3()
     with pytest.raises(ValueError):
         sl.x_root(AffineRoot(FiniteRoot((1, -1)), 0), 1)
+    with pytest.raises(ValueError):
+        sl.x_root(AffineRoot(FiniteRoot((2, 1)), 0), 1)
+    with pytest.raises(ValueError):  # support {1, 3} is not an interval
+        LoopSL(from_label("A3"), QQ).x_root(AffineRoot(FiniteRoot((1, 0, 1)), 0), 1)
 
 
 def test_n_matrices():
@@ -290,13 +294,20 @@ def test_monomial_to_weyl():
 
 
 def test_monomial_round_trip_through_words():
-    sl = sl3()
-    group = sl.group
-    for word in [(), (0,), (1, 2), (0, 1, 2, 0), (2, 1, 0, 2, 1)]:
-        m = sl.identity()
-        for j in word:
-            m = m @ sl.n_simple_inv(j)
-        assert sl.monomial_to_weyl(m) == group.from_word(word)
+    for label, size in (("A2", 46), ("A3", 121)):
+        sl = LoopSL(from_label(label), QQ)
+        group, rank = sl.group, sl.datum.size
+        elements = ball(group, 5)
+        assert len(elements) == size
+        # constant torus factors rescale entries without moving t-exponents
+        left = h_cochar(sl, Coweight((1,) * rank), Fraction(2))
+        right = h_cochar(sl, Coweight(tuple(range(-1, rank - 1))), Fraction(-3, 5))
+        for g in elements:
+            m = sl.identity()
+            for j in group.reduced_word(g):
+                m = m @ sl.n_simple_inv(j)
+            assert sl.monomial_to_weyl(m) == g
+            assert sl.monomial_to_weyl(left @ m @ right) == g
 
 
 def test_conjugation_relation_magnitudes():
