@@ -216,7 +216,7 @@ def _cmd_render(args) -> int:
     overlays = () if word is None else (word,)
     target = _parse_endpoint(group, args.end)
     if target is not None:
-        overlays = enumerate_folded_paths(group, word, end=target)
+        overlays = enumerate_folded_paths(group, word, allow_nonreduced=True, end=target)
         if not overlays:
             print("no folded path has that endpoint", file=sys.stderr)
             return 1

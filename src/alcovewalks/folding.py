@@ -184,7 +184,10 @@ def _walk_setup(
     for i in word:
         group._check_letter(i)
     if not allow_nonreduced and not group.is_reduced(word):
-        raise WordError(f"word {word} is not reduced (pass allow_nonreduced to override)")
+        raise WordError(
+            f"word {word} is not reduced "
+            "(pass --allow-nonreduced or allow_nonreduced=True to override)"
+        )
     start = group.state(group.identity())
     if end is None:
         return word, (start,), (None,) * len(word)

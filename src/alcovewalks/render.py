@@ -10,7 +10,9 @@ on raw alcove states.
 
 `render_arrangement(group, radius=2, overlays=())` draws the walls of
 an AffineWeylGroup of rank <= 2 out to the given radius, with the
-overlays on top; it checks the rank and the radius first.
+overlays on top; it checks the rank and the radius first.  Rank 1 is
+drawn as the first axis of the plane, through the same embedding, wall
+clipper and alcove polygon code as rank 2.
 
 The exact rank <= 2 alcove geometry lives here too, in coroot coordinates:
 the fundamental alcove's vertices and each alcove's barycenter.
@@ -55,58 +57,52 @@ def _fmt(x: float) -> str:
 
 
 class _Embedding:
-    """Map rational coroot coordinates to Euclidean drawing coordinates."""
+    """Map rational coroot coordinates to Euclidean drawing coordinates.
+
+    A rank-1 Gram matrix is padded with a unit second axis, so rank 1 lies on
+    the plane's first axis and a missing coordinate reads as 0."""
 
     def __init__(self, datum: CartanDatum):
         eps = datum.symmetrizer()
         n = datum.size
         g = [[float(eps[i] * datum.entries[i][j]) for j in range(n)] for i in range(n)]
         if n == 1:
-            self.m = [[math.sqrt(g[0][0])]]
-        else:
-            m11 = math.sqrt(g[0][0])
-            m12 = g[0][1] / m11
-            m22 = math.sqrt(g[1][1] - m12 * m12)
-            self.m = [[m11, m12], [0.0, m22]]
-        self.n = n
+            g = [[g[0][0], 0.0], [0.0, 1.0]]
+        m11 = math.sqrt(g[0][0])
+        m12 = g[0][1] / m11
+        m22 = math.sqrt(g[1][1] - m12 * m12)
+        self.m = [[m11, m12], [0.0, m22]]
 
     def point(self, x: Sequence[Fraction]) -> tuple[float, float]:
-        xs = [float(c) for c in x]
-        if self.n == 1:
-            return (self.m[0][0] * xs[0], 0.0)
+        x1, x2 = (float(c) for c in (*x, 0)[:2])
         return (
-            self.m[0][0] * xs[0] + self.m[0][1] * xs[1],
-            self.m[1][0] * xs[0] + self.m[1][1] * xs[1],
+            self.m[0][0] * x1 + self.m[0][1] * x2,
+            self.m[1][0] * x1 + self.m[1][1] * x2,
         )
 
     def functional(self, f: Sequence[int]) -> tuple[float, float]:
         """Euclidean vector g with g . point(x) = f . x for all x."""
-        if self.n == 1:
-            return (f[0] / self.m[0][0], 0.0)
+        f1, f2 = (*f, 0)[:2]
         # solve m^T g = f for the upper-triangular m
-        g1 = f[0] / self.m[0][0]
-        g2 = (f[1] - self.m[0][1] * g1) / self.m[1][1]
+        g1 = f1 / self.m[0][0]
+        g2 = (f2 - self.m[0][1] * g1) / self.m[1][1]
         return (g1, g2)
 
 
-def _clip_line(g: tuple[float, float], k: float, half: float):
-    """Segment of {u : g.u = k} inside the square [-half, half]^2, or None."""
+def _clip_line(g: tuple[float, float], k: float, half_x: float, half_y: float):
+    """Segment of {u : g.u = k} inside the rectangle [-half_x, half_x] x
+    [-half_y, half_y], or None."""
     gx, gy = g
     points = []
-    for side in ("x-", "x+", "y-", "y+"):
-        if side in ("x-", "x+"):
-            x = -half if side == "x-" else half
-            if abs(gy) < 1e-12:
-                continue
+    if abs(gy) >= 1e-12:
+        for x in (-half_x, half_x):
             y = (k - gx * x) / gy
-            if -half - 1e-9 <= y <= half + 1e-9:
+            if -half_y - 1e-9 <= y <= half_y + 1e-9:
                 points.append((x, y))
-        else:
-            y = -half if side == "y-" else half
-            if abs(gx) < 1e-12:
-                continue
+    if abs(gx) >= 1e-12:
+        for y in (-half_y, half_y):
             x = (k - gy * y) / gx
-            if -half - 1e-9 <= x <= half + 1e-9:
+            if -half_x - 1e-9 <= x <= half_x + 1e-9:
                 points.append((x, y))
     uniq = []
     for p in points:
@@ -142,19 +138,33 @@ def _barycenter(tables: RootTables, b0: tuple[Fraction, ...], state: AlcoveState
 def render_arrangement(
     group: AffineWeylGroup, radius: int = 2, overlays: Sequence[Overlay] = ()
 ) -> str:
+    """The SVG document of the walls <x, alpha> = k of a rank <= 2 group, for
+    positive alpha and |k| <= radius, with the overlays drawn on top.
+
+    Rank 1 is drawn as the first axis of the plane, through the same
+    embedding, wall clipper and alcove polygon code as rank 2: its walls clip
+    to a strip around that axis and its alcove is a four-vertex outline.
+    Raises ValueError for rank > 2 or a radius outside 1..MAX_RADIUS, before
+    any work, and WordError for an overlay letter out of range."""
     datum = group.datum
     check_rank(datum)
     check_radius(radius)
     emb = _Embedding(datum)
-    rank = datum.size
     tables = datum.root_tables
     pos_roots = datum.positive_roots()  # by height, then coordinates
     functionals = [emb.functional(tables.pairing[tables.index[a.coords]]) for a in pos_roots]
     half = (radius + 0.7) / min(math.hypot(*g) for g in functionals)
-    if rank == 1:
-        half_y = 0.6
+    verts = _alcove_vertices(datum)
+    if datum.size == 1:
+        # a strip around the axis: walls are ticks, the alcove a bar
+        (x0,), (x1,) = verts
+        half_y, wall_half_y = 0.6, 0.45
+        outline = ((x0, 0.25), (x1, 0.25), (x1, -0.25), (x0, -0.25))
+        labels = [(half * 0.9, 0.5)]
     else:
-        half_y = half
+        half_y = wall_half_y = half
+        outline = verts
+        labels = [(half * 0.78, half * (0.93 - 0.1 * i)) for i in range(len(pos_roots))]
     s = SCALE
     width = 2 * half * s + 2 * MARGIN
     height = 2 * half_y * s + 2 * MARGIN
@@ -163,6 +173,7 @@ def render_arrangement(
         # y grows upward mathematically; flip for SVG
         return (MARGIN + (u[0] + half) * s, MARGIN + (half_y - u[1]) * s)
 
+    pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in (px(emb.point(v)) for v in outline))
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -174,67 +185,38 @@ def render_arrangement(
         '<path d="M0,0 L6,3 L0,6 z" fill="#1f3d7a"/>'
         "</marker>"
         "</defs>",
+        # shaded fundamental alcove
+        f'<polygon class="alcove" points="{pts}" fill="#f2c879" stroke="none"/>',
     ]
 
-    # shaded fundamental alcove
-    verts = _alcove_vertices(datum)
-    if rank == 1:
-        (a,), (b,) = verts
-        pa, pb = emb.point((a,))[0], emb.point((b,))[0]
-        qa, qb = px((pa, 0))[0], px((pb, 0))[0]
-        top, bot = px((0, 0.25))[1], px((0, -0.25))[1]
-        parts.append(
-            f'<polygon class="alcove" points="{_fmt(qa)},{_fmt(top)} {_fmt(qb)},{_fmt(top)} '
-            f'{_fmt(qb)},{_fmt(bot)} {_fmt(qa)},{_fmt(bot)}" '
-            'fill="#f2c879" stroke="none"/>'
-        )
-    else:
-        pts = " ".join(
-            f"{_fmt(px(emb.point(v))[0])},{_fmt(px(emb.point(v))[1])}" for v in verts
-        )
-        parts.append(f'<polygon class="alcove" points="{pts}" fill="#f2c879" stroke="none"/>')
-
     # the walls H with <x, alpha> = k for positive alpha and |k| <= radius
-    for root_index, (alpha, g) in enumerate(zip(pos_roots, functionals)):
+    for alpha, g, label in zip(pos_roots, functionals, labels):
         gnorm = math.hypot(*g)
-        ghat = (g[0] / gnorm, g[1] / gnorm)
+        nudge = (10.0 / s * (g[0] / gnorm), 10.0 / s * (g[1] / gnorm))
         for k in range(-radius, radius + 1):
-            if rank == 1:
-                x = k / g[0]
-                p0, p1 = (x, -0.45), (x, 0.45)
-            else:
-                seg = _clip_line(g, float(k), half)
-                if seg is None:
-                    continue
-                p0, p1 = seg
+            seg = _clip_line(g, float(k), half, wall_half_y)
+            if seg is None:
+                continue
+            p0, p1 = seg
             a, b = px(p0), px(p1)
             parts.append(
                 f'<line class="wall" x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" '
                 f'x2="{_fmt(b[0])}" y2="{_fmt(b[1])}" stroke="#555555" stroke-width="1"/>'
             )
             # orientation marks: plus on the side where <x, alpha> > k
-            frac = 0.12
-            mid = (p0[0] + frac * (p1[0] - p0[0]), p0[1] + frac * (p1[1] - p0[1]))
-            off = 10.0 / s
-            plus = px((mid[0] + off * ghat[0], mid[1] + off * ghat[1]))
-            minus = px((mid[0] - off * ghat[0], mid[1] - off * ghat[1]))
-            parts.append(
-                f'<text class="sign" x="{_fmt(plus[0])}" y="{_fmt(plus[1])}" '
-                'font-size="9" text-anchor="middle" fill="#777777">+</text>'
-            )
-            parts.append(
-                f'<text class="sign" x="{_fmt(minus[0])}" y="{_fmt(minus[1])}" '
-                'font-size="9" text-anchor="middle" fill="#777777">-</text>'
-            )
-        if rank == 2:
-            label_pos = px((half * 0.78, half_y * (0.93 - 0.1 * root_index)))
-        else:
-            label_pos = px((half * 0.9, 0.5))
+            mid = (p0[0] + 0.12 * (p1[0] - p0[0]), p0[1] + 0.12 * (p1[1] - p0[1]))
+            for mark, sign in (("+", 1), ("-", -1)):
+                x, y = px((mid[0] + sign * nudge[0], mid[1] + sign * nudge[1]))
+                parts.append(
+                    f'<text class="sign" x="{_fmt(x)}" y="{_fmt(y)}" '
+                    f'font-size="9" text-anchor="middle" fill="#777777">{mark}</text>'
+                )
+        x, y = px(label)
         family = "+".join(
             f"a{i}" for i, cc in enumerate(alpha.coords, start=1) for _ in range(cc)
         )
         parts.append(
-            f'<text class="family" x="{_fmt(label_pos[0])}" y="{_fmt(label_pos[1])}" '
+            f'<text class="family" x="{_fmt(x)}" y="{_fmt(y)}" '
             f'font-size="10" fill="#333333">H[{family}]</text>'
         )
 

@@ -1,6 +1,7 @@
 """Constructions that only the tests use: balls and all reduced words of
 affine Weyl groups, inversion sequences, the loop group's n_j, h_beta and
-cocharacter matrices and finite Bruhat points, and CountPolynomial shifts.
+cocharacter matrices and finite Bruhat points, CountPolynomial shifts and
+the Hecke relations of the counting DP.
 They are built from the package's own operations, so a test that calls
 them still exercises the package.  `is_canonical` states the form a
 stored coefficient must have."""
@@ -16,12 +17,20 @@ from alcovewalks.affine import (
     AffineRoot,
     AffineWeylElement,
     AffineWeylGroup,
+    AlcoveState,
     Word,
     WordError,
     parse_word,
 )
 from alcovewalks.cartan import Coweight, from_label
-from alcovewalks.folding import CountPolynomial, Frontier, _times_q, _times_q_minus_one, count_step
+from alcovewalks.folding import (
+    CountPolynomial,
+    Frontier,
+    _plus,
+    _times_q,
+    _times_q_minus_one,
+    count_step,
+)
 from alcovewalks.loopgroup import GroupMatrix, LoopSL
 from alcovewalks.ratfunc import QQ, RationalFunction
 
@@ -190,3 +199,62 @@ def times_q(f: CountPolynomial) -> CountPolynomial:
 def times_q_minus_one(f: CountPolynomial) -> CountPolynomial:
     """(q - 1) f, by the coefficient operation the counting DP uses."""
     return CountPolynomial(_times_q_minus_one(f.coeffs))
+
+
+def coxeter_order(group: AffineWeylGroup, i: int, j: int) -> int | None:
+    """The order m_ij of s_i s_j, read off the group by stepping the
+    identity's state; None when it exceeds 6, that is, when it is infinite."""
+    start = state = group.state(group.identity())
+    for m in range(1, 7):
+        state = group.step(group.step(state, i), j)
+        if state == start:
+            return m
+    return None
+
+
+def _trimmed(frontier: Frontier) -> Frontier:
+    """The counts with trailing zero coefficients, and then zero counts, dropped."""
+    out = {}
+    for w, c in frontier.items():
+        end = len(c)
+        while end and not c[end - 1]:
+            end -= 1
+        if end:
+            out[w] = c[:end]
+    return out
+
+
+def _act(group: AffineWeylGroup, v: AlcoveState, word: Sequence[int]) -> Frontier:
+    """e_v T_{j1} ... T_{jk} under the counting DP, trimmed."""
+    frontier: Frontier = {v: (1,)}
+    for j in word:
+        frontier = count_step(group, frontier, j)
+    return _trimmed(frontier)
+
+
+def relation_violations(
+    group: AffineWeylGroup, states: Sequence[AlcoveState]
+) -> list[tuple[AlcoveState, tuple[int, ...]]]:
+    """The (state, relation) pairs at which the counting DP, as the right
+    action of T_0..T_n on per-alcove counts, breaks a Hecke relation: the
+    quadratic T_j T_j = (q-1) T_j + q, named (j,), or the braid relation of
+    length m_ij between i < j, named (i, j).  Pairs of infinite order are
+    skipped."""
+    letters = range(group.rank + 1)
+    braids = [
+        (i, j, m)
+        for i in letters
+        for j in letters
+        if i < j and (m := coxeter_order(group, i, j)) is not None
+    ]
+    violations = []
+    for v in states:
+        for j in letters:
+            rhs = {w: _times_q_minus_one(c) for w, c in count_step(group, {v: (1,)}, j).items()}
+            rhs[v] = _plus(rhs.get(v, ()), (0, 1))
+            if _act(group, v, (j, j)) != _trimmed(rhs):
+                violations.append((v, (j,)))
+        for i, j, m in braids:
+            if _act(group, v, ((i, j) * m)[:m]) != _act(group, v, ((j, i) * m)[:m]):
+                violations.append((v, (i, j)))
+    return violations

@@ -156,6 +156,27 @@ def test_oracle_agreement(capsys):
     assert "oracle agrees" in out
 
 
+# For a non-reduced word the label tuples are the points of the product
+# I s_j1 I x^I ... /I, and the enumerator with allow_nonreduced counts them
+@pytest.mark.parametrize(
+    "type_label, word",
+    [
+        ("A2", "1,1"),
+        ("A2", "1,2,1,2"),
+        ("A2", "0,0,1"),
+        ("A2", "2,1,0,0,1,2"),
+        ("A2", "1,0,1,0,1"),
+        ("A3", "1,2,1,2,3,0,0"),
+    ],
+)
+def test_oracle_agrees_on_a_nonreduced_word(capsys, type_label, word):
+    code, out, err = run(
+        capsys, "oracle", "--type", type_label, "--word", word, "--p", "2", "--allow-nonreduced"
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "oracle agrees with the enumerator"
+
+
 def test_render_writes_file(tmp_path, capsys):
     out_file = tmp_path / "walk.svg"
     code, _, _ = run(
@@ -571,6 +592,21 @@ def test_render_end_matches_benchmark_digest(tmp_path, capsys, job):
     )
     assert code == 0
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == entry["render_sha256"]
+
+
+def test_render_end_draws_the_folded_paths_of_a_nonreduced_word(tmp_path, capsys):
+    # render has no --allow-nonreduced flag: its walk of a non-reduced word
+    # is drawn without one, and so are the folded paths ending at --end
+    out_file = tmp_path / "nonreduced.svg"
+    code, out, err = run(
+        capsys, "render", "--type", "A2", "--radius", "2", "--word", "1,1,2,0",
+        "--end", "2,0", "--out", str(out_file),
+    )
+    assert (code, out, err) == (0, "", "")
+    svg = out_file.read_text()
+    # two paths, FFZP and ZPZP: two start marks, six crossings, two folds
+    marks = tuple(svg.count(f'class="{mark}"') for mark in ("start", "crossing", "fold"))
+    assert marks == (2, 6, 2)
 
 
 def test_render_end_that_no_path_reaches_exits_1(tmp_path, capsys):

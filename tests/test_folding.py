@@ -17,7 +17,16 @@ from alcovewalks.folding import (
     paths_to_json,
 )
 
-from helpers import all_reduced_words, ball, bench_word, q_power, times_q, times_q_minus_one
+from helpers import (
+    all_reduced_words,
+    ball,
+    bench_word,
+    coxeter_order,
+    q_power,
+    relation_violations,
+    times_q,
+    times_q_minus_one,
+)
 
 
 def a1():
@@ -329,3 +338,30 @@ def test_enumeration_to_an_end_of_a_nonreduced_word():
     for end in {p.endpoint for p in paths}:
         want = tuple(p for p in paths if p.endpoint == end)
         assert enumerate_folded_paths(g, (1, 1), allow_nonreduced=True, end=end) == want
+
+
+HECKE_TYPES = (
+    "A1", "A2", "B2", "G2", "A3", "B3", "C3", "D4", "F4", "E6", "E7", "E8", "A7", "B5", "C5", "D6"
+)
+
+
+def test_counting_dp_keeps_the_hecke_relations_at_sampled_states():
+    # t_lam w for lam in [-8, 8]^n and a random finite w, the latter from a
+    # random word in the finite letters: the relations are local, so states
+    # far from the identity reach regions that short words from it do not
+    rng = random.Random(14)
+    for label in HECKE_TYPES:
+        group = AffineWeylGroup(from_label(label))
+        states = []
+        for _ in range(200):
+            finite = group.from_word([rng.randint(1, group.rank) for _ in range(4 * group.rank)])
+            lam = tuple(rng.randint(-8, 8) for _ in range(group.rank))
+            states.append((lam, group.state(finite)[1]))
+        assert relation_violations(group, states) == [], label
+
+
+def test_hecke_relation_orders_are_read_off_the_group():
+    assert coxeter_order(a1(), 0, 1) is None
+    assert coxeter_order(a2(), 0, 1) == 3
+    g2 = AffineWeylGroup(from_label("G2"))
+    assert sorted(coxeter_order(g2, i, j) for i, j in ((0, 1), (0, 2), (1, 2))) == [2, 3, 6]

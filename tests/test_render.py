@@ -1,3 +1,4 @@
+import hashlib
 import xml.etree.ElementTree as ET
 from collections import Counter
 from fractions import Fraction
@@ -103,6 +104,35 @@ def test_output_is_deterministic():
 def test_golden_file_byte_equality():
     svg = render_arrangement(group_of("A2"), radius=2)
     assert svg == GOLDEN.read_text()
+
+
+# sha256 of the plain arrangement (no overlay) at radius 1, 7 and 100: rank 1's
+# strip of ticks, and the clipper where walls meet the square's corners
+PLAIN_RENDERS = {
+    ("A1", 1): "06bc4ca06396224526fa1bea48191928e077dc189a1bf871e0ca55c156842948",
+    ("A1", 7): "aad43b9ee22817c308a5eaffc3682727413850212fed4025a4116f05b465df9f",
+    ("A1", 100): "2fdd437a3d26288d963e63bcbd6fda47a29f8d55fbd85a638977867282dffa2f",
+    ("A2", 1): "5d5db24621329d2768dfbc99eefb4c0a76b1c396f6db3248489d75e93fdb7221",
+    ("A2", 7): "da143a7cead5188a111d3d96173cc8c47f36c0d6ecb35983dc9954dfbbde82f8",
+    ("A2", 100): "7aeca6027256f4d31af52e4df492a2fa1afc045f339cc915665fe959683b834b",
+    ("B2", 1): "e6cd744c8a7df6e0d3f70c8ef107f374006365908c70d2a5de2cddf32605a264",
+    ("B2", 7): "a584ef0eedb1d3966214fd489e48d57c566c6422598a5565ef0b40d3a7b2eb50",
+    ("B2", 100): "47e4be6d334abefd3c4ac5c13310298c0dfb90deb06de0de91d59ca68803cd9f",
+    ("C2", 1): "79e15e245579939750540d8acce84de38f9315e0295057de0bffbd31d55c7cb8",
+    ("C2", 7): "7c29e168c0b8f2f2745fe70688b9fe719232cab09fd7ba8505d3c9b41aef6c00",
+    ("C2", 100): "feac2a275ee9b0b96b88426330b604e2cf1033e484b8f7bbc2c64ac2a56f5c70",
+    ("G2", 1): "1c8877b206193b01fdc3da899f260a29e8952af1e4bb807475ffa24d5b254c17",
+    ("G2", 7): "4fd10bcfe6b33c4e7ef24413cc0b40426c99b98e565b2fc6914691572da46bc2",
+    ("G2", 100): "c506558884fe19ca3209f5b652cf1b826e0bf7a7bfcbb55bde069a3d91c13b7a",
+}
+
+
+@pytest.mark.parametrize(
+    "label, radius", PLAIN_RENDERS, ids=[f"{label}-{radius}" for label, radius in PLAIN_RENDERS]
+)
+def test_plain_arrangement_matches_recorded_digest(label, radius):
+    svg = render_arrangement(group_of(label), radius=radius)
+    assert hashlib.sha256(svg.encode()).hexdigest() == PLAIN_RENDERS[label, radius]
 
 
 def test_wall_adjacency_matches_simple_reflection():
