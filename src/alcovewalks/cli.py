@@ -12,8 +12,10 @@ write, 3 internal error (the matrix executor or the reduced-word descent
 broke an invariant), 130 on Ctrl-C and 141 when the reader closes stdout,
 as SIGINT and SIGPIPE do.
 
-`json` and `example8` are imported where they run, so a job that reads no
-JSON and runs no suite does not load them.
+`json` and `example8` are imported where they run, and `loopgroup` and
+`render` are modules that the package loads lazily, read at call time, so
+a job that reads no JSON and runs no suite, oracle or render does not load
+them.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import errno
 import os
 import sys
 
+from . import loopgroup, render
 from .affine import (
     AffineWeylGroup,
     InvariantError,
@@ -33,8 +36,6 @@ from .affine import (
 )
 from .cartan import CartanError, from_label, validate_cartan
 from .folding import cells_by_endpoint, endpoint_counts, enumerate_folded_paths, paths_to_json
-from .loopgroup import brute_force_cells, check_brute_force, check_type_a
-from .render import check_radius, check_rank, render_arrangement
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -184,10 +185,10 @@ def _cmd_verify(args) -> int:
 def _cmd_oracle(args) -> int:
     word = parse_word(args.word)
     group = _group_for(args.type)
-    check_type_a(group.datum)
-    check_brute_force(word, args.p)
+    loopgroup.check_type_a(group.datum)
+    loopgroup.check_brute_force(word, args.p)
     counts = endpoint_counts(group, word, args.allow_nonreduced)
-    tallies = brute_force_cells(group.datum, word, args.p)
+    tallies = loopgroup.brute_force_cells(group.datum, word, args.p)
     mismatches = 0
     print(f"endpoint\tpolynomial\tq={args.p}\tbrute")
     for end, end_word in group.canonical_words(set(counts) | set(tallies)).items():
@@ -207,11 +208,11 @@ def _cmd_oracle(args) -> int:
 def _cmd_render(args) -> int:
     if args.end is not None and args.word is None:
         raise ValueError("--end needs --word")
-    check_radius(args.radius)
+    render.check_radius(args.radius)
     _check_out(args.out)
     word = None if args.word is None else parse_word(args.word)
     datum = _datum_for(args.type)
-    check_rank(datum)
+    render.check_rank(datum)
     group = AffineWeylGroup(datum)
     overlays = () if word is None else (word,)
     target = _parse_endpoint(group, args.end)
@@ -220,7 +221,7 @@ def _cmd_render(args) -> int:
         if not overlays:
             print("no folded path has that endpoint", file=sys.stderr)
             return 1
-    svg = render_arrangement(group, args.radius, overlays)
+    svg = render.render_arrangement(group, args.radius, overlays)
     with open(args.out, "w") as fh:
         fh.write(svg)
     return 0

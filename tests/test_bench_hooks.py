@@ -6,6 +6,7 @@ the tracer and checks that every hooked symbol still exists."""
 import ast
 import importlib
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -73,3 +74,67 @@ def test_cli_import_leaves_json_and_example8_out_and_keeps_the_matrix_hooks():
     hooked = [path for _, module, path in traced_symbols() if module == "alcovewalks.loopgroup"]
     assert "GroupMatrix.__matmul__" in hooked
     assert [path for path in hooked if resolve("alcovewalks.loopgroup", path) is None] == []
+
+
+def probe(code, *paths):
+    """Run `code` in a fresh interpreter that imports the package from src/
+    (and then from `paths`); return its stderr."""
+    src = str(Path(alcovewalks.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, *map(str, paths))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    return proc.stderr
+
+
+def test_count_and_paths_leave_the_lazy_layers_unrun(tmp_path):
+    """`ratfunc`, `matrices`, `loopgroup` and `render` are in sys.modules
+    from the start but run on first use: `count` and `paths` run none of
+    them, and `render` runs only `render`.  A module that has run is a plain
+    ModuleType again; vars() would run it, so the probe does not call it."""
+    code = f"""if True:
+        import sys, types
+        before = set(sys.modules)
+        import alcovewalks.cli
+
+        def report(stage):
+            ran = [name for name in ("ratfunc", "matrices", "loopgroup", "render")
+                   if type(sys.modules["alcovewalks." + name]) is types.ModuleType]
+            loaded = sorted({{"json", "alcovewalks.example8"}} & (set(sys.modules) - before))
+            print(stage, ran, loaded, file=sys.stderr)
+
+        report("import")
+        alcovewalks.cli.main(["count", "--type", "C3", "--word", "1,2,3,0,1,2"])
+        report("count")
+        alcovewalks.cli.main(["paths", "--type", "A2", "--word", "2,1,0,2,0", "--end", "2,1"])
+        report("paths")
+        alcovewalks.cli.main(["render", "--type", "A2", "--radius", "1", "--out", {str(tmp_path / "a.svg")!r}])
+        report("render")
+    """
+    assert probe(code).splitlines() == [
+        "import [] []",
+        "count [] []",
+        "paths [] []",
+        "render ['render'] []",
+    ]
+
+
+def test_the_tracer_hooks_the_lazily_loaded_layers():
+    """Tracer.install() imports only alcovewalks.cli, so it reaches the lazy
+    layers through sys.modules and must run them before it hooks them: every
+    hook but the known absent ones and example8's (which no command imports
+    before main) is found, and the functions `cli` reads from the lazy
+    layers at call time are the wrapped ones."""
+    code = """if True:
+        import json, sys
+        from tracer import Tracer
+        tracer = Tracer()
+        tracer.install()
+        from alcovewalks import loopgroup, render
+        hooked = [hasattr(f, "__wrapped__")
+                  for f in (render.render_arrangement, loopgroup.brute_force_cells)]
+        print(json.dumps([sorted(tracer.absent), hooked]), file=sys.stderr)
+    """
+    absent, hooked = json.loads(probe(code, TRACER.parent))
+    assert set(absent) == KNOWN_ABSENT | {"alcovewalks.example8.run_checks"}
+    assert hooked == [True, True]

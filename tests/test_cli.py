@@ -223,7 +223,7 @@ def test_empty_out_exits_2(capsys, monkeypatch, argv):
         raise AssertionError("worked before checking --out")
 
     monkeypatch.setattr("alcovewalks.cli.cells_by_endpoint", fail)
-    monkeypatch.setattr("alcovewalks.cli.render_arrangement", fail)
+    monkeypatch.setattr("alcovewalks.render.render_arrangement", fail)
     code, out, err = run(capsys, *argv, "--out", "")
     assert (code, out, err) == (2, "", "error: [Errno 2] No such file or directory: ''\n")
 
@@ -236,7 +236,7 @@ def test_empty_out_exits_2(capsys, monkeypatch, argv):
 def test_out_naming_a_directory_exits_2(tmp_path, capsys, monkeypatch, argv):
     # a directory fails as open() on it would, before any work
     monkeypatch.setattr("alcovewalks.cli.cells_by_endpoint", fail_if_called)
-    monkeypatch.setattr("alcovewalks.cli.render_arrangement", fail_if_called)
+    monkeypatch.setattr("alcovewalks.render.render_arrangement", fail_if_called)
     code, out, err = run(capsys, *argv, "--out", str(tmp_path))
     assert (code, out, err) == (2, "", f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
 
@@ -449,7 +449,7 @@ def test_normalization_error_exits_3(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise NormalizationError("inconsistent linear constraints")
 
-    monkeypatch.setattr("alcovewalks.cli.brute_force_cells", fail)
+    monkeypatch.setattr("alcovewalks.loopgroup.brute_force_cells", fail)
     code, out, err = run(capsys, "oracle", "--type", "A1", "--word", "1,0", "--p", "3")
     assert code == 3
     assert out == ""
