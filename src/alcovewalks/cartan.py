@@ -1,6 +1,6 @@
 """Finite-type Cartan data, root systems, and the finite Weyl group.
 
-All arithmetic is exact (integers and fractions.Fraction); every value is
+All arithmetic is exact, in integers; every value is
 immutable and hashable, so elements can be shared freely and used as dict
 keys.  The value types of the package derive from `Frozen`: slotted
 classes whose __init__ is written out per class, so that building them
@@ -8,8 +8,9 @@ stays cheap.  Equality holds only between instances of the same class, and
 the hash is that of the tuple of the fields; `Frozen` gives both, and the
 few types compared on hot paths write out their own.
 
-`validate_cartan` names each connected component by its rank, lacing and
-determinant, from one exact elimination that also decides finite type.
+`validate_cartan` rejects a Dynkin diagram with a cycle, then names each
+connected component by its rank, lacing and determinant, from one exact
+elimination that also decides finite type.
 
 A finite Weyl group element is the permutation it induces on the roots,
 listed in the fixed order of `CartanDatum.roots()`; its actions on roots
@@ -24,7 +25,6 @@ on the coroot basis.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -294,12 +294,6 @@ class CartanDatum(Frozen):
     def is_irreducible(self) -> bool:
         return len(self.components()) == 1
 
-    def symmetrizer(self) -> tuple[Fraction, ...]:
-        """Positive rationals eps with eps_i a_ij = eps_j a_ji."""
-        eps = _solve_symmetrizer(self.entries)
-        assert eps is not None
-        return eps
-
 
 def _root_coroot_table(datum: CartanDatum) -> dict[FiniteRoot, Coweight]:
     """Closure of the simple roots under simple reflections, with coroots.
@@ -343,31 +337,6 @@ def _components(entries: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], 
     return tuple(comps)
 
 
-def _solve_symmetrizer(entries: tuple[tuple[int, ...], ...]) -> tuple[Fraction, ...] | None:
-    """Find eps_i > 0 with eps_i a_ij = eps_j a_ji, or None if impossible."""
-    n = len(entries)
-    eps: list[Fraction | None] = [None] * n
-    for comp in _components(entries):
-        root = comp[0] - 1
-        eps[root] = Fraction(1)
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for u in range(n):
-                if u == v or entries[v][u] == 0:
-                    continue
-                # eps_v * a_vu = eps_u * a_uv
-                want = eps[v] * Fraction(entries[v][u], entries[u][v])
-                if eps[u] is None:
-                    eps[u] = want
-                    stack.append(u)
-                elif eps[u] != want:
-                    return None
-    if any(e is None or e <= 0 for e in eps):
-        return None
-    return tuple(eps)  # type: ignore[arg-type]
-
-
 def validate_cartan(matrix: Sequence[Sequence[int]]) -> CartanDatum:
     """Check the Cartan axioms and finite type; classify on success."""
     if not isinstance(matrix, (list, tuple)) or not all(
@@ -389,25 +358,34 @@ def validate_cartan(matrix: Sequence[Sequence[int]]) -> CartanDatum:
                 raise CartanError(f"not-Cartan: off-diagonal entry a[{i+1}][{j+1}] > 0")
             if (entries[i][j] == 0) != (entries[j][i] == 0):
                 raise CartanError(f"not-Cartan: zero pattern asymmetric at ({i+1},{j+1})")
-    if _solve_symmetrizer(entries) is None:
-        raise CartanError("not-finite-type: matrix is not symmetrizable")
+    # a graph on n nodes with c components has n - c edges if it is a forest
+    # and more otherwise
+    components = _components(entries)
+    edges = sum(entries[i][j] != 0 for i in range(n) for j in range(i))
+    if edges > n - len(components):
+        raise CartanError("not-finite-type: Dynkin diagram has a cycle")
     label = "x".join(
         _classify_component([[entries[u - 1][v - 1] for v in comp] for u in comp])
-        for comp in _components(entries)
+        for comp in components
     )
     return CartanDatum(n, entries, label)
 
 
 def _classify_component(block: list[list[int]]) -> str:
-    """Name a connected symmetrizable block by its rank n, its lacing (the
-    largest a_ij a_ji) and its determinant; raise unless it is of finite type.
+    """Name a block whose Dynkin diagram is a tree by its rank n, its lacing
+    (the largest a_ij a_ji) and its determinant; raise unless it is of
+    finite type.
 
-    The block is D S with D diagonal and positive and S symmetric, so its
-    leading minors have the signs of S's, all positive exactly when S is
-    positive definite (Sylvester).  Fraction-free elimination without row
-    exchanges (Bareiss) makes each pivot a leading minor, the last being
-    the determinant.  Among the connected finite types (Kac,
-    Infinite-dimensional Lie algebras, 4.8, Table Fin) det A_n = n + 1,
+    Every connected finite type is a tree (Kac, Infinite-dimensional Lie
+    algebras, 4.8, Table Fin), so validate_cartan rejects a cycle first and
+    loses no finite type by it.  A tree's matrix is symmetrizable: walking
+    out from one node, eps_v a_vu = eps_u a_uv fixes each new eps_u > 0
+    once, and without a cycle no second path contradicts it.  So the block
+    is D S with D diagonal and positive and S symmetric, and its leading
+    minors have the signs of S's, all positive exactly when S is positive
+    definite (Sylvester).  Fraction-free elimination without row exchanges
+    (Bareiss) makes each pivot a leading minor, the last being the
+    determinant.  Among the connected finite types (ibid.) det A_n = n + 1,
     det B_n = det C_n = 2, det D_n = 4 for n >= 4, det E_n = 9 - n and
     det F4 = det G2 = 1.  a_uv = -2 makes alpha_v the short root of the
     double edge, and B_n has it at a leaf of the chain (in rank 2, where

@@ -59,18 +59,21 @@ def _fmt(x: float) -> str:
 class _Embedding:
     """Map rational coroot coordinates to Euclidean drawing coordinates.
 
-    A rank-1 Gram matrix is padded with a unit second axis, so rank 1 lies on
+    The Gram matrix is the Cartan matrix symmetrized by eps with
+    eps_i a_ij = eps_j a_ji: eps = (1,) in rank 1 and (1, a12 / a21) in
+    rank 2, where the group's datum is irreducible and so a21 != 0.  A
+    rank-1 Gram matrix is padded with a unit second axis, so rank 1 lies on
     the plane's first axis and a missing coordinate reads as 0."""
 
     def __init__(self, datum: CartanDatum):
-        eps = datum.symmetrizer()
-        n = datum.size
-        g = [[float(eps[i] * datum.entries[i][j]) for j in range(n)] for i in range(n)]
-        if n == 1:
-            g = [[g[0][0], 0.0], [0.0, 1.0]]
-        m11 = math.sqrt(g[0][0])
-        m12 = g[0][1] / m11
-        m22 = math.sqrt(g[1][1] - m12 * m12)
+        if datum.size == 1:
+            g11, g12, g22 = 2.0, 0.0, 1.0
+        else:
+            (_, a12), (a21, _) = datum.entries
+            g11, g12, g22 = 2.0, float(a12), 2 * a12 / a21
+        m11 = math.sqrt(g11)
+        m12 = g12 / m11
+        m22 = math.sqrt(g22 - m12 * m12)
         self.m = [[m11, m12], [0.0, m22]]
 
     def point(self, x: Sequence[Fraction]) -> tuple[float, float]:

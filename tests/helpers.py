@@ -1,7 +1,8 @@
 """Constructions that only the tests use: balls and all reduced words of
 affine Weyl groups, inversion sequences, the loop group's n_j, h_beta and
-cocharacter matrices and finite Bruhat points, CountPolynomial shifts and
-the Hecke relations of the counting DP.
+cocharacter matrices and finite Bruhat points, CountPolynomial shifts, the
+Hecke relations of the counting DP, and the rational symmetrizer search
+that once decided finite type.
 They are built from the package's own operations, so a test that calls
 them still exercises the package.  `is_canonical` states the form a
 stored coefficient must have."""
@@ -22,7 +23,7 @@ from alcovewalks.affine import (
     WordError,
     parse_word,
 )
-from alcovewalks.cartan import Coweight, from_label
+from alcovewalks.cartan import CartanError, Coweight, _classify_component, _components, from_label
 from alcovewalks.folding import (
     CountPolynomial,
     Frontier,
@@ -55,6 +56,48 @@ def is_canonical(c, field) -> bool:
     if field == QQ:
         return type(c) is int or (type(c) is Fraction and c.denominator > 1)
     return type(c) is int and 0 <= c < field.p
+
+
+# -- Cartan matrices ------------------------------------------------------------
+
+
+def solve_symmetrizer(entries: Sequence[Sequence[int]]) -> tuple[Fraction, ...] | None:
+    """Find eps_i > 0 with eps_i a_ij = eps_j a_ji, or None if impossible."""
+    n = len(entries)
+    eps: list[Fraction | None] = [None] * n
+    for comp in _components(entries):
+        root = comp[0] - 1
+        eps[root] = Fraction(1)
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for u in range(n):
+                if u == v or entries[v][u] == 0:
+                    continue
+                # eps_v * a_vu = eps_u * a_uv
+                want = eps[v] * Fraction(entries[v][u], entries[u][v])
+                if eps[u] is None:
+                    eps[u] = want
+                    stack.append(u)
+                elif eps[u] != want:
+                    return None
+    if any(e is None or e <= 0 for e in eps):
+        return None
+    return tuple(eps)  # type: ignore[arg-type]
+
+
+def reference_label(entries: Sequence[Sequence[int]]) -> str | None:
+    """The type label by the earlier rule, or None where it rejects: a
+    symmetrizer must exist and every component must pass the elimination."""
+    if solve_symmetrizer(entries) is None:
+        return None
+    try:
+        return "x".join(
+            _classify_component([[entries[u - 1][v - 1] for v in comp] for u in comp])
+            for comp in _components(entries)
+        )
+    except CartanError:
+        return None
 
 
 # -- affine Weyl groups -------------------------------------------------------

@@ -119,6 +119,20 @@ def test_count_and_paths_leave_the_lazy_layers_unrun(tmp_path):
     ]
 
 
+def test_count_and_paths_load_neither_fractions_nor_decimal():
+    """Finite type is decided in integers, so `count` and `paths` start
+    without the standard library's rational and decimal modules."""
+    code = """if True:
+        import sys
+        import alcovewalks.cli
+        alcovewalks.cli.main(["count", "--type", "C3", "--word", "1,2,3,0,1,2"])
+        alcovewalks.cli.main(["paths", "--type", "B2", "--word", "2,1,2,0", "--end", "2,1"])
+        alcovewalks.cli.main(["count", "--type", "[[2,-1,0],[-1,2,-2],[0,-1,2]]", "--word", "1,0"])
+        print(sorted({"fractions", "decimal"} & set(sys.modules)), file=sys.stderr)
+    """
+    assert probe(code) == "[]\n"
+
+
 def test_the_tracer_hooks_the_lazily_loaded_layers():
     """Tracer.install() imports only alcovewalks.cli, so it reaches the lazy
     layers through sys.modules and must run them before it hooks them: every

@@ -16,6 +16,8 @@ from alcovewalks.cartan import (
     validate_cartan,
 )
 
+from helpers import reference_label
+
 
 def test_validate_a2():
     datum = validate_cartan([[2, -1], [-1, 2]])
@@ -42,15 +44,51 @@ def test_validate_rejects_affine_matrix():
         ([[2, 1], [1, 2]], "off-diagonal"),
         ([[2, 0], [-1, 2]], "asymmetric"),
         ([[2, -1], [-5, 2]], "not-finite-type"),
-        # affine A2: only the last leading minor (0) fails
-        ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], "not positive definite"),
+        # affine A2: a triangle, and no finite Dynkin diagram has a cycle
+        ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], "has a cycle"),
         # affine G2: symmetrizable but not symmetric, and singular
         ([[2, -1, 0], [-1, 2, -3], [0, -1, 2]], "not positive definite"),
+        # a triangle that is not even symmetrizable
+        ([[2, -1, -1], [-1, 2, -1], [-2, -1, 2]], "has a cycle"),
     ],
 )
 def test_validate_rejections(matrix, message):
     with pytest.raises(CartanError, match=message):
         validate_cartan(matrix)
+
+
+def _matrices(n, pairs):
+    """The n x n Cartan matrices whose off-diagonal pairs (a_ij, a_ji), for
+    i < j in order, are the given ones."""
+    m = [[2] * n for _ in range(n)]
+    cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for (i, j), (a, b) in zip(cells, pairs):
+        m[i][j], m[j][i] = a, b
+    return m
+
+
+def test_forest_rule_accepts_what_the_symmetrizer_rule_accepted():
+    """validate_cartan accepts a matrix exactly when a rational symmetrizer
+    exists and every component passes the elimination, with the same label:
+    all 3 x 3 matrices and a seeded sample of 4 x 4 ones, over pairs (0, 0)
+    and (-a, -b) with a, b in 1..3."""
+    pairs = [(0, 0), *((-a, -b) for a in (1, 2, 3) for b in (1, 2, 3))]
+    rng = random.Random(29)
+    matrices = [
+        *(_matrices(3, choice) for choice in itertools.product(pairs, repeat=3)),
+        *(_matrices(4, rng.choices(pairs, k=6)) for _ in range(500)),
+    ]
+    accepted = 0
+    for m in matrices:
+        try:
+            label = validate_cartan(m).type_label
+        except CartanError as exc:
+            assert str(exc).startswith("not-finite-type"), (m, exc)
+            label = None
+        assert label == reference_label(m), m
+        accepted += label is not None
+    # both sides of the rule occur: A3, B3, C3 and products, and rejections
+    assert 0 < accepted < len(matrices)
 
 
 # every label from_label accepts up to MAX_RANK
