@@ -28,7 +28,6 @@ from .cartan import (
     FiniteRoot,
     FiniteWeylElement,
     Frozen,
-    _set,
     coweight_image,
     simple_root,
     zero_coweight,
@@ -70,10 +69,6 @@ class AffineRoot(Frozen):
     finite: FiniteRoot
     k: int
 
-    def __init__(self, finite: FiniteRoot, k: int):
-        _set(self, "finite", finite)
-        _set(self, "k", k)
-
     def __neg__(self) -> "AffineRoot":
         return AffineRoot(-self.finite, -self.k)
 
@@ -96,15 +91,6 @@ class AffineWeylElement(Frozen):
     __slots__ = __match_args__ = ("translation", "finite")
     translation: Coweight
     finite: FiniteWeylElement
-
-    def __init__(self, translation: Coweight, finite: FiniteWeylElement):
-        _set(self, "translation", translation)
-        _set(self, "finite", finite)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return self.translation == other.translation and self.finite == other.finite
-        return NotImplemented
 
     def __hash__(self) -> int:
         # hash((translation, finite)), with the fields' hash((coords,)) and

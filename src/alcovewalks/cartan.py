@@ -2,11 +2,10 @@
 
 All arithmetic is exact, in integers; every value is
 immutable and hashable, so elements can be shared freely and used as dict
-keys.  The value types of the package derive from `Frozen`: slotted
-classes whose __init__ is written out per class, so that building them
-stays cheap.  Equality holds only between instances of the same class, and
-the hash is that of the tuple of the fields; `Frozen` gives both, and the
-few types compared on hot paths write out their own.
+keys.  The value types of the package derive from `Frozen`, which
+compiles each subclass's __init__, __eq__ and __hash__ from its field
+names as a frozen dataclass would, without importing `dataclasses`; a
+class writes out one of them only where its meaning or cost must differ.
 
 `validate_cartan` rejects a Dynkin diagram with a cycle, then names each
 connected component by its rank, lacing and determinant, from one exact
@@ -45,36 +44,52 @@ def _check_rank(n: int) -> None:
         raise CartanError(f"rank {n} exceeds the maximum rank {MAX_RANK}")
 
 
-# sets a field of a value type in its __init__, past Frozen.__setattr__
+# sets a field of a value type past Frozen.__setattr__; the __init__ that
+# Frozen.__init_subclass__ compiles calls it once per field
 _set = object.__setattr__
 
 
 class Frozen:
     """Base of the immutable value types.
 
-    A subclass names its fields in __slots__ and __match_args__ and sets
-    each once in its __init__ with `_set`.  The base holds what no hot loop
-    calls: equality (true only against the same class, else NotImplemented)
-    compares the tuples of the fields, the hash is that of the tuple,
-    assigning or deleting a field raises AttributeError, the repr is
-    Name(field=value, ...), and copy and pickle rebuild through __init__.
-    A type whose equality runs on a measured path writes out its own
-    __eq__ and __hash__ with the same meaning.
+    A subclass names its fields in __slots__ and __match_args__.  Once per
+    subclass, __init_subclass__ runs one source string that defines what a
+    frozen dataclass would: __init__ sets each field with `_set`, __eq__
+    (true only against the same class, else NotImplemented) compares the
+    fields in order, joined by `and`, and __hash__ hashes their tuple.  The
+    bytecode is that of the same methods written by hand, so hot paths pay
+    nothing for it.  A class body that defines one of the three keeps its
+    own (FiniteWeylElement, AffineWeylElement.__hash__).  The base also
+    makes assigning or deleting a field raise AttributeError, gives the
+    repr Name(field=value, ...), and lets copy and pickle rebuild through
+    __init__.
     """
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__match_args__)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
+    def __init_subclass__(cls) -> None:
+        fields = cls.__match_args__
+        params = "".join(f", {name}" for name in fields)
+        sets = "".join(f"    _set(self, {name!r}, {name})\n" for name in fields)
+        equal = " and ".join(f"self.{name} == other.{name}" for name in fields)
+        hashed = "".join(f"self.{name}, " for name in fields)
+        namespace = {"_set": _set, "__name__": cls.__module__}
+        exec(
+            f"def __init__(self{params}):\n{sets}"
+            "def __eq__(self, other):\n"
+            "    if other.__class__ is self.__class__:\n"
+            f"        return {equal}\n"
+            "    return NotImplemented\n"
+            f"def __hash__(self):\n    return hash(({hashed}))\n",
+            namespace,
+        )
+        for name in ("__init__", "__eq__", "__hash__"):
+            # a class body that defines __eq__ alone gets __hash__ = None
+            if cls.__dict__.get(name) is None:
+                method = namespace[name]
+                method.__qualname__ = f"{cls.__qualname__}.{name}"
+                setattr(cls, name, method)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -87,7 +102,7 @@ class Frozen:
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), self._fields()
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
 class FiniteRoot(Frozen):
@@ -95,17 +110,6 @@ class FiniteRoot(Frozen):
 
     __slots__ = __match_args__ = ("coords",)
     coords: tuple[int, ...]
-
-    def __init__(self, coords: tuple[int, ...]):
-        _set(self, "coords", coords)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return self.coords == other.coords
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coords,))
 
     def __neg__(self) -> "FiniteRoot":
         return FiniteRoot(tuple(-c for c in self.coords))
@@ -126,17 +130,6 @@ class Coweight(Frozen):
 
     __slots__ = __match_args__ = ("coords",)
     coords: tuple[int, ...]
-
-    def __init__(self, coords: tuple[int, ...]):
-        _set(self, "coords", coords)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return self.coords == other.coords
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coords,))
 
     def __neg__(self) -> "Coweight":
         return Coweight(tuple(-c for c in self.coords))
@@ -179,11 +172,6 @@ class CartanDatum(Frozen):
     size: int
     entries: tuple[tuple[int, ...], ...]
     type_label: str
-
-    def __init__(self, size: int, entries: tuple[tuple[int, ...], ...], type_label: str):
-        _set(self, "size", size)
-        _set(self, "entries", entries)
-        _set(self, "type_label", type_label)
 
     # -- basic queries ------------------------------------------------
 
@@ -512,10 +500,6 @@ class FiniteWeylElement(Frozen):
     __slots__ = __match_args__ = ("datum", "perm")
     datum: CartanDatum
     perm: tuple[int, ...]
-
-    def __init__(self, datum: CartanDatum, perm: tuple[int, ...]):
-        _set(self, "datum", datum)
-        _set(self, "perm", perm)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is self.__class__:

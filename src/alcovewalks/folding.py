@@ -34,7 +34,7 @@ from .affine import (
     affine_root_to_json,
     element_to_json,
 )
-from .cartan import Frozen, _set
+from .cartan import Frozen
 
 
 class StepKind(enum.Enum):
@@ -61,18 +61,6 @@ class FoldedPath(Frozen):
     kinds: tuple[StepKind, ...]
     walls: tuple[AffineRoot, ...]
     endpoint: AffineWeylElement
-
-    def __init__(
-        self,
-        type_word: Word,
-        kinds: tuple[StepKind, ...],
-        walls: tuple[AffineRoot, ...],
-        endpoint: AffineWeylElement,
-    ):
-        _set(self, "type_word", type_word)
-        _set(self, "kinds", kinds)
-        _set(self, "walls", walls)
-        _set(self, "endpoint", endpoint)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -109,9 +97,6 @@ class CountPolynomial(Frozen):
 
     __slots__ = __match_args__ = ("coeffs",)
     coeffs: tuple[int, ...]
-
-    def __init__(self, coeffs: tuple[int, ...]):
-        _set(self, "coeffs", coeffs)
 
     @staticmethod
     def make(coeffs: Iterable[int]) -> "CountPolynomial":
@@ -299,10 +284,6 @@ class Cell(Frozen):
     __slots__ = __match_args__ = ("paths", "count")
     paths: tuple[FoldedPath, ...]
     count: CountPolynomial
-
-    def __init__(self, paths: tuple[FoldedPath, ...], count: CountPolynomial):
-        _set(self, "paths", paths)
-        _set(self, "count", count)
 
     @property
     def dimensions(self) -> tuple[int, ...]:

@@ -57,7 +57,7 @@ from .affine import (
     NormalizationError,
     is_uminus_positive,
 )
-from .cartan import CartanDatum, Coweight, FiniteRoot, FiniteWeylElement, Frozen, _set, from_label
+from .cartan import CartanDatum, Coweight, FiniteRoot, FiniteWeylElement, Frozen, from_label
 from .folding import StepKind
 from .matrices import (
     GroupMatrix,
@@ -85,22 +85,6 @@ class ExecutorState(Frozen):
     v_rep: GroupMatrix
     b: GroupMatrix
     kinds: tuple[StepKind, ...]
-
-    def __init__(
-        self,
-        u: GroupMatrix,
-        u_factors: tuple[tuple[AffineRoot, object], ...],
-        v: AffineWeylElement,
-        v_rep: GroupMatrix,
-        b: GroupMatrix,
-        kinds: tuple[StepKind, ...],
-    ):
-        _set(self, "u", u)
-        _set(self, "u_factors", u_factors)
-        _set(self, "v", v)
-        _set(self, "v_rep", v_rep)
-        _set(self, "b", b)
-        _set(self, "kinds", kinds)
 
 
 def check_type_a(datum: CartanDatum) -> None:

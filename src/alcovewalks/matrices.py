@@ -13,7 +13,7 @@ monomial matrices.
 
 from __future__ import annotations
 
-from .cartan import Frozen, _set
+from .cartan import Frozen
 from .ratfunc import Field, RationalFunction
 
 _ONE = {0: 1}  # the terms of the constant 1, over QQ and over F_p
@@ -24,17 +24,6 @@ class GroupMatrix(Frozen):
 
     __slots__ = __match_args__ = ("entries",)
     entries: tuple[tuple[RationalFunction, ...], ...]
-
-    def __init__(self, entries: tuple[tuple[RationalFunction, ...], ...]):
-        _set(self, "entries", entries)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return self.entries == other.entries
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.entries,))
 
     @property
     def n(self) -> int:

@@ -20,6 +20,7 @@ anything else raises ZeroDivisionError.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from typing import Mapping, Union
 
 
@@ -60,7 +61,7 @@ class PrimeField:
     """The field with p elements, p prime; its scalars are the residues 0..p-1."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.characteristic = p

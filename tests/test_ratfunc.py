@@ -15,6 +15,13 @@ def test_prime_field_validation():
     assert PrimeField(7).p == 7
 
 
+@pytest.mark.parametrize("huge", [2**1024, 10**400], ids=["2^1024", "10^400"])
+def test_huge_composite_is_rejected_without_a_float(huge):
+    # the trial-division bound is an integer square root: p ** 0.5 overflows
+    with pytest.raises(ValueError, match="is not prime"):
+        PrimeField(huge)
+
+
 def test_fp_field_coercion():
     # a scalar of F_p is the int residue 0..p-1 its Laurent polynomials store
     f5 = PrimeField(5)

@@ -1,7 +1,7 @@
-"""Value semantics of the slotted value types: type-strict equality, the
-hash a frozen dataclass with the same fields would give, immutability, the
-repr, and that a command line job loads neither `dataclasses` nor
-`inspect`."""
+"""Value semantics of the slotted value types: the constructor `Frozen`
+generates, type-strict equality, the hash a frozen dataclass with the same
+fields would give, immutability, the repr, and that no command line job
+loads `dataclasses` or `inspect`."""
 
 import copy
 import dataclasses
@@ -34,6 +34,7 @@ from alcovewalks import (
     cells_by_endpoint,
     from_label,
 )
+from alcovewalks.cartan import Frozen
 
 coords = st.lists(st.integers(-5, 5), min_size=1, max_size=4).map(tuple)
 
@@ -83,6 +84,19 @@ def test_every_value_type_is_sampled():
         FiniteRoot, Coweight, CartanDatum, FiniteWeylElement, AffineRoot, AffineWeylElement,
         FoldedPath, CountPolynomial, Cell, GroupMatrix, ExecutorState,
     }
+    # samples() has loaded every layer, so no other value type exists
+    assert set(Frozen.__subclasses__()) == VALUE_TYPES
+
+
+@pytest.mark.parametrize("x", samples(), ids=lambda x: type(x).__name__)
+def test_constructor_takes_exactly_the_fields(x):
+    cls, values = type(x), list(fields_of(x).values())
+    assert cls(*values) == cls(**fields_of(x)) == x
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
+    with pytest.raises(TypeError):
+        cls(*values, values[-1])
+    assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
 
 
 @given(coords)
@@ -189,16 +203,21 @@ def test_copies_and_pickles_are_equal(x):
     [
         ["-c", "import alcovewalks.cli"],
         ["-m", "alcovewalks.cli", "count", "--type", "A2", "--word", "2,1,0,2,0"],
+        ["-m", "alcovewalks.cli", "paths", "--type", "A2", "--word", "2,1,0,2,0"],
+        ["-m", "alcovewalks.cli", "oracle", "--type", "A2", "--word", "2,1,0", "--p", "2"],
+        ["-m", "alcovewalks.cli", "verify", "example8"],
+        ["-m", "alcovewalks.cli", "render", "--type", "A2", "--word", "2,1,0", "--out", "a2.svg"],
     ],
-    ids=["import", "count"],
+    ids=["import", "count", "paths", "oracle", "verify", "render"],
 )
-def test_cli_job_loads_neither_dataclasses_nor_inspect(args):
+def test_cli_job_loads_neither_dataclasses_nor_inspect(args, tmp_path):
     """Both modules cost every command start-up time and memory; -X importtime
-    lists every module the job imports."""
+    lists every module the job imports.  The job runs in tmp_path, where
+    render writes its SVG."""
     env = dict(os.environ, PYTHONPATH=str(Path(alcovewalks.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", *args],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, env=env, check=True, cwd=tmp_path,
     )
     imported = {
         line.rsplit("|", 1)[1].strip()
