@@ -20,6 +20,8 @@ none of them, do not pay for them at start-up.  Unlike imports inside the
 functions that use them, this keeps every layer in `sys.modules`, where
 perfbench/tracer.py finds the functions it hooks.  Their names in `__all__`
 (`LoopSL`, `QQ`, ...) are served on first use by the module `__getattr__`.
+`ratfunc` binds the standard library's `fractions` the same way, so only
+the rationals QQ load it, and F_p never does.
 """
 
 import importlib.util
@@ -54,9 +56,13 @@ from .folding import (
 
 
 def _lazy(name: str):
-    """Register submodule `name` without running it: LazyLoader runs its
-    code on the first attribute access."""
-    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    """Module `name`, absolute or relative to this package, registered
+    without running it: LazyLoader runs its code on the first attribute
+    access.  A module already in sys.modules is returned as it is."""
+    name = importlib.util.resolve_name(name, __name__)
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
@@ -64,7 +70,7 @@ def _lazy(name: str):
     return module
 
 
-ratfunc, matrices, loopgroup, render = map(_lazy, ("ratfunc", "matrices", "loopgroup", "render"))
+ratfunc, matrices, loopgroup, render = map(_lazy, (".ratfunc", ".matrices", ".loopgroup", ".render"))
 
 # the names of __all__ that a lazily loaded layer defines
 _LAZY_NAMES = {

@@ -401,8 +401,8 @@ BRUTE_FORCE_GUARD = 10**5
 def check_brute_force(word: Sequence[int], p: int) -> PrimeField:
     """The label field F_p of a brute force over `word`; raises ValueError
     when its p + p^2 + ... + p^L executor steps exceed BRUTE_FORCE_GUARD
-    or p is not prime.  p itself is bounded too, since the primality test
-    divides by every integer up to sqrt(p), even for the empty word."""
+    or p is not prime.  p itself is bounded too, since field.elements()
+    builds all p labels, even for the empty word."""
     steps = sum(p**k for k in range(1, len(word) + 1))
     if steps > BRUTE_FORCE_GUARD:
         raise ValueError(

@@ -2,7 +2,12 @@
 
 Two scalar fields are supported: the rationals (ints and
 fractions.Fraction) and prime fields F_p.  No floating point is used
-anywhere.
+anywhere.  Only the rationals use the standard library's `fractions`,
+which also loads `decimal` and `numbers`: the package's `_lazy` binds it
+here unrun, and QQ runs it on its first Fraction, so F_p work never loads
+it.  PrimeField.of reads an int as its residue and anything else by its
+`numerator` and `denominator`, which ints, bools and Fractions have and
+float, str, Decimal and complex do not.
 
 The matrix layer works in the loop group SL_n(F[t, t^-1]), so its
 entries are Laurent polynomials: finite sums c_k t^k with k of either
@@ -19,12 +24,37 @@ anything else raises ZeroDivisionError.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import isqrt
 from typing import Mapping, Union
 
+from . import _lazy
 
-def _qq(c: int | Fraction) -> int | Fraction:
+fractions = _lazy("fractions")
+
+# the primes up to 37: the trial divisors, and the Miller-Rabin bases that
+# decide every n below _PRIME_BOUND (Sorenson and Webster, Math. Comp. 86
+# (2017)), the least strong pseudoprime to all twelve
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_BOUND = 318665857834031151167461
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n is prime; raises ValueError for an n >= _PRIME_BOUND that
+    no small prime divides."""
+    if n < 2 or any(n % d == 0 for d in _SMALL_PRIMES):
+        return n in _SMALL_PRIMES
+    if n >= _PRIME_BOUND:
+        raise ValueError(f"primality is decided only below {_PRIME_BOUND}")
+    # n - 1 = 2^s * d with d odd; n is a strong probable prime to base a
+    # when a^d = 1 or a^(2^k d) = -1 mod n for some k < s
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 2**k, n) != n - 1 for k in range(s)):
+            return False
+    return True
+
+
+def _qq(c: int | fractions.Fraction) -> int | fractions.Fraction:
     """The rational c in the form QQ.of gives."""
     return c if type(c) is int or c.denominator != 1 else c.numerator
 
@@ -34,18 +64,18 @@ class RationalField:
 
     characteristic = 0
 
-    def of(self, value) -> int | Fraction:
+    def of(self, value) -> int | fractions.Fraction:
         """Coerce an int, bool or Fraction: an int when integral, else a
         Fraction with denominator > 1."""
-        if isinstance(value, Fraction):
-            return _qq(value)
         if isinstance(value, int):
             return int(value)
+        if isinstance(value, fractions.Fraction):
+            return _qq(value)
         raise TypeError(f"cannot coerce {value!r} into the rationals")
 
-    def inv(self, c: int | Fraction) -> int | Fraction:
+    def inv(self, c: int | fractions.Fraction) -> int | fractions.Fraction:
         """1 / c; raises ZeroDivisionError for c = 0."""
-        return _qq(Fraction(1, c))
+        return _qq(fractions.Fraction(1, c))
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -61,20 +91,24 @@ class PrimeField:
     """The field with p elements, p prime; its scalars are the residues 0..p-1."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        if not isinstance(p, int):
+            raise TypeError(f"the order of a prime field is an int, not {p!r}")
+        if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.characteristic = p
 
     def of(self, value) -> int:
-        """Coerce an int or Fraction to its residue."""
+        """Coerce an int, bool or Fraction to its residue."""
         if isinstance(value, int):
             return value % self.p
-        if isinstance(value, Fraction):
-            if value.denominator % self.p == 0:
-                raise ZeroDivisionError("denominator divisible by p")
-            return value.numerator * pow(value.denominator, -1, self.p) % self.p
-        raise TypeError(f"cannot coerce {value!r} into F_{self.p}")
+        try:
+            numerator, denominator = value.numerator, value.denominator
+        except AttributeError:
+            raise TypeError(f"cannot coerce {value!r} into F_{self.p}") from None
+        if denominator % self.p == 0:
+            raise ZeroDivisionError("denominator divisible by p")
+        return numerator * pow(denominator, -1, self.p) % self.p
 
     def inv(self, c: int) -> int:
         """The residue of 1 / c; raises ZeroDivisionError for c = 0."""

@@ -133,6 +133,34 @@ def test_count_and_paths_load_neither_fractions_nor_decimal():
     assert probe(code) == "[]\n"
 
 
+def test_oracle_over_fp_leaves_the_rational_stack_unloaded():
+    """F_p coerces by numerator and denominator, so `oracle --p` leaves
+    `decimal` and `numbers` out and `fractions` absent or unrun; and QQ
+    loads `fractions` itself on first use, with no caller importing it
+    first as every test file does."""
+    code = """if True:
+        import sys, types
+        import alcovewalks.cli
+        alcovewalks.cli.main(["oracle", "--type", "A2", "--word", "2,1,0,2,0", "--p", "3"])
+        alcovewalks.cli.main(["oracle", "--type", "A2", "--word", "1,0,1,0,1", "--p", "2",
+                              "--allow-nonreduced"])
+        ran = "fractions" in sys.modules and type(sys.modules["fractions"]) is types.ModuleType
+        print(sorted({"decimal", "numbers"} & set(sys.modules)), ran, file=sys.stderr)
+    """
+    assert probe(code) == "[] False\n"
+    code = """if True:
+        import sys
+        from alcovewalks import QQ
+        third = QQ.inv(QQ.of(3))
+        try:
+            QQ.of(1.5)
+        except TypeError:
+            from fractions import Fraction
+            print(third == Fraction(1, 3), type(third).__name__, file=sys.stderr)
+    """
+    assert probe(code) == "True Fraction\n"
+
+
 def test_the_tracer_hooks_the_lazily_loaded_layers():
     """Tracer.install() imports only alcovewalks.cli, so it reaches the lazy
     layers through sys.modules and must run them before it hooks them: every

@@ -1,5 +1,8 @@
 import random
+import time
+from decimal import Decimal
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -13,6 +16,8 @@ def test_prime_field_validation():
         with pytest.raises(ValueError):
             PrimeField(bad)
     assert PrimeField(7).p == 7
+    with pytest.raises(TypeError):
+        PrimeField(7.0)
 
 
 @pytest.mark.parametrize("huge", [2**1024, 10**400], ids=["2^1024", "10^400"])
@@ -20,6 +25,37 @@ def test_huge_composite_is_rejected_without_a_float(huge):
     # the trial-division bound is an integer square root: p ** 0.5 overflows
     with pytest.raises(ValueError, match="is not prime"):
         PrimeField(huge)
+
+
+def test_large_primes_are_decided_at_once():
+    start = time.perf_counter()
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+    assert PrimeField(10**12 + 39).p == 10**12 + 39
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("n", [561, 41041, 3215031751])
+def test_pseudoprimes_are_rejected(n):
+    # Carmichael numbers, and the least strong pseudoprime to bases 2, 3, 5, 7
+    with pytest.raises(ValueError, match="is not prime"):
+        PrimeField(n)
+
+
+def test_primality_agrees_with_trial_division():
+    for n in range(-2, 20_000):
+        prime = n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+        try:
+            assert PrimeField(n).p == n and prime
+        except ValueError:
+            assert not prime
+
+
+def test_primality_beyond_the_miller_rabin_bound_is_refused():
+    # 318665857834031151167461 = 399165290221 * 798330580441 is a strong
+    # pseudoprime to the twelve bases, so from there on the test is not exact
+    for n in (318665857834031151167461, 2**89 - 1):
+        with pytest.raises(ValueError, match="318665857834031151167461"):
+            PrimeField(n)
 
 
 def test_fp_field_coercion():
@@ -32,9 +68,11 @@ def test_fp_field_coercion():
         assert type(f5.of(value)) is int
     with pytest.raises(ZeroDivisionError):
         f5.of(Fraction(1, 10))
-    for value in (1.5, "7"):
+    # anything but an int is read by its numerator and denominator
+    for value in (1.5, "7", Decimal("1.5"), 2 + 0j):
         with pytest.raises(TypeError):
             f5.of(value)
+    assert f5.of(True) == 1 and type(f5.of(True)) is int
     assert f5.elements() == (0, 1, 2, 3, 4)
 
 
