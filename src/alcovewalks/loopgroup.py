@@ -23,11 +23,14 @@ b x_j(c) n_j^{-1} = x_j(ct) n_j^{-1} b2, ct = (a c + x) / d, where
 Every factor a step multiplies by is a generator x_gamma(f), n_j^{+-1} or
 h_alpha(g), so the step applies them as row and column operations and
 makes no n x n product; conjugating x_gamma(f) by the monomial v_rep
-moves its one entry.  Structure-constant signs are never tabulated: they
-are read from the cached n_j, which are built as products
-x_b(1) x_{-b}(-1) x_b(1) and checked to be signed transpositions.
-Validation checks each step against independent dense products, and the
-executor never inverts a matrix.
+moves its one entry, to the position (a, b) where v_rep's columns carry
+alpha_j's, so the step reads its kind, wall and endpoint off v_rep
+(Steinberg, Lectures on Chevalley groups, section 3): it crosses into U^-
+iff a > b, and the entry's t-exponent is the wall's delta coefficient.
+Structure-constant signs are never tabulated: they are read from the
+cached n_j, built as products x_b(1) x_{-b}(-1) x_b(1) and checked to be
+signed transpositions.  Validation checks each step against independent
+dense products, and the executor never inverts a matrix.
 
 `LoopSL.step` is the one executor step: the factorization of a prefix,
 a letter and a label give the factorization one letter longer.
@@ -46,6 +49,7 @@ word of L letters instead of L p^L.
 
 from __future__ import annotations
 
+import functools
 from itertools import accumulate, permutations
 from typing import Sequence
 
@@ -55,7 +59,6 @@ from .affine import (
     AffineWeylGroup,
     InvariantError,
     NormalizationError,
-    is_uminus_positive,
 )
 from .cartan import CartanDatum, Coweight, FiniteRoot, FiniteWeylElement, Frozen, from_label
 from .folding import StepKind
@@ -78,20 +81,64 @@ class ExecutorState(Frozen):
     v_rep is monomial, so a step reads v_rep^-1 off v_rep and never
     inverts a matrix."""
 
-    __slots__ = __match_args__ = ("u", "u_factors", "v", "v_rep", "b", "kinds")
+    __slots__ = __match_args__ = ("u", "u_factors", "v_rep", "b", "kinds")
     u: GroupMatrix
     u_factors: tuple[tuple[AffineRoot, object], ...]
-    v: AffineWeylElement
     v_rep: GroupMatrix
     b: GroupMatrix
     kinds: tuple[StepKind, ...]
+
+    @property
+    def v(self) -> AffineWeylElement:
+        """The affine Weyl element under v_rep, read off it on each access."""
+        return _weyl_of_monomial(self.v_rep)
 
 
 def check_type_a(datum: CartanDatum) -> None:
     """Raise ValueError unless the datum has a matrix layer: the A_n matrix
     numbered along its chain, which puts alpha_i at (i, i + 1)."""
-    if datum.entries != from_label(f"A{datum.size}").entries:
+    if datum.entries != _chain_tables(datum.size + 1)[0].entries:
         raise ValueError("the matrix layer supports type A data numbered along the chain only")
+
+
+@functools.cache
+def _chain_tables(n: int) -> tuple[CartanDatum, dict, dict]:
+    """The A_{n-1} datum along its chain, which every datum check_type_a
+    accepts equals; the 1-based matrix position of each root by its
+    coordinates; and the index in datum.roots() of the root at each 0-based
+    position.  e_a - e_b = alpha_a + ... + alpha_{b-1} sits at (a, b)."""
+    datum = from_label(f"A{n - 1}")
+    index = datum.root_tables.index
+    positions: dict[tuple[int, ...], tuple[int, int]] = {}
+    root_at: dict[tuple[int, int], int] = {}
+    for a, b in permutations(range(1, n + 1), 2):
+        lo, hi, sign = (a, b, 1) if a < b else (b, a, -1)
+        coords = tuple(sign if lo <= i < hi else 0 for i in range(1, n))
+        positions[coords] = a, b
+        root_at[a - 1, b - 1] = index[coords]
+    return datum, positions, root_at
+
+
+def _weyl_of_monomial(m: GroupMatrix) -> AffineWeylElement:
+    """The affine Weyl element of an n x n matrix m known to be monomial.
+    m sends e_c to a multiple of e_sigma(c), so it conjugates the root at
+    (a, b) to the one at (sigma(a), sigma(b)): that is the finite part,
+    read through the position table.  The rows' t-exponents give the
+    translation."""
+    datum, _, root_at = _chain_tables(len(m.entries))
+    sigma = [0] * len(m.entries)  # column -> row, 0-based
+    exps = []  # row -> t exponent
+    for r, row in enumerate(m.entries):
+        c, e = next((c, e) for c, e in enumerate(row) if e.terms)
+        sigma[c] = r
+        exps.append(e.valuation())
+    perm = [0] * len(root_at)
+    for (a, b), r in root_at.items():
+        perm[r] = root_at[sigma[a], sigma[b]]
+    # diag(t^{e_a}) is the cocharacter at t^{-1} of the coweight with
+    # partial sums -(e_1 + ... + e_a)
+    translation = Coweight(tuple(-acc for acc in accumulate(exps[:-1])))
+    return AffineWeylElement(translation, FiniteWeylElement(datum, tuple(perm)))
 
 
 class LoopSL:
@@ -111,16 +158,7 @@ class LoopSL:
                 for r in range(self.n)
             )
         )
-        # e_a - e_b = alpha_a + ... + alpha_{b-1} sits at (a, b), 1-based;
-        # _root_at maps a position to the root's index in datum.roots()
-        index = datum.root_tables.index
-        self._positions: dict[tuple[int, ...], tuple[int, int]] = {}
-        self._root_at: dict[tuple[int, int], int] = {}
-        for a, b in permutations(range(1, self.n + 1), 2):
-            lo, hi, sign = (a, b, 1) if a < b else (b, a, -1)
-            coords = tuple(sign if lo <= i < hi else 0 for i in range(1, self.n))
-            self._positions[coords] = a, b
-            self._root_at[a, b] = index[coords]
+        _, self._positions, self._root_at = _chain_tables(self.n)
         self._letters: dict[int, tuple] = {}
 
     # -- elementary constructors ----------------------------------------
@@ -196,29 +234,7 @@ class LoopSL:
     def monomial_to_weyl(self, m: GroupMatrix) -> AffineWeylElement:
         if not is_monomial(m):
             raise ValueError("matrix is not monomial")
-        return self._weyl_of_monomial(m)
-
-    def _weyl_of_monomial(self, m: GroupMatrix) -> AffineWeylElement:
-        """monomial_to_weyl for an m already known to be monomial.
-
-        m sends e_c to a multiple of e_sigma(c), so it conjugates the root
-        at (a, b) to the one at (sigma(a), sigma(b)): that is the finite
-        part, read through the position table.  The t-exponents of the
-        rows give the translation."""
-        root_at = self._root_at
-        sigma = [0] * (self.n + 1)  # column -> row, 1-based
-        exps = []  # row -> t exponent
-        for r, row in enumerate(m.entries, 1):
-            c, e = next((c, e) for c, e in enumerate(row, 1) if e.terms)
-            sigma[c] = r
-            exps.append(e.valuation())
-        perm = [0] * len(root_at)
-        for (a, b), r in root_at.items():
-            perm[r] = root_at[sigma[a], sigma[b]]
-        # diag(t^{e_a}) is the cocharacter at t^{-1} of the coweight with
-        # partial sums -(e_1 + ... + e_a)
-        translation = Coweight(tuple(-acc for acc in accumulate(exps[:-1])))
-        return AffineWeylElement(translation, FiniteWeylElement(self.datum, tuple(perm)))
+        return _weyl_of_monomial(m)
 
     # -- Iwahori coset normalization -------------------------------------
 
@@ -257,57 +273,48 @@ class LoopSL:
     def initial_state(self) -> ExecutorState:
         """The factorization of the empty word: u = v_rep = b = 1."""
         one = self._identity
-        return ExecutorState(one, (), self.group.identity(), one, one, ())
+        return ExecutorState(one, (), one, one, ())
 
     def step(self, state: ExecutorState, j: int, label) -> ExecutorState:
         """The factorization of the prefix one letter longer: `state`
-        followed by x_j(label) n_j^{-1}."""
+        followed by x_j(label) n_j^{-1}.  v_rep conjugates x_j(c) to
+        x(c e t^m) at (a, b) and x_{-j}(c) to x(c t^-m / e) at (b, a): the
+        wall is the root at the one of the two below the diagonal."""
         ct, b2 = self.iwahori_normalize(state.b, j, label)
         alpha, r, s, n, n_inv = self._letter(j)
-        beta = state.v.act(alpha)
-        if is_uminus_positive(beta):
-            kind, wall, gamma, value = StepKind.POSITIVE_CROSSING, beta, alpha, ct
+        e, m, a, b = self.conjugate(state.v_rep, alpha)
+        x = self.field.of(ct * e)
+        if a > b:
+            kind, coeff, row, col, k = StepKind.POSITIVE_CROSSING, x, a, b, m
         elif ct:
-            kind, wall, gamma, value = StepKind.FOLD, -beta, -alpha, self.field.inv(ct)
+            kind, coeff, row, col, k = StepKind.FOLD, self.field.inv(x), b, a, -m
         else:
-            kind, wall, gamma = StepKind.ZERO_CROSSING, -beta, None
-        u, coeff = state.u, self.field.of(0)
-        if gamma is not None:
-            f, row, col = self.conjugate(state.v_rep, gamma, value)
-            coeff = self._extract_root_coeff(f, row, col, wall)
-            u = add_col(u, row, col, f)  # u (1 + f E_row,col)
+            kind, coeff, row, col, k = StepKind.ZERO_CROSSING, x, b, a, -m
+        wall = AffineRoot(self.datum.roots()[self._root_at[row, col]], k)
+        u = add_col(state.u, row, col, self._laurent(coeff, k))  # u x_wall(coeff)
         u_factors = state.u_factors + ((wall, coeff),)
         kinds = state.kinds + (kind,)
         if kind is StepKind.FOLD:
             # b = x_j(-ct) h_alpha(ct) b2
-            b = scale_rows(b2, r, self._laurent(ct, 0), s, self._laurent(value, 0))
-            b = add_row(b, r, s, self._laurent(self.field.of(-ct), alpha.k))
-            return ExecutorState(u, u_factors, state.v, state.v_rep, b, kinds)
-        return ExecutorState(
-            u,
-            u_factors,
-            state.v * self.group.simple_reflection(j),
-            swap_cols(state.v_rep, n_inv, r, s),
-            b2,
-            kinds,
-        )
+            hb2 = scale_rows(b2, r, self._laurent(ct, 0), s, self._laurent(self.field.inv(ct), 0))
+            b_fold = add_row(hb2, r, s, self._laurent(self.field.of(-ct), alpha.k))
+            return ExecutorState(u, u_factors, state.v_rep, b_fold, kinds)
+        return ExecutorState(u, u_factors, swap_cols(state.v_rep, n_inv, r, s), b2, kinds)
 
-    def conjugate(
-        self, v_rep: GroupMatrix, gamma: AffineRoot, value
-    ) -> tuple[RationalFunction, int, int]:
-        """The entry f and 0-based position (a, b) of v_rep x_gamma(value)
-        v_rep^{-1} = 1 + f E_ab.  v_rep is monomial, so v_rep^{-1} has
-        1 / v_rep[b][c] at (c, b): for gamma at (r, c), e1 is the one nonzero
-        entry of column r of v_rep, in row a, e2 that of column c, in row b,
-        and f = value t^k e1 / e2."""
+    def conjugate(self, v_rep: GroupMatrix, gamma: AffineRoot) -> tuple[object, int, int, int]:
+        """The scalar e, exponent m and 0-based position (a, b) with v_rep
+        x_gamma(c) v_rep^{-1} = 1 + c e t^m E_ab for every scalar c.  v_rep
+        is monomial, so v_rep^{-1} has 1 / v_rep[b][c] at (c, b): for gamma
+        at (r, c), e1 t^k1 is the one nonzero entry of column r of v_rep, in
+        row a, e2 t^k2 that of column c, in row b; e = e1 / e2, m = k + k1 - k2."""
         r, c = self.root_position(gamma.finite)
         rows = v_rep.entries
         hits = [[i for i, row in enumerate(rows) if row[col].terms] for col in (r - 1, c - 1)]
         if any(len(h) != 1 for h in hits):
             raise NormalizationError("v_rep is not monomial")
         (a,), (b,) = hits
-        f = self._laurent(self.field.of(value), gamma.k)
-        return f * rows[a][r - 1] * rows[b][c - 1].inverse(), a, b
+        ((k1, e1),), ((k2, e2),) = rows[a][r - 1].terms.items(), rows[b][c - 1].terms.items()
+        return self.field.of(e1 * self.field.inv(e2)), gamma.k + k1 - k2, a, b
 
     def execute_folding(
         self, word: Sequence[int], labels: Sequence, validate: bool = False
@@ -330,16 +337,6 @@ class LoopSL:
                 vb = self._check_state(generator, vb, prev, state)
         return state
 
-    def _extract_root_coeff(self, f: RationalFunction, a: int, b: int, gamma: AffineRoot):
-        """Read c from 1 + f E_ab == x_gamma(c): unless f is 0, f must be
-        c t^k at gamma's matrix position.  The sign of c comes out of f."""
-        if not f.terms:
-            return self.field.of(0)
-        r, c = self.root_position(gamma.finite)
-        if (a, b) != (r - 1, c - 1) or f.terms.keys() != {gamma.k}:
-            raise NormalizationError("conjugated generator is not a root element")
-        return f.terms[gamma.k]
-
     def _check_state(
         self,
         generator: GroupMatrix,
@@ -352,9 +349,10 @@ class LoopSL:
         return state's v_rep . b.
 
         u's recorded factorization is checked by induction: prev's factors
-        are kept, the new wall is uminus positive and prev.u x_gamma(c) == u
-        for the new factor (gamma, c), so u is the product of all of them
-        (the initial state's u and factors are 1 and ()).  The running
+        are kept, the new wall sits below the diagonal (is uminus positive)
+        and prev.u x_gamma(c) == u for the new factor (gamma, c), so u is
+        the product of all of them (the initial state's u and factors are 1
+        and ()).  The running
         identity is inductive too: prev.u . prev_vb is the product of the
         earlier generators and prev.u is invertible, so u . v_rep . b is
         the product up to `generator` exactly when
@@ -365,20 +363,19 @@ class LoopSL:
         generator, a validated step makes five matrix products, and only
         prev.u x_gamma(c) has u as a factor.
         """
-        u, v, v_rep, b = state.u, state.v, state.v_rep, state.b
+        u, v_rep, b = state.u, state.v_rep, state.b
         if not in_uminus(u):
             raise InvariantError("u left the lower unipotent subgroup")
         if not in_iwahori(b):
             raise InvariantError("b left the Iwahori subgroup")
         if not is_monomial(v_rep):
             raise InvariantError("v_rep is not monomial")
-        if self._weyl_of_monomial(v_rep) != v:
-            raise InvariantError("v_rep does not lie over the tracked Weyl element")
         factors = state.u_factors
         if len(factors) != len(prev.u_factors) + 1 or factors[:-1] != prev.u_factors:
             raise InvariantError("u does not match its recorded factorization")
         gamma, coeff = factors[-1]
-        if not is_uminus_positive(gamma):
+        row, col = self.root_position(gamma.finite)
+        if row <= col:
             raise InvariantError("recorded wall is not uminus positive")
         x = self.x_root(gamma, coeff)
         if prev.u @ x != u:
@@ -436,7 +433,8 @@ def brute_force_cells(
         if depth == len(word):
             if not in_uminus(state.u):
                 raise InvariantError("u left the lower unipotent subgroup")
-            tallies[state.v] = tallies.get(state.v, 0) + 1
+            end = state.v
+            tallies[end] = tallies.get(end, 0) + 1
             return
         j = word[depth]
         for label in labels:

@@ -468,26 +468,35 @@ def test_invariant_error_exits_3(capsys, monkeypatch):
     assert err == "error: InvariantError: determinant drifted from 1\n"
 
 
-def test_oracle_exits_3_when_a_crossing_rule_moves_u_out_of_uminus(capsys, monkeypatch):
-    # flip the crossing test, in the enumerator and in the executor alike,
-    # wherever the uminus-positive wall has delta coefficient >= 1: the
-    # tallies still agree with the counts, but u leaves U^- at some leaf
-    from alcovewalks import loopgroup
-
-    real_sends, real_positive = AffineWeylGroup.sends_to_uminus, loopgroup.is_uminus_positive
+def test_oracle_exits_1_when_only_the_dp_crossing_rule_is_flipped(capsys, monkeypatch):
+    # flip the enumerator's crossing test wherever the uminus-positive wall
+    # has delta coefficient >= 1: the executor reads its own crossing off
+    # its matrices, so its tallies no longer agree with the counts
+    real_sends = AffineWeylGroup.sends_to_uminus
 
     def sends_to_uminus(self, state, j):
         _, k = self.uminus_wall(state, j)
         return real_sends(self, state, j) != (k >= 1)
 
-    def is_uminus_positive(beta):
-        positive = real_positive(beta)
-        return positive != ((beta if positive else -beta).k >= 1)
-
     monkeypatch.setattr(AffineWeylGroup, "sends_to_uminus", sends_to_uminus)
-    monkeypatch.setattr(loopgroup, "is_uminus_positive", is_uminus_positive)
     code, out, err = run(capsys, "oracle", "--type", "A2", "--word", "2,1,0,2,1,0", "--p", "2")
-    assert code == 3
+    assert code == 1
+    assert out.splitlines()[-1] == "26 endpoint(s) disagree"
+    assert err == ""
+
+
+def test_oracle_exits_3_when_the_executor_moves_u_out_of_uminus(capsys, monkeypatch):
+    # write each column operation's entry above the diagonal: the step's
+    # factors of u sit below it, the normalization's for a finite letter
+    # already above, so only u changes, and a leaf's u leaves U^-
+    from alcovewalks import loopgroup
+
+    real_add_col = loopgroup.add_col
+    monkeypatch.setattr(
+        loopgroup, "add_col", lambda m, r, c, f: real_add_col(m, min(r, c), max(r, c), f)
+    )
+    code, out, err = run(capsys, "oracle", "--type", "A2", "--word", "1,2,1", "--p", "2")
+    assert (code, out) == (3, "")
     assert err == "error: InvariantError: u left the lower unipotent subgroup\n"
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from alcovewalks.affine import AffineRoot, AffineWeylGroup, is_iwahori_positive
+from alcovewalks.affine import AffineRoot, AffineWeylGroup, is_iwahori_positive, is_uminus_positive
 from alcovewalks.cartan import Coweight, FiniteRoot, from_label, validate_cartan
 from alcovewalks.folding import StepKind, cells_by_endpoint
 from alcovewalks.loopgroup import (
@@ -261,24 +261,39 @@ def test_executor_invariants_hold_stepwise():
 
 
 def test_executor_kinds_match_combinatorial_path():
-    sl = sl3()
-    group = sl.group
-    word = (2, 1, 0, 2, 0, 1, 0, 2, 0)
+    # the executor reads kind, wall and endpoint off its matrices; replay v
+    # in the affine Weyl group, crossing where v alpha_j is uminus positive,
+    # on reduced and non-reduced words over QQ, F_2 and F_3
     rng = random.Random(99)
-    for _ in range(5):
-        labels = [Fraction(rng.randint(0, 2)) for _ in word]
-        state = sl.execute_folding(word, labels)
-        assert group.length(state.v) <= len(word)
-        assert sl.monomial_to_weyl(state.v_rep) == state.v
-        # walls recorded by the executor are exactly the combinatorial ones
-        v = group.identity()
-        for step, (j, kind) in enumerate(zip(word, state.kinds)):
-            beta = v.act(group.simple_affine_root(j))
-            gamma = beta if kind is StepKind.POSITIVE_CROSSING else -beta
-            assert state.u_factors[step][0] == gamma
-            if kind is not StepKind.FOLD:
-                v = v * group.simple_reflection(j)
-        assert v == state.v
+    seen = Counter()
+    for label in ("A1", "A2", "A3", "A4"):
+        for field in (QQ, PrimeField(2), PrimeField(3)):
+            sl = LoopSL(from_label(label), field)
+            group = sl.group
+            for trial in range(6):
+                length = rng.randint(1, 9)
+                if trial % 2:
+                    word = reduced_word(group, rng, length)
+                else:
+                    word = tuple(rng.randint(0, group.rank) for _ in range(length))
+                reduced = group.length(group.from_word(word)) == len(word)
+                labels = [field.of(0 if rng.random() < 0.35 else rng.randint(-3, 3)) for _ in word]
+                state = sl.execute_folding(word, labels, validate=True)
+                assert group.length(state.v) <= len(word)
+                assert sl.monomial_to_weyl(state.v_rep) == state.v
+                v = group.identity()
+                for j, kind, (wall, coeff) in zip(word, state.kinds, state.u_factors):
+                    beta = v.act(group.simple_affine_root(j))
+                    if is_uminus_positive(beta):
+                        assert (kind, wall) == (StepKind.POSITIVE_CROSSING, beta)
+                    else:
+                        want = StepKind.FOLD if coeff else StepKind.ZERO_CROSSING
+                        assert (kind, wall) == (want, -beta)
+                    if kind is not StepKind.FOLD:
+                        v = v * group.simple_reflection(j)
+                    seen[kind, j == 0, reduced] += 1
+                assert state.v == v
+    assert all(seen[kind, True, reduced] for kind in StepKind for reduced in (True, False))
 
 
 def test_monomial_to_weyl():
@@ -666,8 +681,11 @@ def v_rep_not_monomial(sl, s):
     return replace(s, v_rep=with_entry(s.v_rep, r, c, rf(1)))
 
 
-def v_off_v_rep(sl, s):
-    return replace(s, v=s.v * sl.group.simple_reflection(1))
+def v_rep_off_by_t(sl, s):
+    # still monomial, and over another affine Weyl element
+    r, c = next((r, c) for r in range(sl.n) for c in range(sl.n) if s.v_rep.entries[r][c].terms)
+    entry = s.v_rep.entries[r][c] * RationalFunction.t_power(sl.field, 1)
+    return replace(s, v_rep=with_entry(s.v_rep, r, c, entry))
 
 
 def b_scaled(sl, s):
@@ -684,7 +702,7 @@ CORRUPTIONS = [
     (u_times_extra_x_b_compensating, "recorded factorization"),
     (b_with_pole, "Iwahori"),
     (v_rep_not_monomial, "v_rep is not monomial"),
-    (v_off_v_rep, "tracked Weyl element"),
+    (v_rep_off_by_t, "running factorization identity"),
     # det(b) = 2 while the generators have det 1, so the product identity
     # fails first; the determinant check is exercised on its own below
     (b_scaled, "running factorization identity"),
@@ -748,30 +766,50 @@ def test_conjugate_needs_one_entry_in_the_column_and_row_it_reads():
     sl = sl3()
     gamma = AffineRoot(FiniteRoot((1, 0)), 1)  # position (1, 2)
     v_rep = n_simple(sl, 2) @ h_root(sl, gamma, 3)
-    assert sl.conjugate(v_rep, gamma, 2) == (rf({1: Fraction(-18)}), 0, 2)
-    assert v_rep @ sl.x_root(gamma, 2) @ v_rep.inverse() == with_entry(
-        sl.identity(), 0, 2, rf({1: Fraction(-18)})
-    )
+    assert sl.conjugate(v_rep, gamma) == (-9, 1, 0, 2)
+    for c in (Fraction(2), Fraction(-1, 3)):
+        assert v_rep @ sl.x_root(gamma, c) @ v_rep.inverse() == with_entry(
+            sl.identity(), 0, 2, rf({1: -9 * c})
+        )
     two_in_column_r = with_entry(sl.identity(), 1, 0, rf(1))
     with pytest.raises(NormalizationError, match="not monomial"):
-        sl.conjugate(two_in_column_r, gamma, 1)
+        sl.conjugate(two_in_column_r, gamma)
     two_in_column_c = with_entry(sl.identity(), 2, 1, rf(1))
     with pytest.raises(NormalizationError, match="not monomial"):
-        sl.conjugate(two_in_column_c, gamma, 1)
+        sl.conjugate(two_in_column_c, gamma)
     empty_column = with_entry(sl.identity(), 0, 0, rf(0))
     with pytest.raises(NormalizationError, match="not monomial"):
-        sl.conjugate(empty_column, gamma, 1)
+        sl.conjugate(empty_column, gamma)
 
 
 def test_root_coefficient_is_read_at_the_wall_position():
-    # 1 + f E_ab is x_gamma(c) only for f = c t^k at gamma's position, or f = 0
+    # v_rep conjugates x_j(c) and x_{-j}(c) to root elements at mirror
+    # positions; the step records the one below the diagonal, x_j(ct) for a
+    # positive crossing and x_{-j}(1 / ct) for a fold, and takes a zero
+    # crossing's wall from x_{-j}(1).  With b = 1, ct is the label itself.
     sl = sl3()
-    gamma = AffineRoot(FiniteRoot((1, 0)), 1)  # position (1, 2), k = 1
-    assert sl._extract_root_coeff(rf({1: Fraction(-3)}), 0, 1, gamma) == Fraction(-3)
-    assert sl._extract_root_coeff(rf(0), 2, 0, gamma) == Fraction(0)
-    for f, a, b in [(rf({1: 1}), 1, 0), (rf({0: 1}), 0, 1), (rf({1: 1, 2: 1}), 0, 1)]:
-        with pytest.raises(NormalizationError, match="not a root element"):
-            sl._extract_root_coeff(f, a, b, gamma)
+    gamma = AffineRoot(FiniteRoot((1, 0)), 1)
+    v9 = mat([[0, 1, 0], [{2: -1}, 0, 0], [0, 0, {-2: 1}]])
+    seen = set()
+    for v_rep in (sl.identity(), n_simple(sl, 2) @ h_root(sl, gamma, 3), v9):
+        state = ExecutorState(sl.identity(), (), v_rep, sl.identity(), ())
+        for j in range(3):
+            alpha = sl.group.simple_affine_root(j)
+            for c in (Fraction(-2), Fraction(0), Fraction(3, 5)):
+                out = sl.step(state, j, c)
+                ((wall, coeff),), (kind,) = out.u_factors, out.kinds
+                seen.add(kind)
+                root = alpha if kind is StepKind.POSITIVE_CROSSING else -alpha
+                value = c if kind is StepKind.POSITIVE_CROSSING else c and 1 / c
+                assert kind is not StepKind.ZERO_CROSSING or c == 0
+                x = v_rep @ sl.x_root(root, 1) @ v_rep.inverse()
+                r, s = sl.root_position(wall.finite)
+                f = x.entries[r - 1][s - 1]
+                assert r > s and f.terms.keys() == {wall.k}
+                assert x == with_entry(sl.identity(), r - 1, s - 1, f)
+                assert sl.x_root(wall, coeff) == v_rep @ sl.x_root(root, value) @ v_rep.inverse()
+                assert out.u == sl.x_root(wall, coeff) and in_uminus(out.u)
+    assert seen == set(StepKind)
 
 
 def test_validated_step_costs_a_fixed_number_of_products(monkeypatch):

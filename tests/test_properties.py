@@ -267,7 +267,9 @@ def conjugation_cases(draw):
 def test_conjugation_by_v_rep_equals_dense_product(case):
     label, sl, state, value = case
     for gamma in ROOTS[label]:
-        f, a, b = sl.conjugate(state.v_rep, gamma, value)
+        e, m, a, b = sl.conjugate(state.v_rep, gamma)
+        assert e and is_canonical(e, sl.field)
+        f = RationalFunction.of(sl.field, value) * RationalFunction(sl.field, {m: e})
         rows = [list(row) for row in sl.identity().entries]
         rows[a][b] = rows[a][b] + f
         x = GroupMatrix(tuple(map(tuple, rows)))
