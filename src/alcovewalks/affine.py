@@ -59,7 +59,7 @@ class NormalizationError(RuntimeError):
 
 class InvariantError(RuntimeError):
     """A computation broke one of its invariants: a validated executor run,
-    or a reduced-word descent that found no descent."""
+    or a reduced-word descent that found no descent or passed its bound."""
 
 
 class AffineRoot(Frozen):
@@ -270,15 +270,24 @@ class AffineWeylGroup:
         h^{-1} to the word of h for every h already passed, and the descent
         stops at the first one.  Keys are 2n ints where a state holds a
         whole root permutation, so the states passed are not kept.
+
+        Only a broken step rule runs past MAX_WORD_LENGTH + |Phi+| letters;
+        there passing the Iwahori-Matsumoto bound on l(t_lam w), the sum of
+        |<lam, alpha>| + 1 over alpha > 0 (halved over all roots), raises.
         """
         if tails is None:
             tails = {}
         letters = range(self.rank + 1)
         word: list[int] = []
         passed: list[tuple[int, ...]] = []
-        state = self.inverse_state(g)
+        start = state = self.inverse_state(g)
         key = self._tail_key(state)
+        limit = MAX_WORD_LENGTH + len(self._roots) // 2
         while key not in tails and state != self._identity_state:
+            if len(word) >= limit:
+                limit = sum(abs(sum(map(mul, start[0], p))) + 1 for p in self._pairing) // 2
+                if len(word) >= limit:
+                    raise InvariantError(f"reduced-word descent passed the length bound {limit}")
             for i in letters:
                 if self._descends(state, i):
                     break

@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help='Cartan type label ("A2") or JSON matrix ("[[2,-1],[-1,2]]")',
         )
         p.add_argument("--word", required=True, help="comma separated letters, e.g. 2,1,0")
-        p.add_argument("--allow-nonreduced", action="store_true")
+        p.add_argument("--allow-nonreduced", action="store_true", dest="nonreduced_ok")
 
     end_help = 'endpoint as a word ("2,1,0") or {translation, finite_word} JSON'
     p_paths = sub.add_parser("paths", help="enumerate folded paths as JSON")
@@ -130,13 +130,21 @@ def _word_text(word) -> str:
     return ",".join(map(str, word)) or "-"
 
 
+def _reduced(group, word, allowed: bool) -> bool:
+    """Whether `word` is reduced; the CLI refuses it if not, unless `allowed`."""
+    reduced = group.is_reduced(word)
+    if not (reduced or allowed):
+        raise WordError(f"word {word} is not reduced (pass --allow-nonreduced to override)")
+    return reduced
+
+
 def _cmd_paths(args) -> int:
     _check_out(args.out)
     word = parse_word(args.word)
     group = _group_for(args.type)
     target = _parse_endpoint(group, args.end)
-    cells = cells_by_endpoint(group, word, args.allow_nonreduced, target)
-    nonreduced = args.allow_nonreduced and not group.is_reduced(word)
+    nonreduced = not _reduced(group, word, args.nonreduced_ok)
+    cells = cells_by_endpoint(group, word, target)
     if args.out is not None:
         with open(args.out, "w") as fh:
             paths_to_json(group, word, cells, fh.write, nonreduced)
@@ -149,7 +157,8 @@ def _cmd_count(args) -> int:
     word = parse_word(args.word)
     group = _group_for(args.type)
     target = _parse_endpoint(group, args.end)
-    counts = endpoint_counts(group, word, args.allow_nonreduced, target)
+    _reduced(group, word, args.nonreduced_ok)
+    counts = endpoint_counts(group, word, target)
     if target is not None:
         if target not in counts:
             print("0")
@@ -187,7 +196,8 @@ def _cmd_oracle(args) -> int:
     group = _group_for(args.type)
     loopgroup.check_type_a(group.datum)
     loopgroup.check_brute_force(word, args.p)
-    counts = endpoint_counts(group, word, args.allow_nonreduced)
+    _reduced(group, word, args.nonreduced_ok)
+    counts = endpoint_counts(group, word)
     tallies = loopgroup.brute_force_cells(group.datum, word, args.p)
     mismatches = 0
     print(f"endpoint\tpolynomial\tq={args.p}\tbrute")
@@ -217,7 +227,7 @@ def _cmd_render(args) -> int:
     overlays = () if word is None else (word,)
     target = _parse_endpoint(group, args.end)
     if target is not None:
-        overlays = enumerate_folded_paths(group, word, allow_nonreduced=True, end=target)
+        overlays = enumerate_folded_paths(group, word, target)
         if not overlays:
             print("no folded path has that endpoint", file=sys.stderr)
             return 1

@@ -30,7 +30,6 @@ from .affine import (
     AffineWeylElement,
     AffineWeylGroup,
     Word,
-    WordError,
     affine_root_to_json,
     element_to_json,
 )
@@ -157,7 +156,7 @@ def _moves(group: AffineWeylGroup, v: AlcoveState, j: int) -> tuple[tuple[Alcove
 
 
 def _walk_setup(
-    group: AffineWeylGroup, word: Sequence[int], allow_nonreduced: bool, end: AffineWeylElement | None
+    group: AffineWeylGroup, word: Sequence[int], end: AffineWeylElement | None
 ) -> tuple[Word, tuple[AlcoveState, ...], Sequence[set[AlcoveState] | None]]:
     """The checked word, the start states and the pruning sets `ahead`.
 
@@ -168,11 +167,6 @@ def _walk_setup(
     word = tuple(word)
     for i in word:
         group._check_letter(i)
-    if not allow_nonreduced and not group.is_reduced(word):
-        raise WordError(
-            f"word {word} is not reduced "
-            "(pass --allow-nonreduced or allow_nonreduced=True to override)"
-        )
     start = group.state(group.identity())
     if end is None:
         return word, (start,), (None,) * len(word)
@@ -186,23 +180,21 @@ def _walk_setup(
 
 
 def enumerate_folded_paths(
-    group: AffineWeylGroup,
-    word: Sequence[int],
-    allow_nonreduced: bool = False,
-    end: AffineWeylElement | None = None,
+    group: AffineWeylGroup, word: Sequence[int], end: AffineWeylElement | None = None
 ) -> tuple[FoldedPath, ...]:
     """Depth-first enumeration of all folded paths of type `word`, or with
     `end` of those that end there.
 
     Branch steps explore the fold child before the zero crossing, so the
-    output order is deterministic.  Non-reduced words are rejected unless
-    explicitly allowed.  The walk runs on raw alcove states; paths merge
+    output order is deterministic.  Any word is walked: the labelled paths
+    of a non-reduced word index the points of I s_j1 I x^I ... x^I I s_jL I / I
+    rather than of a cell.  The walk runs on raw alcove states; paths merge
     at alcoves and cross the same walls, so each distinct endpoint and
     each distinct wall is one object per call.  With `end` only children
     that can still reach it are pushed, so the paths come in the order of
     the full enumeration.
     """
-    word, starts, aheads = _walk_setup(group, word, allow_nonreduced, end)
+    word, starts, aheads = _walk_setup(group, word, end)
     out = []
     elements: dict[AlcoveState, AffineWeylElement] = {}
     distinct_walls: dict[tuple[int, int], AffineRoot] = {}
@@ -252,24 +244,24 @@ def count_step(group: AffineWeylGroup, frontier: Frontier, j: int, ahead=None) -
 
 
 def endpoint_counts(
-    group: AffineWeylGroup,
-    word: Sequence[int],
-    allow_nonreduced: bool = False,
-    end: AffineWeylElement | None = None,
+    group: AffineWeylGroup, word: Sequence[int], end: AffineWeylElement | None = None
 ) -> dict[AffineWeylElement, CountPolynomial]:
     """Cell count polynomials by endpoint, without building any path; with
     `end` only its count, if any path reaches it.
 
     Whether a step branches depends only on the current alcove and the
     letter, so the paths are summed per alcove as the word is read, one
-    count_step per letter.  The counts equal those of cells_by_endpoint;
-    the keys come in the order the frontier reached them, and
-    AffineWeylGroup.canonical_words puts them in canonical order together
-    with the reduced words it sorted by.  Elements and CountPolynomials are
-    built only for the final endpoints.  With `end` the frontier keeps only
-    the states that can still reach it, as enumerate_folded_paths does.
+    count_step per letter, as in Ram's expansion of T_j1 ... T_jL, which
+    holds for any word: for a non-reduced one each count is that of the
+    points of I s_j1 I x^I ... x^I I s_jL I / I over the endpoint's cell.
+    The counts equal those of cells_by_endpoint; the keys come in the order
+    the frontier reached them, and AffineWeylGroup.canonical_words puts
+    them in canonical order together with the reduced words it sorted by.
+    Elements and CountPolynomials are built only for the final endpoints.
+    With `end` the frontier keeps only the states that can still reach it,
+    as enumerate_folded_paths does.
     """
-    word, starts, aheads = _walk_setup(group, word, allow_nonreduced, end)
+    word, starts, aheads = _walk_setup(group, word, end)
     frontier = dict.fromkeys(starts, (1,))
     for j, ahead in zip(word, aheads):
         frontier = count_step(group, frontier, j, ahead)
@@ -291,15 +283,12 @@ class Cell(Frozen):
 
 
 def cells_by_endpoint(
-    group: AffineWeylGroup,
-    word: Sequence[int],
-    allow_nonreduced: bool = False,
-    end: AffineWeylElement | None = None,
+    group: AffineWeylGroup, word: Sequence[int], end: AffineWeylElement | None = None
 ) -> dict[AffineWeylElement, Cell]:
     """Group folded paths by endpoint, in canonical endpoint order; with
     `end` only its cell, if any path reaches it."""
     grouped: dict[AffineWeylElement, list[FoldedPath]] = {}
-    for path in enumerate_folded_paths(group, word, allow_nonreduced, end):
+    for path in enumerate_folded_paths(group, word, end):
         grouped.setdefault(path.endpoint, []).append(path)
     out: dict[AffineWeylElement, Cell] = {}
     for end in group.canonical_words(grouped):

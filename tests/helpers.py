@@ -1,8 +1,9 @@
 """Constructions that only the tests use: balls and all reduced words of
 affine Weyl groups, inversion sequences, the loop group's n_j, h_beta and
 cocharacter matrices and finite Bruhat points, CountPolynomial shifts, the
-Hecke relations of the counting DP, and the rational symmetrizer search
-that once decided finite type.
+Hecke relations of the counting DP at sampled states, the rational
+symmetrizer search that once decided finite type, and a deadline for
+computations that could run away.
 They are built from the package's own operations, so a test that calls
 them still exercises the package.  `is_canonical` states the form a
 stored coefficient must have."""
@@ -10,6 +11,8 @@ stored coefficient must have."""
 from __future__ import annotations
 
 import json
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -34,6 +37,24 @@ from alcovewalks.folding import (
 )
 from alcovewalks.loopgroup import GroupMatrix, LoopSL
 from alcovewalks.ratfunc import QQ, RationalFunction
+
+
+@contextmanager
+def deadline(seconds: float) -> Iterator[None]:
+    """Raise TimeoutError in the block once `seconds` have passed, so that
+    a computation that runs away fails its test instead of hanging it."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 # -- the benchmark's inputs ---------------------------------------------------
 
@@ -273,6 +294,18 @@ def _act(group: AffineWeylGroup, v: AlcoveState, word: Sequence[int]) -> Frontie
     for j in word:
         frontier = count_step(group, frontier, j)
     return _trimmed(frontier)
+
+
+def sampled_states(group: AffineWeylGroup, rng, n: int) -> list[AlcoveState]:
+    """n states t_lam w, lam in [-8, 8]^rank and w from a random word in
+    the finite letters: far from the identity, they reach regions that
+    short words from it do not."""
+    states = []
+    for _ in range(n):
+        finite = group.from_word([rng.randint(1, group.rank) for _ in range(4 * group.rank)])
+        lam = tuple(rng.randint(-8, 8) for _ in range(group.rank))
+        states.append((lam, group.state(finite)[1]))
+    return states
 
 
 def relation_violations(

@@ -7,6 +7,7 @@ from alcovewalks.affine import (
     AffineRoot,
     AffineWeylElement,
     AffineWeylGroup,
+    InvariantError,
     WordError,
     element_from_json,
     element_to_json,
@@ -18,7 +19,7 @@ from alcovewalks.cartan import Coweight, FiniteRoot, from_label
 
 from alcovewalks.folding import endpoint_counts
 
-from helpers import all_reduced_words, ball, bench_word, inversion_sequence
+from helpers import all_reduced_words, ball, bench_word, deadline, inversion_sequence
 
 
 def a1():
@@ -133,6 +134,23 @@ def test_translation_length_with_word_search_oracle():
     assert hits == [(0, 1)]
     assert g.length(t) == 2
     assert g.reduced_word(t) == (0, 1)
+
+
+def test_reduced_word_runs_past_the_cap_up_to_the_length_bound():
+    # (-40, -40) pairs to 40, 40 and 80 with the positive roots: its word
+    # passes MAX_WORD_LENGTH + 3 = 67 letters, within the bound 160 + 3
+    g = a2()
+    t = AffineWeylElement(Coweight((-40, -40)), g.identity().finite)
+    word = g.reduced_word(t)
+    assert len(word) == 160 and g.from_word(word) == t
+
+
+def test_a_runaway_descent_stops_at_the_length_bound(monkeypatch):
+    # a descent test that always answers letter 0 walks s_1, s_1 s_0, s_1, ...
+    g = a1()
+    monkeypatch.setattr(AffineWeylGroup, "_descends", lambda self, state, i: True)
+    with deadline(1.0), pytest.raises(InvariantError, match="passed the length bound 1$"):
+        g.reduced_word(g.simple_reflection(1))
 
 
 def _bounded_inversions(group, g, window=10):

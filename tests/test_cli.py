@@ -22,7 +22,7 @@ from alcovewalks.cli import EXIT_CLOSED_STDOUT, main
 from alcovewalks.folding import cells_by_endpoint, count_polynomial
 from alcovewalks.render import MAX_RADIUS
 
-from helpers import BENCH_CASES
+from helpers import BENCH_CASES, deadline
 
 
 def run(capsys, *argv):
@@ -133,7 +133,7 @@ def test_paths_stream_matches_json_dumps(capsys, label, word, flags):
     group = AffineWeylGroup(from_label(label))
     letters = parse_word(word)
     nonreduced = not group.is_reduced(letters)
-    cells = cells_by_endpoint(group, letters, allow_nonreduced=nonreduced)
+    cells = cells_by_endpoint(group, letters)
     if "--end" in flags:
         target = group.from_word(parse_word(flags[-1]))
         cells = {end: cell for end, cell in cells.items() if end == target}
@@ -157,7 +157,7 @@ def test_oracle_agreement(capsys):
 
 
 # For a non-reduced word the label tuples are the points of the product
-# I s_j1 I x^I ... /I, and the enumerator with allow_nonreduced counts them
+# I s_j1 I x^I ... /I, and the enumerator, which walks any word, counts them
 @pytest.mark.parametrize(
     "type_label, word",
     [
@@ -259,10 +259,34 @@ def test_rank_above_the_bound_exits_2(capsys):
     assert err.startswith("error: rank 40 exceeds the maximum rank")
 
 
-def test_nonreduced_word_exits_2(capsys):
-    code, _, err = run(capsys, "count", "--type", "A1", "--word", "1,1")
-    assert code == 2
+@pytest.mark.parametrize(
+    "argv",
+    [("paths",), ("count",), ("oracle", "--p", "2")],
+    ids=["paths", "count", "oracle"],
+)
+def test_nonreduced_word_exits_2(capsys, argv):
+    # the library walks any word; the CLI refuses a non-reduced one
+    code, out, err = run(capsys, *argv, "--type", "A1", "--word", "1,1")
+    assert (code, out) == (2, "")
     assert "not reduced" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("paths", "--out", "no-such-dir/out.json"), "error: --out directory no-such-dir does not exist"),
+        (("paths", "--end", "{"), "error: cannot parse endpoint JSON"),
+        (("count", "--end", "{"), "error: cannot parse endpoint JSON"),
+        (("oracle", "--p", "2", "--type", "B2"), "error: the matrix layer supports type A data"),
+        (("oracle", "--p", "2000"), "error: 4002000 executor steps over F_2000^2 exceed the guard"),
+    ],
+    ids=["paths-out", "paths-end", "count-end", "oracle-type", "oracle-guard"],
+)
+def test_earlier_checks_run_before_the_reducedness_check(capsys, argv, message):
+    command, *flags = argv
+    code, out, err = run(capsys, command, "--type", "A2", "--word", "1,1", *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith(message)
 
 
 def test_nonreduced_override(capsys):
@@ -510,6 +534,17 @@ def test_failed_descent_exits_3(capsys, monkeypatch):
     code, out, err = run(capsys, "count", "--type", "A2", "--word", "2,1,0")
     assert (code, out) == (3, "")
     assert err == "error: InvariantError: no descent found for a non-identity element\n"
+
+
+def test_runaway_descent_exits_3(capsys, monkeypatch):
+    # a descent test that always answers letter 0 never reaches the identity
+    from alcovewalks import affine
+
+    monkeypatch.setattr(affine.AffineWeylGroup, "_descends", lambda self, state, i: True)
+    with deadline(1.0):
+        code, out, err = run(capsys, "count", "--type", "A2", "--word", "2,1,0")
+    assert (code, out) == (3, "")
+    assert err == "error: InvariantError: reduced-word descent passed the length bound 7\n"
 
 
 def test_ctrl_c_exits_130_quietly(capsys, monkeypatch):

@@ -24,6 +24,7 @@ from helpers import (
     coxeter_order,
     q_power,
     relation_violations,
+    sampled_states,
     times_q,
     times_q_minus_one,
 )
@@ -219,13 +220,13 @@ def test_reduced_word_independence_spot():
         assert got == reference
 
 
-def test_nonreduced_rejected_and_override():
+def test_nonreduced_word_is_walked():
+    # reducedness is checked by the CLI alone: the library walks any word
     g = a1()
-    with pytest.raises(WordError):
-        enumerate_folded_paths(g, (1, 1))
-    paths = enumerate_folded_paths(g, (1, 1), allow_nonreduced=True)
+    paths = enumerate_folded_paths(g, (1, 1))
     assert ["".join(k.value for k in p.kinds) for p in paths] == ["FF", "FZ", "ZP"]
-    cells = cells_by_endpoint(g, (1, 1), allow_nonreduced=True)
+    cells = cells_by_endpoint(g, (1, 1))
+    assert [cell.count.coeffs for cell in cells.values()] == [(1, -1, 1), (-1, 1)]
     assert "warning" in paths_document(g, (1, 1), cells, nonreduced=True)
     assert "warning" not in paths_document(g, (1, 1), cells)
 
@@ -284,12 +285,11 @@ def test_endpoint_counts_match_cells_by_endpoint(label):
 def test_endpoint_counts_guards_match_the_enumerator():
     g = a1()
     with pytest.raises(WordError):
-        endpoint_counts(g, (1, 1))
-    with pytest.raises(WordError):
         endpoint_counts(g, (2,))
-    counts = endpoint_counts(g, (1, 1), allow_nonreduced=True)
-    cells = cells_by_endpoint(g, (1, 1), allow_nonreduced=True)
+    counts = endpoint_counts(g, (1, 1))
+    cells = cells_by_endpoint(g, (1, 1))
     assert counts == {end: cell.count for end, cell in cells.items()}
+    assert sorted(count.coeffs for count in counts.values()) == [(-1, 1), (1, -1, 1)]
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2", "C3"])
@@ -334,10 +334,10 @@ def test_counts_to_an_end_are_the_filtered_counts(name):
 
 def test_enumeration_to_an_end_of_a_nonreduced_word():
     g = a1()
-    paths = enumerate_folded_paths(g, (1, 1), allow_nonreduced=True)
+    paths = enumerate_folded_paths(g, (1, 1))
     for end in {p.endpoint for p in paths}:
         want = tuple(p for p in paths if p.endpoint == end)
-        assert enumerate_folded_paths(g, (1, 1), allow_nonreduced=True, end=end) == want
+        assert enumerate_folded_paths(g, (1, 1), end=end) == want
 
 
 HECKE_TYPES = (
@@ -346,17 +346,12 @@ HECKE_TYPES = (
 
 
 def test_counting_dp_keeps_the_hecke_relations_at_sampled_states():
-    # t_lam w for lam in [-8, 8]^n and a random finite w, the latter from a
-    # random word in the finite letters: the relations are local, so states
-    # far from the identity reach regions that short words from it do not
+    # the relations are local, so they are checked at states sampled far
+    # from the identity
     rng = random.Random(14)
     for label in HECKE_TYPES:
         group = AffineWeylGroup(from_label(label))
-        states = []
-        for _ in range(200):
-            finite = group.from_word([rng.randint(1, group.rank) for _ in range(4 * group.rank)])
-            lam = tuple(rng.randint(-8, 8) for _ in range(group.rank))
-            states.append((lam, group.state(finite)[1]))
+        states = sampled_states(group, rng, 200)
         assert relation_violations(group, states) == [], label
 
 
